@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 /// Units measured at least, whatever `--seconds` says.
 const MIN_UNITS: usize = 5;
 
-fn options() -> RunOptions {
+/// Every workload's run configuration: one cell worker, serial simulator.
+pub fn run_options() -> RunOptions {
     RunOptions {
         workers: 1,
         ..RunOptions::default()
@@ -64,7 +65,7 @@ fn measure_units(
     quality: &mut Quality,
     digests: &mut BTreeSet<u64>,
 ) -> Result<(Vec<f64>, RunReport, f64), String> {
-    let opts = options();
+    let opts = run_options();
     let started = Instant::now();
     let mut walls = Vec::new();
     let (mut last, mut first_peak) = (None, 0.0);
@@ -130,6 +131,7 @@ pub fn run(
         outcome.metric("peak_rss_mb", peak, "MiB");
         outcome.quality_metrics(&quality);
         outcome.info("units", walls.len().to_string());
+        outcome.info("unit_walls_s", format!("{walls:?}"));
     } else {
         // A warm-up unit gives the reference report; then untraced and
         // traced units alternate, so their ratio is the tracing overhead.
@@ -142,7 +144,7 @@ pub fn run(
             &mut quality,
             &mut digests,
         )?;
-        let opts = options();
+        let opts = run_options();
         let mut tracer = Tracer::new();
         let mut sums = Layers::default();
         let started = Instant::now();

@@ -4,12 +4,13 @@
 
 use crate::json::Json;
 use crate::layers::{journal_append_us, probe_unit, traced_unit, Layers};
+use crate::runwl::run_options;
 use crate::trace::Tracer;
 use crate::util::{fnv1a, median, ms, peak_rss_mib, quantile, setup_samples};
 use crate::workloads::{job_line, JobSeeds, Workload};
 use crate::{Outcome, Quality};
 use choco_runner::serve::serve;
-use choco_runner::{execute, ExperimentSpec, RunOptions, ServeOptions};
+use choco_runner::{execute, ExperimentSpec, ServeOptions};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Lines, PipeReader, PipeWriter, Write};
 use std::path::{Path, PathBuf};
@@ -20,8 +21,15 @@ const MIN_JOBS: usize = 64;
 /// Jobs run before measuring, so the state directory's file system and
 /// the daemon's plan cache are past their cold start.
 const WARMUP: Duration = Duration::from_secs(1);
-/// Jobs per block; `wall_s` is the median block time.
+/// Jobs per block, the unit `wall_s` times.
 const BLOCK: usize = 32;
+/// Share of the blocks, the fastest, whose jobs set the end-to-end
+/// metrics. The host's speed swings up to 2x within a run, for seconds at
+/// a time, and a 0.35 s block sees a swing whole; the fastest tenth is
+/// where the program rather than the host sets the pace. Over six
+/// 40-second runs the spread of the block-wall median was 41% and that of
+/// its lower decile 19%.
+const FAST_SHARE: f64 = 0.1;
 /// Jobs whose report is re-derived with `execute` and compared byte for
 /// byte: the first of each instance seed, then every `SAMPLE_EVERY`-th.
 const SAMPLE_EVERY: usize = 257;
@@ -30,13 +38,6 @@ const JOURNAL_PAIRS: usize = 5;
 /// `execute` runs per distinct job spec whose median wall sets
 /// `runner.overhead_ms`.
 const EXECUTES: usize = 5;
-
-fn run_options() -> RunOptions {
-    RunOptions {
-        workers: 1,
-        ..RunOptions::default()
-    }
-}
 
 /// The client end of a daemon session.
 struct Client {
@@ -192,6 +193,13 @@ fn secs(from: Instant, to: Instant) -> f64 {
     to.saturating_duration_since(from).as_secs_f64()
 }
 
+/// Wall time of each whole block of `BLOCK` consecutive jobs, in s.
+fn block_walls(jobs: &[Job]) -> Vec<f64> {
+    jobs.chunks_exact(BLOCK)
+        .map(|b| secs(b[0].submit, b[BLOCK - 1].done))
+        .collect()
+}
+
 /// Checks every job's report file and re-derives a sample of them with
 /// `execute`. Returns, per instance seed, one job id (for the traced
 /// pass's per-layer calls).
@@ -345,18 +353,23 @@ pub fn run(seed: u64, seconds: f64, trace: bool, out_dir: &Path) -> Result<Outco
         })?;
         setup_s.extend(setup_samples(&mut setup)?);
         let _ = std::fs::remove_dir_all(&setup_dir);
-        let latency: Vec<f64> = jobs.iter().map(|j| secs(j.submit, j.done)).collect();
-        let first: Vec<f64> = jobs
+        let blocks = block_walls(&jobs);
+        let wall = quantile(&blocks, FAST_SHARE);
+        let fast: Vec<&Job> = jobs
+            .chunks_exact(BLOCK)
+            .zip(&blocks)
+            .filter(|&(_, &block)| block <= wall)
+            .flat_map(|(block, _)| block)
+            .collect();
+        let latency: Vec<f64> = fast.iter().map(|j| secs(j.submit, j.done)).collect();
+        let first: Vec<f64> = fast
             .iter()
             .map(|j| secs(j.submit, j.first_record))
             .collect();
-        let blocks: Vec<f64> = jobs
-            .chunks_exact(BLOCK)
-            .map(|b| secs(b[0].submit, b[BLOCK - 1].done))
-            .collect();
-        outcome.metric("wall_s", median(&blocks), "s");
+        outcome.info("block_walls_s", format!("{blocks:?}"));
+        outcome.metric("wall_s", wall, "s");
         outcome.metric("setup_s", median(&setup_s), "s");
-        outcome.metric("jobs_per_s", BLOCK as f64 / median(&blocks), "jobs/s");
+        outcome.metric("jobs_per_s", BLOCK as f64 / wall, "jobs/s");
         outcome.metric("job_p50_ms", median(&latency) * 1e3, "ms");
         outcome.metric("first_record_p50_ms", median(&first) * 1e3, "ms");
         outcome.metric("peak_rss_mb", peak_rss_mib(), "MiB");
@@ -400,13 +413,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool, out_dir: &Path) -> Result<Outco
             let after = health(client)?;
             Ok((warmup, untraced, traced, before, after))
         })?;
-        let rate = |jobs: &[Job]| {
-            let blocks: Vec<f64> = jobs
-                .chunks_exact(BLOCK)
-                .map(|b| secs(b[0].submit, b[BLOCK - 1].done))
-                .collect();
-            BLOCK as f64 / median(&blocks)
-        };
+        let rate = |jobs: &[Job]| BLOCK as f64 / quantile(&block_walls(jobs), FAST_SHARE);
         let n = traced.len() as f64;
         let gap_ms =
             |f: &dyn Fn(&Job) -> f64| median(&traced.iter().map(f).collect::<Vec<_>>()) * 1e3;

@@ -11,7 +11,7 @@ pub fn ms(d: Duration) -> f64 {
 /// Set-up samples per batch.
 const SETUP_SAMPLES: usize = 9;
 /// Minimum timed work per set-up sample, in seconds.
-const SETUP_SAMPLE_SECS: f64 = 0.005;
+const SETUP_SAMPLE_SECS: f64 = 0.02;
 
 /// Samples of the time one call of `setup` takes; `setup` returns the
 /// time its own measured part took. A short set-up is repeated within
