@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <table1_paper|choco_suite|serve_stream> \
+//!     --workload <choco_suite|serve_stream> \
 //!     [--seed N] [--seconds S] [--trace 0|1]
 //! ```
 //!

@@ -1,9 +1,9 @@
-//! The run workloads (`table1_paper`, `choco_suite`): one `execute` of
-//! the generated spec plus its JSON report is one unit of work.
+//! The run workload (`choco_suite`): one `execute` of the generated spec
+//! plus its JSON report is one unit of work.
 
 use crate::layers::{probe_unit, traced_unit, Layers};
 use crate::trace::Tracer;
-use crate::util::{fnv1a, median, peak_rss_mib, setup_samples};
+use crate::util::{fnv1a, median, peak_rss_mib, SetupSampler};
 use crate::workloads::{spec_text, Workload};
 use crate::{Outcome, Quality};
 use choco_runner::{build_instances, execute, ExperimentSpec, Field, RunOptions, RunReport};
@@ -13,6 +13,9 @@ use std::time::{Duration, Instant};
 
 /// Units measured at least, whatever `--seconds` says.
 const MIN_UNITS: usize = 5;
+/// Set-up samples taken before the units and again after them; one more
+/// follows every unit.
+const SETUP_EDGE_SAMPLES: usize = 3;
 
 /// Every workload's run configuration: one cell worker, serial simulator.
 pub fn run_options() -> RunOptions {
@@ -38,6 +41,12 @@ fn check_report(report: &RunReport, json: &str, outcome: &mut Outcome, quality: 
         let ok = matches!(record.get("status"), Some(Field::Str(s)) if s == "ok");
         if !ok {
             outcome.failed += 1;
+            outcome.fail(format!(
+                "cell {:?} ({:?}) is an error record: {:?}",
+                record.get("index"),
+                record.get("problem"),
+                record.get("error")
+            ));
             continue;
         }
         let choco = matches!(record.get("solver"), Some(Field::Str(s)) if s == "choco-q");
@@ -55,8 +64,8 @@ fn check_report(report: &RunReport, json: &str, outcome: &mut Outcome, quality: 
 }
 
 /// Runs units until `budget` has passed (and at least `min` ran),
-/// checking each report. Returns the unit walls, the last report, and the
-/// peak RSS after the first unit.
+/// checking each report and calling `between` after each. Returns the
+/// unit walls, the last report, and the peak RSS after the first unit.
 fn measure_units(
     spec: &ExperimentSpec,
     budget: Duration,
@@ -64,6 +73,7 @@ fn measure_units(
     outcome: &mut Outcome,
     quality: &mut Quality,
     digests: &mut BTreeSet<u64>,
+    between: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<(Vec<f64>, RunReport, f64), String> {
     let opts = run_options();
     let started = Instant::now();
@@ -80,6 +90,7 @@ fn measure_units(
         if walls.len() == 1 {
             first_peak = peak_rss_mib();
         }
+        between()?;
     }
     Ok((walls, last.expect("at least one unit ran"), first_peak))
 }
@@ -97,15 +108,15 @@ pub fn run(
     let mut digests = BTreeSet::new();
 
     if !trace {
-        let mut setup = || {
+        let mut setup = SetupSampler::new(|| {
             let t = Instant::now();
             let spec = ExperimentSpec::parse_str(&text)?;
             std::hint::black_box(build_instances(&spec.expand_cells(false))?);
             Ok(t.elapsed().as_secs_f64())
-        };
-        // Set-up is sampled before and after the units, so its median
-        // spans the whole run.
-        let mut setup_s = setup_samples(&mut setup)?;
+        })?;
+        // Set-up is sampled before, between and after the units, so its
+        // median sees the host at the pace the units saw it.
+        setup.sample(SETUP_EDGE_SAMPLES)?;
         let spec = ExperimentSpec::parse_str(&text)?;
         let budget = Duration::from_secs_f64(seconds);
         let (walls, _, peak) = measure_units(
@@ -115,23 +126,25 @@ pub fn run(
             &mut outcome,
             &mut quality,
             &mut digests,
+            &mut || setup.sample(1),
         )?;
-        setup_s.extend(setup_samples(&mut setup)?);
+        setup.sample(SETUP_EDGE_SAMPLES)?;
         let wall = median(&walls);
         outcome.metric("wall_s", wall, "s");
-        outcome.metric("setup_s", median(&setup_s), "s");
+        outcome.metric("setup_s", median(&setup.samples), "s");
+        // Every end-to-end metric is reported on every workload. A unit
+        // here is one job whose records arrive with its report, so these
+        // three restate `wall_s`; they are measured on `serve_stream`.
         outcome.metric("jobs_per_s", 1.0 / wall, "jobs/s");
         outcome.metric("job_p50_ms", wall * 1e3, "ms");
-        // `execute` hands its records over with the report, so the first
-        // record arrives when the job completes.
         outcome.metric("first_record_p50_ms", wall * 1e3, "ms");
         // Read after the first unit: later units reuse freed memory in a
-        // timing-dependent pattern (five-unit runs of `table1_paper` read
-        // 6.8 or 9.2 MiB at the end, against 6.4–6.6 MiB after one).
+        // timing-dependent pattern.
         outcome.metric("peak_rss_mb", peak, "MiB");
         outcome.quality_metrics(&quality);
         outcome.info("units", walls.len().to_string());
         outcome.info("unit_walls_s", format!("{walls:?}"));
+        outcome.info("setup_samples_s", format!("{:?}", setup.samples));
     } else {
         // A warm-up unit gives the reference report; then untraced and
         // traced units alternate, so their ratio is the tracing overhead.
@@ -143,6 +156,7 @@ pub fn run(
             &mut outcome,
             &mut quality,
             &mut digests,
+            &mut || Ok(()),
         )?;
         let opts = run_options();
         let mut tracer = Tracer::new();
@@ -158,6 +172,7 @@ pub fn run(
                 &mut outcome,
                 &mut quality,
                 &mut digests,
+                &mut || Ok(()),
             )?;
             walls.extend(untraced);
             let unit = traced_ms.len() as u64;

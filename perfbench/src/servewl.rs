@@ -6,7 +6,7 @@ use crate::json::Json;
 use crate::layers::{journal_append_us, probe_unit, traced_unit, Layers};
 use crate::runwl::run_options;
 use crate::trace::Tracer;
-use crate::util::{fnv1a, median, ms, peak_rss_mib, quantile, setup_samples};
+use crate::util::{fnv1a, median, ms, peak_rss_mib, quantile, SetupSampler};
 use crate::workloads::{job_line, JobSeeds, Workload};
 use crate::{Outcome, Quality};
 use choco_runner::serve::serve;
@@ -30,6 +30,10 @@ const BLOCK: usize = 32;
 /// 40-second runs the spread of the block-wall median was 41% and that of
 /// its lower decile 19%.
 const FAST_SHARE: f64 = 0.1;
+/// Set-up samples taken before the jobs and again after them.
+const SETUP_EDGE_SAMPLES: usize = 3;
+/// Blocks between set-up samples taken during the jobs.
+const SETUP_EVERY_BLOCKS: usize = 4;
 /// Jobs whose report is re-derived with `execute` and compared byte for
 /// byte: the first of each instance seed, then every `SAMPLE_EVERY`-th.
 const SAMPLE_EVERY: usize = 257;
@@ -153,13 +157,15 @@ fn run_job(client: &mut Client, id: String, seed: u64) -> Result<Job, String> {
 }
 
 /// Submits jobs one after another until `budget` has passed (and at least
-/// `min` ran).
+/// `min` ran), calling `between` after each whole block of `BLOCK` jobs,
+/// outside every block wall.
 fn stream(
     client: &mut Client,
     seeds: &mut JobSeeds,
     next_id: &mut usize,
     budget: Duration,
     min: usize,
+    between: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<Vec<Job>, String> {
     let started = Instant::now();
     let mut jobs = Vec::new();
@@ -167,6 +173,9 @@ fn stream(
         let id = format!("j{next_id}");
         *next_id += 1;
         jobs.push(run_job(client, id, seeds.next_seed())?);
+        if jobs.len() % BLOCK == 0 {
+            between()?;
+        }
     }
     Ok(jobs)
 }
@@ -216,6 +225,7 @@ fn check_jobs(
         outcome.attempted += 1;
         if !job.ok {
             outcome.failed += 1;
+            outcome.fail(format!("job {} was rejected or has error records", job.id));
             continue;
         }
         let path = dir.join(format!("{}.json", job.id));
@@ -333,25 +343,33 @@ pub fn run(seed: u64, seconds: f64, trace: bool, out_dir: &Path) -> Result<Outco
         let setup_dir = fresh_dir(out_dir.join(format!("serve-setup-{pid}")));
         std::fs::create_dir_all(&setup_dir)
             .map_err(|e| format!("cannot create {}: {e}", setup_dir.display()))?;
-        let mut setup = || {
+        let mut setup = SetupSampler::new(|| {
             let t = Instant::now();
             with_daemon(&setup_dir, |client| {
                 client.wait_for("ready")?;
                 Ok(t.elapsed().as_secs_f64())
             })
-        };
-        // Sampled before and after the jobs, so the median spans the run.
-        let mut setup_s = setup_samples(&mut setup)?;
+        })?;
+        // Sampled before, between and after the blocks, so the median sees
+        // the host at the pace the jobs saw it. The idle main daemon waits
+        // on its request pipe meanwhile.
+        setup.sample(SETUP_EDGE_SAMPLES)?;
         let budget = Duration::from_secs_f64(seconds);
+        let mut blocks_done = 0usize;
         let (warmup, jobs) = with_daemon(&dir, |client| {
             client.wait_for("ready")?;
-            let warmup = stream(client, &mut seeds, &mut next_id, WARMUP, 1)?;
-            Ok((
-                warmup,
-                stream(client, &mut seeds, &mut next_id, budget, MIN_JOBS)?,
-            ))
+            let warmup = stream(client, &mut seeds, &mut next_id, WARMUP, 1, &mut || Ok(()))?;
+            let jobs = stream(client, &mut seeds, &mut next_id, budget, MIN_JOBS, &mut || {
+                blocks_done += 1;
+                if blocks_done % SETUP_EVERY_BLOCKS == 0 {
+                    setup.sample(1)?;
+                }
+                Ok(())
+            })?;
+            Ok((warmup, jobs))
         })?;
-        setup_s.extend(setup_samples(&mut setup)?);
+        setup.sample(SETUP_EDGE_SAMPLES)?;
+        let setup_s = setup.samples;
         let _ = std::fs::remove_dir_all(&setup_dir);
         let blocks = block_walls(&jobs);
         let wall = quantile(&blocks, FAST_SHARE);
@@ -367,6 +385,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool, out_dir: &Path) -> Result<Outco
             .map(|j| secs(j.submit, j.first_record))
             .collect();
         outcome.info("block_walls_s", format!("{blocks:?}"));
+        outcome.info("setup_samples_s", format!("{setup_s:?}"));
         outcome.metric("wall_s", wall, "s");
         outcome.metric("setup_s", median(&setup_s), "s");
         outcome.metric("jobs_per_s", BLOCK as f64 / wall, "jobs/s");
@@ -389,8 +408,15 @@ pub fn run(seed: u64, seconds: f64, trace: bool, out_dir: &Path) -> Result<Outco
         let mut tracer = Tracer::new();
         let (warmup, untraced, traced, before, after) = with_daemon(&dir, |client| {
             client.wait_for("ready")?;
-            let warmup = stream(client, &mut seeds, &mut next_id, WARMUP, 1)?;
-            let untraced = stream(client, &mut seeds, &mut next_id, half, MIN_JOBS)?;
+            let warmup = stream(client, &mut seeds, &mut next_id, WARMUP, 1, &mut || Ok(()))?;
+            let untraced = stream(
+                client,
+                &mut seeds,
+                &mut next_id,
+                half,
+                MIN_JOBS,
+                &mut || Ok(()),
+            )?;
             let before = health(client)?;
             let started = Instant::now();
             let mut traced = Vec::new();

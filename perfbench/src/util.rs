@@ -8,28 +8,44 @@ pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Set-up samples per batch.
-const SETUP_SAMPLES: usize = 9;
 /// Minimum timed work per set-up sample, in seconds.
-const SETUP_SAMPLE_SECS: f64 = 0.02;
+const SETUP_SAMPLE_SECS: f64 = 0.05;
 
 /// Samples of the time one call of `setup` takes; `setup` returns the
 /// time its own measured part took. A short set-up is repeated within
 /// each sample until the sample holds at least `SETUP_SAMPLE_SECS` of
 /// measured time, and the sample is the mean, so timer and scheduling
-/// noise average out; the first call only sizes the samples.
-pub fn setup_samples(mut setup: impl FnMut() -> Result<f64, String>) -> Result<Vec<f64>, String> {
-    let first = setup()?.max(1e-9);
-    let reps = ((SETUP_SAMPLE_SECS / first).ceil() as usize).clamp(1, 1000);
-    let mut samples = Vec::with_capacity(SETUP_SAMPLES);
-    for _ in 0..SETUP_SAMPLES {
-        let mut total = 0.0;
-        for _ in 0..reps {
-            total += setup()?;
-        }
-        samples.push(total / reps as f64);
+/// noise average out; the first call only sizes the samples. Callers
+/// take samples at points spread over the run: the host's speed drifts
+/// for seconds at a time, and samples taken in one burst see only one
+/// moment of it.
+pub struct SetupSampler<F> {
+    setup: F,
+    reps: usize,
+    pub samples: Vec<f64>,
+}
+
+impl<F: FnMut() -> Result<f64, String>> SetupSampler<F> {
+    pub fn new(mut setup: F) -> Result<Self, String> {
+        let first = setup()?.max(1e-9);
+        Ok(SetupSampler {
+            setup,
+            reps: ((SETUP_SAMPLE_SECS / first).ceil() as usize).clamp(1, 1000),
+            samples: Vec::new(),
+        })
     }
-    Ok(samples)
+
+    /// Takes `n` samples.
+    pub fn sample(&mut self, n: usize) -> Result<(), String> {
+        for _ in 0..n {
+            let mut total = 0.0;
+            for _ in 0..self.reps {
+                total += (self.setup)()?;
+            }
+            self.samples.push(total / self.reps as f64);
+        }
+        Ok(())
+    }
 }
 
 /// Time of a fixed CPU-bound loop (2^24 SplitMix64 steps), in ms: a

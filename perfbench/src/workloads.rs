@@ -6,8 +6,6 @@
 /// exists).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
-    /// `experiments/table1.toml` as shipped, default engine.
-    Table1Paper,
     /// Choco-Q over the Table II and native-inequality classes, compact.
     ChocoSuite,
     /// Closed-loop stream of three-cell JSON jobs into one serve session.
@@ -17,27 +15,21 @@ pub enum Workload {
 impl Workload {
     pub fn parse(name: &str) -> Result<Workload, String> {
         match name {
-            "table1_paper" => Ok(Workload::Table1Paper),
             "choco_suite" => Ok(Workload::ChocoSuite),
             "serve_stream" => Ok(Workload::ServeStream),
             other => Err(format!(
-                "unknown workload `{other}` (expected table1_paper, choco_suite, or serve_stream)"
+                "unknown workload `{other}` (expected choco_suite or serve_stream)"
             )),
         }
     }
 
     pub fn name(self) -> &'static str {
         match self {
-            Workload::Table1Paper => "table1_paper",
             Workload::ChocoSuite => "choco_suite",
             Workload::ServeStream => "serve_stream",
         }
     }
 }
-
-/// Table I exactly as shipped; the seed does not enter it (the artifact
-/// pins its own instance and cell seeds).
-const TABLE1: &str = include_str!("../specs/table1.toml");
 
 /// The 12 Table II classes followed by the 8 native-inequality classes.
 const SUITE_CLASSES: [&str; 20] = [
@@ -53,7 +45,6 @@ const SUITE_CLASSES: [&str; 20] = [
 /// depends on which cell follows the 128 MiB G4 cost tables.)
 pub fn spec_text(workload: Workload, seed: u64) -> String {
     match workload {
-        Workload::Table1Paper => TABLE1.to_string(),
         Workload::ChocoSuite => {
             let problems: Vec<String> = SUITE_CLASSES.iter().map(|c| format!("\"{c}\"")).collect();
             let seeds: Vec<String> = seed_order(seed).iter().map(u64::to_string).collect();
