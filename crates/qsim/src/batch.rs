@@ -2,23 +2,22 @@
 //!
 //! A variational optimizer routinely holds K parameter vectors for the
 //! *same* circuit shape — an initial simplex, a geometry rebuild, a
-//! shrink step. The serial compact path replays the cached
-//! [`crate::plan::GatePlan`] K separate times, paying the rank-table
-//! traversal, kernel dispatch, and cache refill per candidate.
-//! [`BatchWorkspace`] instead holds a structure-of-arrays amplitude
-//! buffer of length `K·|F|` in **rank-major** order — `amps[rank·K +
-//! lane]`, all K candidates of one basis rank contiguous — and replays
-//! the plan once, with the inner diagonal/2×2 loops running over the K
-//! lanes ([`crate::plan::GatePlan::execute_batch`]).
+//! shrink step. Replaying the cached [`crate::plan::GatePlan`] K separate
+//! times pays the rank-table traversal, kernel dispatch, and cache refill
+//! per candidate. [`BatchWorkspace`] instead holds a structure-of-arrays
+//! amplitude buffer of length `K·|F|` in **rank-major** order —
+//! `amps[rank·K + lane]`, all K candidates of one basis rank contiguous —
+//! and replays the plan once, with the inner diagonal/2×2 loops running
+//! over the K lanes ([`crate::plan::GatePlan::execute`], the same replay
+//! a serial compact run makes with K = 1).
 //!
-//! Bit-identity contract: every lane evaluates exactly the IEEE
-//! expression sequence its own serial replay would, so amplitudes,
-//! expectations, and sample streams read from a lane are bit-identical
-//! to a [`crate::CompactStateVector`] run of that lane's circuit — at
-//! any batch size and any thread count. The read operations below mirror
-//! the compact engine's term for term (same exact-zero filters, same
-//! cumulative-table endpoint handling).
+//! Bit-identity contract: every lane evaluates the same IEEE expression
+//! sequence at any K, so amplitudes, expectations, and sample streams
+//! read from a lane are bit-identical to a [`crate::CompactStateVector`]
+//! run of that lane's circuit — at any batch size and any thread count.
+//! The reads below are the compact engine's own, applied to one lane.
 
+use crate::compact::{reset_lanes, Lane};
 use crate::counts::Counts;
 use crate::phasepoly::PhasePoly;
 use crate::plan::{BatchScratch, GatePlan};
@@ -40,42 +39,26 @@ pub struct BatchWorkspace {
     /// Rank-major lanes: `amps[rank * lanes + lane]`.
     amps: Vec<Complex64>,
     lanes: usize,
-    scratch: BatchScratch,
     reallocations: u64,
 }
 
 impl BatchWorkspace {
-    /// An empty batch workspace (no buffer until the first replay).
-    pub(crate) fn new() -> Self {
-        BatchWorkspace::default()
-    }
-
     /// Replays `plan` over one lane per circuit. The caller has verified
     /// every circuit matches the plan's shape.
     pub(crate) fn replay(
         &mut self,
         plan: &GatePlan,
         circuits: &[crate::Circuit],
+        scratch: &mut BatchScratch,
         config: &SimConfig,
     ) {
-        let basis = plan.basis();
-        assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
         let lanes = circuits.len();
-        let needed = lanes * basis.len();
-        if self.amps.capacity() < needed {
+        if reset_lanes(&mut self.basis, &mut self.amps, plan.basis(), lanes) {
             self.reallocations += 1;
-        }
-        if !Arc::ptr_eq(&self.basis, basis) {
-            self.basis = basis.clone();
         }
         self.n_qubits = circuits[0].n_qubits();
         self.lanes = lanes;
-        self.amps.clear();
-        self.amps.resize(needed, Complex64::ZERO);
-        for lane in 0..lanes {
-            self.amps[lane] = Complex64::ONE; // rank 0 of every lane
-        }
-        plan.execute_batch(circuits, &mut self.amps, &mut self.scratch, config);
+        plan.execute(circuits, &mut self.amps, scratch, config);
     }
 
     /// Number of lanes (K) held by the last replay.
@@ -104,113 +87,62 @@ impl BatchWorkspace {
         self.reallocations
     }
 
-    #[inline]
-    fn lane_amp(&self, rank: usize, lane: usize) -> Complex64 {
-        self.amps[rank * self.lanes + lane]
+    fn lane(&self, lane: usize) -> Lane<'_> {
+        assert!(lane < self.lanes, "lane out of range");
+        Lane {
+            n_qubits: self.n_qubits,
+            basis: &self.basis,
+            amps: &self.amps,
+            lanes: self.lanes,
+            lane,
+        }
     }
 
     /// The amplitude of basis state `bits` on one lane (zero off the
-    /// feasible basis) — mirrors [`crate::CompactStateVector::amplitude`].
+    /// feasible basis) — see [`crate::CompactStateVector::amplitude`].
     pub fn amplitude(&self, lane: usize, bits: u64) -> Complex64 {
-        assert!(lane < self.lanes, "lane out of range");
-        match self.basis.binary_search(&bits) {
-            Ok(rank) => self.lane_amp(rank, lane),
-            Err(_) => Complex64::ZERO,
-        }
+        self.lane(lane).amplitude(bits)
     }
 
     /// Number of exactly non-zero amplitudes on one lane.
     pub fn occupancy(&self, lane: usize) -> usize {
-        assert!(lane < self.lanes, "lane out of range");
-        (0..self.basis.len())
-            .map(|rank| self.lane_amp(rank, lane))
-            .filter(|a| a.re != 0.0 || a.im != 0.0)
-            .count()
+        self.lane(lane).occupancy()
     }
 
-    /// One lane's total probability, with the same term sequence as
+    /// One lane's total probability — see
     /// [`crate::CompactStateVector::norm_sqr`].
     pub fn norm_sqr(&self, lane: usize) -> f64 {
-        assert!(lane < self.lanes, "lane out of range");
-        (0..self.basis.len())
-            .map(|rank| self.lane_amp(rank, lane))
-            .filter(|a| a.re != 0.0 || a.im != 0.0)
-            .map(|a| a.norm_sqr())
-            .sum()
+        self.lane(lane).norm_sqr()
     }
 
     /// One lane's expectation of a diagonal observable given a `2^n`
-    /// value table — the exact term sequence of
+    /// value table — see
     /// [`crate::CompactStateVector::expectation_diag_values`].
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != 2^n` or the lane is out of range.
     pub fn expectation_diag_values(&self, lane: usize, values: &[f64]) -> f64 {
-        assert!(lane < self.lanes, "lane out of range");
-        assert_eq!(
-            values.len(),
-            1usize << self.n_qubits,
-            "diagonal length mismatch"
-        );
-        self.basis
-            .iter()
-            .enumerate()
-            .map(|(rank, &bits)| (bits, self.lane_amp(rank, lane)))
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(bits, a)| a.norm_sqr() * values[bits as usize])
-            .sum()
+        self.lane(lane).expectation_diag_values(values)
     }
 
-    /// One lane's expectation of a diagonal polynomial observable — the
-    /// exact term sequence of
+    /// One lane's expectation of a diagonal polynomial observable — see
     /// [`crate::CompactStateVector::expectation_diag_poly`].
     pub fn expectation_diag_poly(&self, lane: usize, poly: &PhasePoly) -> f64 {
-        assert!(lane < self.lanes, "lane out of range");
-        self.basis
-            .iter()
-            .enumerate()
-            .map(|(rank, &bits)| (bits, self.lane_amp(rank, lane)))
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits))
-            .sum()
+        self.lane(lane).expectation_diag_poly(poly)
     }
 
     /// Fills `out` with one lane's cumulative probability over all `|F|`
-    /// ranks — bit-identical to
-    /// [`crate::CompactStateVector::fill_cumulative`] on that lane's
-    /// serial state.
+    /// ranks — see [`crate::CompactStateVector::fill_cumulative`].
     pub fn fill_cumulative(&self, lane: usize, out: &mut Vec<f64>) {
-        assert!(lane < self.lanes, "lane out of range");
-        out.clear();
-        out.reserve(self.basis.len());
-        let mut acc = 0.0f64;
-        for rank in 0..self.basis.len() {
-            acc += self.lane_amp(rank, lane).norm_sqr();
-            out.push(acc);
-        }
+        self.lane(lane).fill_cumulative(out);
     }
 
     /// Samples `shots` outcomes from one lane, building the cumulative
-    /// table on the fly. Tie handling mirrors
-    /// [`crate::CompactStateVector::sample_with_cumulative`] exactly, so
-    /// a shared seed yields the identical histogram the serial engines
-    /// produce for that lane's circuit.
+    /// table on the fly — see [`crate::CompactStateVector::sample`]. A
+    /// shared seed yields the histogram every engine produces for that
+    /// lane's circuit.
     pub fn sample<R: Rng>(&self, lane: usize, shots: u64, rng: &mut R) -> Counts {
-        let mut cumulative = Vec::new();
-        self.fill_cumulative(lane, &mut cumulative);
-        let total = *cumulative.last().expect("non-empty state");
-        let mut counts = Counts::new();
-        for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * total;
-            let bits = if r == 0.0 {
-                0
-            } else {
-                let slot = cumulative.partition_point(|&c| c < r);
-                self.basis[slot.min(self.basis.len() - 1)]
-            };
-            counts.record(bits);
-        }
-        counts
+        self.lane(lane).sample(shots, rng)
     }
 }

@@ -6,8 +6,13 @@
 //! feasible basis state in the sorted feasible basis `F` that
 //! the gate-plan compiler enumerated at compile time. All per-gate work happens
 //! through the plan's precomputed rank tables; this type only owns the
-//! amplitude array and implements the solver-facing read operations
+//! amplitude array and exposes the solver-facing read operations
 //! (amplitudes, expectations, sampling, support counting).
+//!
+//! That array is a one-lane batch: replay writes it with the same
+//! [`crate::plan::GatePlan::execute`] call that fills a K-lane
+//! [`crate::BatchWorkspace`], and both types read through one [`Lane`]
+//! implementation of the rank-strided reads.
 //!
 //! Structural slots the sparse engine pruned hold exact complex zeros
 //! here. Every read operation either skips them (mirroring the sparse
@@ -41,20 +46,13 @@ pub struct CompactStateVector {
 }
 
 impl CompactStateVector {
-    /// The state `|0…0⟩` over the given feasible basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the basis does not start with the all-zeros state (every
-    /// plan's basis does — compilation starts there).
-    pub(crate) fn new(n_qubits: usize, basis: Arc<Vec<u64>>, config: SimConfig) -> Self {
-        assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
-        let mut amps = vec![Complex64::ZERO; basis.len()];
-        amps[0] = Complex64::ONE;
+    /// An unallocated state over the given feasible basis; replay starts
+    /// with [`CompactStateVector::reset_for_basis`].
+    pub(crate) fn new(n_qubits: usize, basis: &Arc<Vec<u64>>, config: SimConfig) -> Self {
         CompactStateVector {
             n_qubits,
-            basis,
-            amps,
+            basis: basis.clone(),
+            amps: Vec::new(),
             config,
         }
     }
@@ -64,13 +62,7 @@ impl CompactStateVector {
     /// the workspace's zero-alloc-per-iteration path when one solve
     /// alternates between circuit shapes.
     pub(crate) fn reset_for_basis(&mut self, basis: &Arc<Vec<u64>>) {
-        assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
-        if !Arc::ptr_eq(&self.basis, basis) {
-            self.basis = basis.clone();
-        }
-        self.amps.clear();
-        self.amps.resize(self.basis.len(), Complex64::ZERO);
-        self.amps[0] = Complex64::ONE;
+        reset_lanes(&mut self.basis, &mut self.amps, basis, 1);
     }
 
     /// Resets to `|0…0⟩` in place.
@@ -111,14 +103,23 @@ impl CompactStateVector {
         self.basis.len()
     }
 
+    /// The amplitude array as the one lane of a K = 1 batch, which is
+    /// how every read below is implemented.
+    fn lane(&self) -> Lane<'_> {
+        Lane {
+            n_qubits: self.n_qubits,
+            basis: &self.basis,
+            amps: &self.amps,
+            lanes: 1,
+            lane: 0,
+        }
+    }
+
     /// Number of exactly non-zero amplitudes. Equals the sparse engine's
     /// occupancy (amplitudes are bit-identical across engines; the sparse
     /// engine prunes exact zeros).
     pub fn occupancy(&self) -> usize {
-        self.amps
-            .iter()
-            .filter(|a| a.re != 0.0 || a.im != 0.0)
-            .count()
+        self.lane().occupancy()
     }
 
     /// Occupied fraction of the `2^n` register.
@@ -129,20 +130,12 @@ impl CompactStateVector {
     /// The non-zero entries `(basis index, amplitude)` in basis order —
     /// exactly the sparse engine's entry list for the same state.
     pub fn entries(&self) -> Vec<(u64, Complex64)> {
-        self.basis
-            .iter()
-            .zip(self.amps.iter())
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(&bits, &a)| (bits, a))
-            .collect()
+        self.lane().occupied().collect()
     }
 
     /// The amplitude of basis state `bits` (zero off the feasible basis).
     pub fn amplitude(&self, bits: u64) -> Complex64 {
-        match self.basis.binary_search(&bits) {
-            Ok(rank) => self.amps[rank],
-            Err(_) => Complex64::ZERO,
-        }
+        self.lane().amplitude(bits)
     }
 
     /// Probability of measuring the basis state `bits`.
@@ -159,11 +152,7 @@ impl CompactStateVector {
     /// Total probability (should be 1 up to rounding). Skips exact zeros
     /// so the sum has the same term sequence as the sparse engine's.
     pub fn norm_sqr(&self) -> f64 {
-        self.amps
-            .iter()
-            .filter(|a| a.re != 0.0 || a.im != 0.0)
-            .map(|a| a.norm_sqr())
-            .sum()
+        self.lane().norm_sqr()
     }
 
     /// Expectation of a diagonal observable given a `2^n` value table.
@@ -174,28 +163,13 @@ impl CompactStateVector {
     ///
     /// Panics if `values.len() != 2^n`.
     pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
-        assert_eq!(
-            values.len(),
-            1usize << self.n_qubits,
-            "diagonal length mismatch"
-        );
-        self.basis
-            .iter()
-            .zip(self.amps.iter())
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(&bits, a)| a.norm_sqr() * values[bits as usize])
-            .sum()
+        self.lane().expectation_diag_values(values)
     }
 
     /// Expectation of a diagonal observable given as a polynomial —
     /// `O(|F| · terms)`, no table required.
     pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
-        self.basis
-            .iter()
-            .zip(self.amps.iter())
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(&bits, a)| a.norm_sqr() * poly.eval_bits(bits))
-            .sum()
+        self.lane().expectation_diag_poly(poly)
     }
 
     /// Fills `out` with the cumulative probability over all `|F|` ranks
@@ -203,13 +177,7 @@ impl CompactStateVector {
     /// values at occupied slots match the other engines' tables
     /// bit-for-bit — which keeps sample streams identical.
     pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.amps.len());
-        let mut acc = 0.0f64;
-        for a in &self.amps {
-            acc += a.norm_sqr();
-            out.push(acc);
-        }
+        self.lane().fill_cumulative(out);
     }
 
     /// Samples `shots` outcomes using a prebuilt rank-cumulative table
@@ -227,7 +195,117 @@ impl CompactStateVector {
         shots: u64,
         rng: &mut R,
     ) -> Counts {
-        assert_eq!(cumulative.len(), self.amps.len(), "table length mismatch");
+        self.lane().sample_with_cumulative(cumulative, shots, rng)
+    }
+
+    /// Samples `shots` measurement outcomes, building the cumulative
+    /// table on the fly (one-off calls; [`crate::SimWorkspace::sample`]
+    /// caches the table across calls).
+    pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
+        self.lane().sample(shots, rng)
+    }
+}
+
+/// Points `held` at `basis` and resets every lane of a rank-major buffer
+/// to `|0…0⟩` (rank 0 — every plan's basis starts there), reusing the
+/// allocation when its capacity suffices. Returns whether it had to grow.
+pub(crate) fn reset_lanes(
+    held: &mut Arc<Vec<u64>>,
+    amps: &mut Vec<Complex64>,
+    basis: &Arc<Vec<u64>>,
+    lanes: usize,
+) -> bool {
+    assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
+    if !Arc::ptr_eq(held, basis) {
+        *held = basis.clone();
+    }
+    let needed = lanes * basis.len();
+    let grew = amps.capacity() < needed;
+    amps.clear();
+    amps.resize(needed, Complex64::ZERO);
+    amps[..lanes].fill(Complex64::ONE); // rank 0 of every lane
+    grew
+}
+
+/// One lane of a rank-major amplitude buffer `amps[rank * lanes + lane]`
+/// over the feasible basis: the single implementation of the compact
+/// reads. A [`CompactStateVector`] is the `lanes = 1` case and
+/// [`crate::BatchWorkspace`] reads each of its lanes through one, so a
+/// lane reads exactly what a serial run of its circuit would.
+#[derive(Clone, Copy)]
+pub(crate) struct Lane<'a> {
+    pub(crate) n_qubits: usize,
+    pub(crate) basis: &'a [u64],
+    pub(crate) amps: &'a [Complex64],
+    pub(crate) lanes: usize,
+    pub(crate) lane: usize,
+}
+
+impl<'a> Lane<'a> {
+    /// The lane's amplitudes in rank order.
+    fn iter(self) -> impl Iterator<Item = Complex64> + 'a {
+        self.amps[self.lane..].iter().step_by(self.lanes).copied()
+    }
+
+    /// The lane's `(basis index, amplitude)` entries with exact zeros
+    /// skipped — the sparse engine's entry iteration, term for term.
+    fn occupied(self) -> impl Iterator<Item = (u64, Complex64)> + 'a {
+        self.basis
+            .iter()
+            .copied()
+            .zip(self.iter())
+            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
+    }
+
+    pub(crate) fn amplitude(self, bits: u64) -> Complex64 {
+        match self.basis.binary_search(&bits) {
+            Ok(rank) => self.amps[rank * self.lanes + self.lane],
+            Err(_) => Complex64::ZERO,
+        }
+    }
+
+    pub(crate) fn occupancy(self) -> usize {
+        self.occupied().count()
+    }
+
+    pub(crate) fn norm_sqr(self) -> f64 {
+        self.occupied().map(|(_, a)| a.norm_sqr()).sum()
+    }
+
+    pub(crate) fn expectation_diag_values(self, values: &[f64]) -> f64 {
+        assert_eq!(
+            values.len(),
+            1usize << self.n_qubits,
+            "diagonal length mismatch"
+        );
+        self.occupied()
+            .map(|(bits, a)| a.norm_sqr() * values[bits as usize])
+            .sum()
+    }
+
+    pub(crate) fn expectation_diag_poly(self, poly: &PhasePoly) -> f64 {
+        self.occupied()
+            .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits))
+            .sum()
+    }
+
+    pub(crate) fn fill_cumulative(self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.basis.len());
+        let mut acc = 0.0f64;
+        for a in self.iter() {
+            acc += a.norm_sqr();
+            out.push(acc);
+        }
+    }
+
+    pub(crate) fn sample_with_cumulative<R: Rng>(
+        self,
+        cumulative: &[f64],
+        shots: u64,
+        rng: &mut R,
+    ) -> Counts {
+        assert_eq!(cumulative.len(), self.basis.len(), "table length mismatch");
         let total = *cumulative.last().expect("non-empty state");
         let mut counts = Counts::new();
         for _ in 0..shots {
@@ -239,17 +317,14 @@ impl CompactStateVector {
                 0
             } else {
                 let slot = cumulative.partition_point(|&c| c < r);
-                self.basis[slot.min(self.amps.len() - 1)]
+                self.basis[slot.min(self.basis.len() - 1)]
             };
             counts.record(bits);
         }
         counts
     }
 
-    /// Samples `shots` measurement outcomes, building the cumulative
-    /// table on the fly (one-off calls; [`crate::SimWorkspace::sample`]
-    /// caches the table across calls).
-    pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
+    pub(crate) fn sample<R: Rng>(self, shots: u64, rng: &mut R) -> Counts {
         let mut cumulative = Vec::new();
         self.fill_cumulative(&mut cumulative);
         self.sample_with_cumulative(&cumulative, shots, rng)
@@ -261,19 +336,34 @@ mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::gate::UBlock;
-    use crate::plan::GatePlan;
+    use crate::plan::{BatchScratch, GatePlan};
     use crate::sparse::SparseStateVector;
+    use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Replays `circuit` on the compact engine, checked bit for bit
+    /// against a dense run before any read is exercised.
     fn run_compact(circuit: &Circuit) -> CompactStateVector {
         let plan = GatePlan::compile(circuit, 1 << 12).unwrap();
-        let mut state = CompactStateVector::new(
-            circuit.n_qubits(),
-            plan.basis().clone(),
-            SimConfig::serial(),
+        let config = SimConfig::serial();
+        let mut state = CompactStateVector::new(circuit.n_qubits(), plan.basis(), config);
+        state.reset_for_basis(plan.basis());
+        let circuits = std::slice::from_ref(circuit);
+        plan.execute(
+            circuits,
+            state.amps_mut(),
+            &mut BatchScratch::default(),
+            &config,
         );
-        plan.execute(circuit, state.amps_mut(), &SimConfig::serial());
+        let dense = StateVector::run(circuit);
+        for (bits, d) in dense.amplitudes().iter().enumerate() {
+            let a = state.amplitude(bits as u64);
+            assert!(
+                a.re == d.re && a.im == d.im,
+                "bits={bits}: compact {a} vs dense {d}"
+            );
+        }
         state
     }
 
@@ -281,11 +371,14 @@ mod tests {
         let mut poly = PhasePoly::new(4);
         poly.add_linear(0, 1.2);
         poly.add_quadratic(1, 3, -0.6);
+        let poly = Arc::new(poly);
         let mut c = Circuit::new(4);
         c.load_bits(0b0011);
-        c.diag(Arc::new(poly), 0.8);
-        c.ublock(UBlock::from_u_with_angle(&[1, -1, 1, 0], 0.8));
-        c.ublock(UBlock::from_u_with_angle(&[0, 1, -1, 1], 0.4));
+        c.diag(poly.clone(), 0.8);
+        c.ublock(UBlock::from_u_with_angle(&[1, 0, -1, 0], 0.8));
+        c.ublock(UBlock::from_u_with_angle(&[0, 1, 0, -1], 0.4));
+        c.diag(poly, 0.5);
+        c.ublock(UBlock::from_u_with_angle(&[1, 0, -1, 0], 0.3));
         c
     }
 

@@ -12,19 +12,22 @@
 //!    engine's kernels would (pair partners are materialized, phases never
 //!    grow support), producing the final feasible basis `F` (sorted),
 //! 2. every gate is lowered to a [`PlanStep`] of precomputed rank tables
-//!    into `F` — scatter/gather pair lists, subspace rank lists, per-rank
-//!    diagonal polynomial values.
+//!    into `F` — scatter/gather pair lists, subspace rank lists, and a
+//!    deduplicated value table for each diagonal polynomial.
 //!
-//! Replay ([`GatePlan::execute`]) then walks the *current* circuit in
-//! lockstep with the steps, reading angles/matrices from the gates and
-//! ranks from the plan: cache-friendly strided loops over a flat
-//! `Vec<Complex64>` of length `|F|`, threaded through
-//! [`SimConfig::effective_threads`], with zero map operations and zero
-//! allocations. Every arithmetic expression mirrors the sparse engine
-//! operand for operand (which in turn mirrors the dense engine), so the
-//! three engines stay bit-identical — structurally-supported slots the
-//! sparse engine pruned hold exact zeros here and contribute exact IEEE
-//! no-ops to every kernel.
+//! Replay ([`GatePlan::execute`]) is the compact engine's one replay
+//! path. It walks K same-shape circuits in lockstep with the steps,
+//! reading angles/matrices from the gates and ranks from the plan, over a
+//! rank-major amplitude buffer `amps[rank·K + lane]`. A serial run is the
+//! K = 1 case: its buffer is exactly the rank-indexed array of a
+//! [`crate::CompactStateVector`]. The loops are cache-friendly strided
+//! passes threaded through [`SimConfig::effective_threads`], with zero
+//! map operations and no allocations once the [`BatchScratch`] buffers
+//! are warm. Every lane's arithmetic mirrors the sparse engine operand
+//! for operand (which in turn mirrors the dense engine), so the three
+//! engines stay bit-identical — structurally-supported slots the sparse
+//! engine pruned hold exact zeros here and contribute exact IEEE no-ops
+//! to every kernel.
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
 //! once the structural support crosses the same occupancy threshold that
@@ -383,17 +386,17 @@ enum PlanStep {
     /// Disjoint rank pairs `(i, j)` for the pair kernels; the 2×2
     /// arithmetic comes from the gate at replay time.
     Pairs { pairs: Vec<[u32; 2]> },
-    /// Diagonal polynomial: per-rank non-zero values, baked at compile
-    /// time (the polynomial never changes under a stable shape — only the
-    /// angle θ does). `distinct` / `value_idx` are the bit-deduplicated
-    /// value table and each rank's index into it: structured cost
-    /// polynomials repeat the same sum over many feasible states, so the
-    /// batched replay computes `e^{-iθ·f}` once per *distinct* `f` per
-    /// lane instead of once per rank — bit-identical, because equal `f`
-    /// bits give an equal `-θ·f` product and therefore equal `cis` bits.
+    /// Diagonal polynomial over the ranks where it is non-zero, baked at
+    /// compile time (the polynomial never changes under a stable shape —
+    /// only the angle θ does). `distinct` / `value_idx` are the
+    /// bit-deduplicated value table and each rank's index into it:
+    /// structured cost polynomials repeat the same sum over many feasible
+    /// states, so replay computes `e^{-iθ·f}` once per *distinct* `f` per
+    /// lane instead of once per rank — bit-identical to a per-rank
+    /// evaluation, because equal `f` bits give an equal `-θ·f` product
+    /// and therefore equal `cis` bits.
     DiagPoly {
         ranks: Vec<u32>,
-        values: Vec<f64>,
         distinct: Vec<f64>,
         value_idx: Vec<u32>,
     },
@@ -406,7 +409,7 @@ enum BitsStep {
     Phase(Vec<u64>),
     DiagPair(Vec<u64>, Vec<u64>),
     Pairs(Vec<[u64; 2]>),
-    DiagPoly(Vec<u64>, Vec<f64>),
+    DiagPoly(Vec<u64>, Vec<f64>, Vec<u32>),
 }
 
 /// A compiled circuit shape: the feasible basis and one [`PlanStep`] per
@@ -462,8 +465,8 @@ impl GatePlan {
                 StepSpec::Pairs { fixed, value, xor } => {
                     // Canonicalize exactly like the sparse engine's
                     // pair_map: every touched entry maps to the pair's
-                    // `value`-side index; sort+dedup yields each pair once.
-                    let mut canon: Vec<u64> = support
+                    // `value`-side index.
+                    let canon = support
                         .iter()
                         .filter_map(|&bits| {
                             let f = bits & fixed;
@@ -476,21 +479,7 @@ impl GatePlan {
                             }
                         })
                         .collect();
-                    canon.sort_unstable();
-                    canon.dedup();
-                    let pairs: Vec<[u64; 2]> = canon.iter().map(|&i| [i, i ^ xor]).collect();
-                    // Support growth: both members of every pair become
-                    // structurally occupied.
-                    let mut grown: Vec<u64> =
-                        pairs.iter().flat_map(|p| p.iter().copied()).collect();
-                    grown.sort_unstable();
-                    support = merge_sorted(&support, &grown);
-                    if support.len() > max_support {
-                        return Err(PlanError::TooDense {
-                            support: support.len(),
-                        });
-                    }
-                    BitsStep::Pairs(pairs)
+                    grow_pairs(&mut support, canon, |i| i ^ xor, max_support)?
                 }
                 StepSpec::GatedPairs => {
                     let Gate::ShiftBlock(b) = gate else {
@@ -502,43 +491,32 @@ impl GatePlan {
                     );
                     // Same canonicalization as the sparse engine's
                     // apply_shift_block: every eligible touched entry maps
-                    // to its pair's source index; sort+dedup yields each
-                    // pair once.
-                    let mut canon: Vec<u64> = support
+                    // to its pair's source index.
+                    let canon = support
                         .iter()
                         .filter_map(|&bits| b.source_of(bits))
                         .collect();
-                    canon.sort_unstable();
-                    canon.dedup();
-                    let pairs: Vec<[u64; 2]> = canon
-                        .iter()
-                        .map(|&i| [i, b.forward(i).expect("canonical source is eligible")])
-                        .collect();
-                    let mut grown: Vec<u64> =
-                        pairs.iter().flat_map(|p| p.iter().copied()).collect();
-                    grown.sort_unstable();
-                    support = merge_sorted(&support, &grown);
-                    if support.len() > max_support {
-                        return Err(PlanError::TooDense {
-                            support: support.len(),
-                        });
-                    }
-                    BitsStep::Pairs(pairs)
+                    let forward = |i| b.forward(i).expect("canonical source is eligible");
+                    grow_pairs(&mut support, canon, forward, max_support)?
                 }
                 StepSpec::DiagPoly => {
                     let Gate::DiagPhase(poly, _) = gate else {
                         unreachable!("DiagPoly spec only from DiagPhase");
                     };
-                    let mut ranks = Vec::new();
-                    let mut values = Vec::new();
-                    for &bits in &support {
-                        let f = poly.eval_bits(bits);
+                    let (mut bits, mut distinct, mut value_idx) =
+                        (Vec::new(), Vec::new(), Vec::new());
+                    let mut slot_of: HashMap<u64, u32> = HashMap::new();
+                    for &b in &support {
+                        let f = poly.eval_bits(b);
                         if f != 0.0 {
-                            ranks.push(bits);
-                            values.push(f);
+                            bits.push(b);
+                            value_idx.push(*slot_of.entry(f.to_bits()).or_insert_with(|| {
+                                distinct.push(f);
+                                (distinct.len() - 1) as u32
+                            }));
                         }
                     }
-                    BitsStep::DiagPoly(ranks, values)
+                    BitsStep::DiagPoly(bits, distinct, value_idx)
                 }
             };
             steps.push(step);
@@ -564,25 +542,11 @@ impl GatePlan {
                 BitsStep::Pairs(pairs) => PlanStep::Pairs {
                     pairs: pairs.into_iter().map(|[i, j]| [rank(i), rank(j)]).collect(),
                 },
-                BitsStep::DiagPoly(bits, values) => {
-                    let mut distinct: Vec<f64> = Vec::new();
-                    let mut slot_of: HashMap<u64, u32> = HashMap::new();
-                    let value_idx: Vec<u32> = values
-                        .iter()
-                        .map(|&f| {
-                            *slot_of.entry(f.to_bits()).or_insert_with(|| {
-                                distinct.push(f);
-                                (distinct.len() - 1) as u32
-                            })
-                        })
-                        .collect();
-                    PlanStep::DiagPoly {
-                        ranks: ranks(bits),
-                        values,
-                        distinct,
-                        value_idx,
-                    }
-                }
+                BitsStep::DiagPoly(bits, distinct, value_idx) => PlanStep::DiagPoly {
+                    ranks: ranks(bits),
+                    distinct,
+                    value_idx,
+                },
             })
             .collect();
         Ok(GatePlan {
@@ -592,62 +556,26 @@ impl GatePlan {
         })
     }
 
-    /// Replays the plan over `amps` (length `|F|`), reading angles and
-    /// matrices from `circuit`'s gates. The caller must have verified
-    /// `self.shape().matches(circuit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate count or amplitude length disagree with the
-    /// plan (a shape-match violation).
-    pub(crate) fn execute(&self, circuit: &Circuit, amps: &mut [Complex64], config: &SimConfig) {
-        assert_eq!(circuit.len(), self.steps.len(), "shape mismatch");
-        assert_eq!(amps.len(), self.basis.len(), "basis length mismatch");
-        for (gate, step) in circuit.iter().zip(self.steps.iter()) {
-            match step {
-                PlanStep::Noop => {}
-                PlanStep::Phase { ranks } => {
-                    let phase = phase_factor(gate);
-                    scale_ranks(amps, ranks, phase, config);
-                }
-                PlanStep::DiagPair { ranks0, ranks1 } => {
-                    let m = gate_matrix_1q(gate);
-                    for (d, ranks) in [(m[0][0], ranks0), (m[1][1], ranks1)] {
-                        if d != Complex64::ONE {
-                            scale_ranks(amps, ranks, d, config);
-                        }
-                    }
-                }
-                PlanStep::Pairs { pairs } => apply_pairs(amps, pairs, gate, config),
-                PlanStep::DiagPoly { ranks, values, .. } => {
-                    let Gate::DiagPhase(_, theta) = gate else {
-                        panic!("shape mismatch: expected a diagonal evolution, got {gate}");
-                    };
-                    apply_diag(amps, ranks, values, *theta, config);
-                }
-            }
-        }
-    }
-
     /// Replays the plan over `K = circuits.len()` amplitude lanes in a
     /// single pass over the rank tables. `amps` is the rank-major SoA
     /// layout `amps[rank * K + lane]` of length `K·|F|` — all K candidates
     /// for one basis rank are contiguous, so the rank/pair tables are
-    /// traversed once while the inner loops run over the K lanes.
+    /// traversed once while the inner loops run over the K lanes. A
+    /// serial run passes one circuit and the plain rank-indexed array.
     ///
-    /// Every lane evaluates *exactly* the arithmetic expression sequence
-    /// [`GatePlan::execute`] would apply to it alone — including the
-    /// value-based kernel dispatch per lane (an `Rx(0)` lane takes the
-    /// diagonal branch while an `Rx(0.5)` lane takes the real-matrix
-    /// branch of the same step) — so batched amplitudes are bit-identical
-    /// to K sequential replays at any thread count. The caller must have
-    /// verified `self.shape().matches(c)` for every circuit.
+    /// Every lane evaluates the same arithmetic expression sequence at
+    /// any K — including the value-based kernel dispatch per lane (an
+    /// `Rx(0)` lane takes the diagonal branch while an `Rx(0.5)` lane
+    /// takes the real-matrix branch of the same step) — so a lane's
+    /// amplitudes do not depend on its batch or the thread count, and
+    /// equal the sparse and dense engines' bit for bit. The caller must
+    /// have verified `self.shape().matches(c)` for every circuit.
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty, a gate count disagrees with the
     /// plan, or the amplitude length is not `K·|F|`.
-    pub(crate) fn execute_batch(
+    pub(crate) fn execute(
         &self,
         circuits: &[Circuit],
         amps: &mut [Complex64],
@@ -673,59 +601,49 @@ impl GatePlan {
                     scratch
                         .factors
                         .extend((0..lanes).map(|lane| phase_factor(gate_of(lane))));
-                    scale_ranks_batch(amps, ranks, &scratch.factors, config);
+                    scale_lanes(amps, ranks, &scratch.factors, false, config);
                 }
                 PlanStep::DiagPair { ranks0, ranks1 } => {
-                    scratch.diag0.clear();
-                    scratch.diag1.clear();
-                    for lane in 0..lanes {
-                        let m = gate_matrix_1q(gate_of(lane));
-                        scratch.diag0.push(m[0][0]);
-                        scratch.diag1.push(m[1][1]);
-                    }
-                    for (diag, ranks) in [(&scratch.diag0, ranks0), (&scratch.diag1, ranks1)] {
-                        // The serial path skips the scaling when the
-                        // diagonal entry is exactly one (a multiply by one
-                        // is not an IEEE no-op once `-0.0` is in play);
-                        // the skip moves inside the lane loop here.
-                        if diag.iter().any(|d| *d != Complex64::ONE) {
-                            scale_ranks_batch_skip_one(amps, ranks, diag, config);
+                    for (side, ranks) in [(0, ranks0), (1, ranks1)] {
+                        scratch.factors.clear();
+                        scratch.factors.extend(
+                            (0..lanes).map(|lane| gate_matrix_1q(gate_of(lane))[side][side]),
+                        );
+                        // A diagonal entry of exactly one is skipped per
+                        // lane, as the sparse engine skips it per gate (a
+                        // multiply by one is not an IEEE no-op once `-0.0`
+                        // is in play).
+                        if scratch.factors.iter().any(|d| *d != Complex64::ONE) {
+                            scale_lanes(amps, ranks, &scratch.factors, true, config);
                         }
                     }
                 }
                 PlanStep::Pairs { pairs } => {
-                    scratch.kernels.clear();
-                    scratch
-                        .kernels
-                        .extend((0..lanes).map(|lane| LaneKernel::of(gate_of(lane))));
                     // The hot Choco-Q case — every lane a commute-block
                     // rotation — runs on flat sin/cos lane arrays, which
                     // the specialized loop turns into dense per-row
                     // arithmetic instead of per-lane enum dispatch.
-                    if scratch
-                        .kernels
-                        .iter()
-                        .all(|k| matches!(k, LaneKernel::Rot { .. }))
-                    {
-                        scratch.sins.clear();
-                        scratch.coss.clear();
-                        for k in &scratch.kernels {
-                            let LaneKernel::Rot { sin, cos } = *k else {
-                                unreachable!("checked all-rotation above");
-                            };
+                    scratch.kernels.clear();
+                    scratch.sins.clear();
+                    scratch.coss.clear();
+                    for lane in 0..lanes {
+                        let kernel = LaneKernel::of(gate_of(lane));
+                        if let LaneKernel::Rot { sin, cos } = kernel {
                             scratch.sins.push(sin);
                             scratch.coss.push(cos);
                         }
-                        apply_pairs_batch_rot(amps, pairs, &scratch.sins, &scratch.coss, config);
+                        scratch.kernels.push(kernel);
+                    }
+                    if scratch.sins.len() == lanes {
+                        apply_pairs_rot(amps, pairs, &scratch.sins, &scratch.coss, config);
                     } else {
-                        apply_pairs_batch(amps, pairs, &scratch.kernels, config);
+                        apply_pairs_lanes(amps, pairs, &scratch.kernels, config);
                     }
                 }
                 PlanStep::DiagPoly {
                     ranks,
                     distinct,
                     value_idx,
-                    ..
                 } => {
                     scratch.thetas.clear();
                     scratch.thetas.extend((0..lanes).map(|lane| {
@@ -734,7 +652,7 @@ impl GatePlan {
                         };
                         *theta
                     }));
-                    apply_diag_batch(
+                    apply_diag_lanes(
                         amps,
                         ranks,
                         distinct,
@@ -747,6 +665,29 @@ impl GatePlan {
             }
         }
     }
+}
+
+/// Lowers canonical pair sources to one `[source, partner]` pair each
+/// (sort+dedup yields each pair once) and grows the structural support by
+/// both members of every pair, aborting once it exceeds `max_support`.
+fn grow_pairs(
+    support: &mut Vec<u64>,
+    mut canon: Vec<u64>,
+    partner: impl Fn(u64) -> u64,
+    max_support: usize,
+) -> Result<BitsStep, PlanError> {
+    canon.sort_unstable();
+    canon.dedup();
+    let pairs: Vec<[u64; 2]> = canon.iter().map(|&i| [i, partner(i)]).collect();
+    let mut grown: Vec<u64> = pairs.iter().flatten().copied().collect();
+    grown.sort_unstable();
+    *support = merge_sorted(support, &grown);
+    if support.len() > max_support {
+        return Err(PlanError::TooDense {
+            support: support.len(),
+        });
+    }
+    Ok(BitsStep::Pairs(pairs))
 }
 
 /// Merges two sorted, deduplicated index lists (the second may contain
@@ -802,154 +743,13 @@ fn gate_matrix_1q(gate: &Gate) -> [[Complex64; 2]; 2] {
     }
 }
 
-/// Multiplies the listed ranks by `factor`, fanning out across workers
-/// above the parallel threshold. Ranks within one list are distinct, so
-/// chunked workers write disjoint slots.
-fn scale_ranks(amps: &mut [Complex64], ranks: &[u32], factor: Complex64, config: &SimConfig) {
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, ranks.len(), |range| {
-        let base = ptr.get();
-        for &r in &ranks[range] {
-            // SAFETY: ranks are in-bounds by construction and distinct
-            // within the list; workers own disjoint chunks.
-            unsafe {
-                let a = base.add(r as usize);
-                *a *= factor;
-            }
-        }
-    });
-}
-
-/// Applies the diagonal phase `e^{-iθ·f}` per listed rank (the `f != 0`
-/// filter already happened at compile time, mirroring the sparse
-/// engine's per-entry branch).
-fn apply_diag(
-    amps: &mut [Complex64],
-    ranks: &[u32],
-    values: &[f64],
-    theta: f64,
-    config: &SimConfig,
-) {
-    debug_assert_eq!(ranks.len(), values.len());
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, ranks.len(), |range| {
-        let base = ptr.get();
-        for (&r, &f) in ranks[range.clone()].iter().zip(values[range].iter()) {
-            // SAFETY: in-bounds, distinct ranks, disjoint worker chunks.
-            unsafe {
-                let a = base.add(r as usize);
-                *a *= Complex64::cis(-theta * f);
-            }
-        }
-    });
-}
-
-/// Applies a pair step with the gate's 2×2 arithmetic, dispatching on the
-/// *values* exactly like the sparse engine (`apply_controlled_1q` /
-/// `apply_block_masks`), so degenerate angles reproduce its expressions.
-fn apply_pairs(amps: &mut [Complex64], pairs: &[[u32; 2]], gate: &Gate, config: &SimConfig) {
-    match gate {
-        // Permutations: swap the two slots.
-        Gate::Cx(..) | Gate::Ccx(..) | Gate::Mcx { .. } | Gate::Swap(..) => {
-            pair_loop(amps, pairs, config, |a, b| (b, a));
-        }
-        // Commute-block rotation (XY-mixer = doubled angle).
-        Gate::UBlock(_) | Gate::ShiftBlock(_) | Gate::XyMix(..) => {
-            let theta = match gate {
-                Gate::UBlock(b) => b.angle,
-                Gate::ShiftBlock(b) => b.angle,
-                Gate::XyMix(_, _, t) => 2.0 * t,
-                _ => unreachable!(),
-            };
-            let (sin, cos) = theta.sin_cos();
-            pair_loop(amps, pairs, config, move |a, b| {
-                (
-                    Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re),
-                    Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re),
-                )
-            });
-        }
-        // 1q / controlled-1q: shape dispatch on the current matrix.
-        g => {
-            let m = gate_matrix_1q(g);
-            let diagonal = m[0][1] == Complex64::ZERO && m[1][0] == Complex64::ZERO;
-            if diagonal {
-                // A kind-pair gate momentarily diagonal (e.g. `Rx(0)`):
-                // the pair's low slot is the controls-side subspace, the
-                // high slot the fixed side — the same two scalings the
-                // sparse engine would perform.
-                for (d, side) in [(m[0][0], 0usize), (m[1][1], 1usize)] {
-                    if d != Complex64::ONE {
-                        let ptr = AmpPtr(amps.as_mut_ptr());
-                        dispatch(config, pairs.len(), |range| {
-                            let base = ptr.get();
-                            for p in &pairs[range] {
-                                // SAFETY: disjoint pairs, in-bounds ranks.
-                                unsafe {
-                                    let a = base.add(p[side] as usize);
-                                    *a *= d;
-                                }
-                            }
-                        });
-                    }
-                }
-                return;
-            }
-            let anti_diagonal = m[0][0] == Complex64::ZERO && m[1][1] == Complex64::ZERO;
-            if anti_diagonal {
-                let (m01, m10) = (m[0][1], m[1][0]);
-                pair_loop(amps, pairs, config, move |a, b| (m01 * b, m10 * a));
-                return;
-            }
-            let real = m.iter().flatten().all(|c| c.im == 0.0);
-            if real {
-                let (r00, r01, r10, r11) = (m[0][0].re, m[0][1].re, m[1][0].re, m[1][1].re);
-                pair_loop(amps, pairs, config, move |a, b| {
-                    (a.scale(r00) + b.scale(r01), a.scale(r10) + b.scale(r11))
-                });
-                return;
-            }
-            pair_loop(amps, pairs, config, move |a, b| {
-                (m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b)
-            });
-        }
-    }
-}
-
-/// Runs `op` over every rank pair, threaded per the configuration. Pairs
-/// are disjoint (each rank appears in at most one pair of a step), so
-/// chunked workers touch disjoint slots.
-fn pair_loop<Op>(amps: &mut [Complex64], pairs: &[[u32; 2]], config: &SimConfig, op: Op)
-where
-    Op: Fn(Complex64, Complex64) -> (Complex64, Complex64) + Sync,
-{
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, pairs.len(), |range| {
-        let base = ptr.get();
-        for p in &pairs[range] {
-            // SAFETY: ranks in-bounds; pairs disjoint; worker chunks
-            // partition the pair list.
-            unsafe {
-                let pa = base.add(p[0] as usize);
-                let pb = base.add(p[1] as usize);
-                let (a, b) = op(*pa, *pb);
-                *pa = a;
-                *pb = b;
-            }
-        }
-    });
-}
-
-/// Reusable per-gate lane-parameter buffers for
-/// [`GatePlan::execute_batch`]: after the first replay of a shape no
-/// batched iteration allocates (mirroring the serial path's
-/// zero-allocation contract).
+/// Reusable per-gate lane-parameter buffers for [`GatePlan::execute`]:
+/// after the first replay of a shape no replay allocates. One instance,
+/// owned by [`crate::SimWorkspace`], serves serial and batched runs.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     factors: Vec<Complex64>,
     thetas: Vec<f64>,
-    diag0: Vec<Complex64>,
-    diag1: Vec<Complex64>,
     kernels: Vec<LaneKernel>,
     /// Flat per-lane rotation parameters for the all-rotation pair loop.
     sins: Vec<f64>,
@@ -959,9 +759,10 @@ pub(crate) struct BatchScratch {
     factor_table: Vec<Complex64>,
 }
 
-/// The per-lane 2×2 kernel a [`PlanStep::Pairs`] gate resolved to — the
-/// same value-based dispatch [`apply_pairs`] performs, frozen per lane so
-/// the batched pair loop replays each lane's exact serial branch.
+/// The per-lane 2×2 kernel a [`PlanStep::Pairs`] gate resolved to,
+/// dispatching on the gate's *values* exactly like the sparse engine
+/// (`apply_controlled_1q` / `apply_block_masks`), so degenerate angles
+/// reproduce its expressions.
 #[derive(Clone, Copy, Debug)]
 enum LaneKernel {
     /// Permutation gates: swap the two slots.
@@ -969,7 +770,9 @@ enum LaneKernel {
     /// Commute-block rotation (XY-mixer = doubled angle).
     Rot { sin: f64, cos: f64 },
     /// Momentarily diagonal kind-pair gate (e.g. `Rx(0)`): two subspace
-    /// scalings, each skipped when its entry is exactly one.
+    /// scalings, each skipped when its entry is exactly one. The pair's
+    /// low slot is the controls-side subspace, the high slot the fixed
+    /// side — the same two scalings the sparse engine would perform.
     Diag { d0: Complex64, d1: Complex64 },
     /// Momentarily anti-diagonal matrix (e.g. `X`, `Rx(π)` up to phase).
     AntiDiag { m01: Complex64, m10: Complex64 },
@@ -985,7 +788,7 @@ enum LaneKernel {
 }
 
 impl LaneKernel {
-    /// Classifies one lane's gate exactly like [`apply_pairs`].
+    /// Classifies one lane's gate.
     fn of(gate: &Gate) -> LaneKernel {
         match gate {
             Gate::Cx(..) | Gate::Ccx(..) | Gate::Mcx { .. } | Gate::Swap(..) => LaneKernel::Swap,
@@ -1025,8 +828,7 @@ impl LaneKernel {
         }
     }
 
-    /// Applies this lane's kernel to one `(low, high)` slot pair — the
-    /// exact expression [`apply_pairs`] would evaluate for this lane.
+    /// Applies this lane's kernel to one `(low, high)` slot pair.
     #[inline]
     fn apply(self, a: Complex64, b: Complex64) -> (Complex64, Complex64) {
         match self {
@@ -1048,13 +850,15 @@ impl LaneKernel {
     }
 }
 
-/// Batched [`scale_ranks`]: multiplies every listed rank's K lanes by the
-/// per-lane factors, unconditionally (the phase-step contract). Workers
-/// chunk over ranks, so every `rank × lane` slot has exactly one writer.
-fn scale_ranks_batch(
+/// Multiplies every listed rank's K lanes by the per-lane factors —
+/// unconditionally for a phase step, or skipping factors of exactly one
+/// (`skip_one`) for a diagonal 2×2. Workers chunk over ranks, so every
+/// `rank × lane` slot has exactly one writer.
+fn scale_lanes(
     amps: &mut [Complex64],
     ranks: &[u32],
     factors: &[Complex64],
+    skip_one: bool,
     config: &SimConfig,
 ) {
     let lanes = factors.len();
@@ -1068,31 +872,7 @@ fn scale_ranks_batch(
             unsafe {
                 let row = base.add(r as usize * lanes);
                 for (lane, &f) in factors.iter().enumerate() {
-                    *row.add(lane) *= f;
-                }
-            }
-        }
-    });
-}
-
-/// Batched diagonal scaling with the serial path's per-gate `d != 1`
-/// skip applied per lane (see [`GatePlan::execute`]'s `DiagPair` arm).
-fn scale_ranks_batch_skip_one(
-    amps: &mut [Complex64],
-    ranks: &[u32],
-    factors: &[Complex64],
-    config: &SimConfig,
-) {
-    let lanes = factors.len();
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, ranks.len(), |range| {
-        let base = ptr.get();
-        for &r in &ranks[range] {
-            // SAFETY: as in `scale_ranks_batch`.
-            unsafe {
-                let row = base.add(r as usize * lanes);
-                for (lane, &f) in factors.iter().enumerate() {
-                    if f != Complex64::ONE {
+                    if !skip_one || f != Complex64::ONE {
                         *row.add(lane) *= f;
                     }
                 }
@@ -1101,8 +881,9 @@ fn scale_ranks_batch_skip_one(
     });
 }
 
-/// Batched [`apply_diag`]: per rank, every lane multiplies by its own
-/// `e^{-iθ_lane·f}` — the identical expression the serial replay applies.
+/// Applies the diagonal phase `e^{-iθ_lane·f}` per listed rank and lane
+/// (the `f != 0` filter already happened at compile time, mirroring the
+/// sparse engine's per-entry branch).
 ///
 /// The transcendental work is hoisted out of the rank loop: `e^{-iθ·f}`
 /// is computed once per *distinct* polynomial value per lane into
@@ -1111,8 +892,8 @@ fn scale_ranks_batch_skip_one(
 /// repeat a handful of sums across the whole feasible set, so this
 /// replaces `|F|` sin/cos evaluations per lane with `|distinct|` — the
 /// factor bits are unchanged (equal `f` bits ⇒ equal `-θ·f` ⇒ equal
-/// `cis`), so every lane stays bit-identical to its serial replay.
-fn apply_diag_batch(
+/// `cis`).
+fn apply_diag_lanes(
     amps: &mut [Complex64],
     ranks: &[u32],
     distinct: &[f64],
@@ -1136,7 +917,7 @@ fn apply_diag_batch(
         let base = ptr.get();
         for (&r, &fi) in ranks[range.clone()].iter().zip(value_idx[range].iter()) {
             let factors = &table[fi as usize * lanes..fi as usize * lanes + lanes];
-            // SAFETY: as in `scale_ranks_batch`.
+            // SAFETY: as in `scale_lanes`.
             unsafe {
                 let row = base.add(r as usize * lanes);
                 for (lane, &factor) in factors.iter().enumerate() {
@@ -1147,15 +928,15 @@ fn apply_diag_batch(
     });
 }
 
-/// The all-rotation specialization of [`apply_pairs_batch`]: every lane
-/// is a commute-block rotation, evaluated with exactly the serial
-/// rotation expression. The lane dimension is tiled in blocks of four:
-/// a block's eight `sin`/`cos` values stay register-resident across the
-/// whole pair-table pass (a lane-minor loop over all K spills them every
-/// iteration), while each pass still consumes contiguous quarter-rows of
-/// the SoA layout (a fully lane-major loop would stream every cache line
-/// K times for one lane's worth of work).
-fn apply_pairs_batch_rot(
+/// The all-rotation specialization of [`apply_pairs_lanes`]: every lane is a
+/// commute-block rotation. The lane dimension is tiled in blocks of four,
+/// then one pass over the `K mod 4` leftover lanes: a block's `sin`/`cos`
+/// values stay register-resident across the whole pair-table pass (a
+/// lane-minor loop over all K spills them every iteration), while each
+/// pass still consumes contiguous quarter-rows of the SoA layout (a fully
+/// lane-major loop would stream every cache line K times for one lane's
+/// worth of work). A serial replay (K = 1) is one single-lane pass.
+fn apply_pairs_rot(
     amps: &mut [Complex64],
     pairs: &[[u32; 2]],
     sins: &[f64],
@@ -1166,61 +947,66 @@ fn apply_pairs_batch_rot(
     let lanes = sins.len();
     let ptr = AmpPtr(amps.as_mut_ptr());
     dispatch(config, pairs.len(), |range| {
-        let base = ptr.get();
+        let pairs = &pairs[range];
         let mut start = 0;
         while start < lanes {
-            let width = BLOCK.min(lanes - start);
-            if width == BLOCK {
-                let s: [f64; BLOCK] = sins[start..start + BLOCK].try_into().expect("block");
-                let c: [f64; BLOCK] = coss[start..start + BLOCK].try_into().expect("block");
-                for p in &pairs[range.clone()] {
-                    // SAFETY: pairs disjoint, ranks in-bounds; worker
-                    // chunks partition the pair list and own all K lanes
-                    // of their pairs.
-                    unsafe {
-                        let row_a = base.add(p[0] as usize * lanes + start);
-                        let row_b = base.add(p[1] as usize * lanes + start);
-                        for lane in 0..BLOCK {
-                            rot_one_lane(row_a.add(lane), row_b.add(lane), s[lane], c[lane]);
-                        }
-                    }
+            let base = ptr.get();
+            // SAFETY: pairs disjoint, ranks in-bounds; worker chunks
+            // partition the pair list and own all K lanes of their pairs.
+            // The `K mod 4` leftover lanes take one pass of their width.
+            start += unsafe {
+                match lanes - start {
+                    1 => rot_lanes::<1>(base, pairs, lanes, start, sins, coss),
+                    2 => rot_lanes::<2>(base, pairs, lanes, start, sins, coss),
+                    3 => rot_lanes::<3>(base, pairs, lanes, start, sins, coss),
+                    _ => rot_lanes::<BLOCK>(base, pairs, lanes, start, sins, coss),
                 }
-            } else {
-                let (s, c) = (&sins[start..start + width], &coss[start..start + width]);
-                for p in &pairs[range.clone()] {
-                    // SAFETY: as above.
-                    unsafe {
-                        let row_a = base.add(p[0] as usize * lanes + start);
-                        let row_b = base.add(p[1] as usize * lanes + start);
-                        for lane in 0..width {
-                            rot_one_lane(row_a.add(lane), row_b.add(lane), s[lane], c[lane]);
-                        }
-                    }
-                }
-            }
-            start += width;
+            };
         }
     });
 }
 
-/// One lane of the commute-block rotation — the exact expression the
-/// serial [`apply_pairs`] rotation closure evaluates.
+/// One pass of the rotation over `pairs` for the `W` lanes from `start`,
+/// returning `W`. Each lane evaluates the [`LaneKernel::Rot`] expression.
 ///
 /// # Safety
 ///
-/// `pa` and `pb` must be valid, distinct amplitude slots.
+/// Every pair's rows must be valid, distinct amplitude rows of `lanes`
+/// slots, with `start + W <= lanes`.
 #[inline(always)]
-unsafe fn rot_one_lane(pa: *mut Complex64, pb: *mut Complex64, sin: f64, cos: f64) {
-    let (a, b) = (*pa, *pb);
-    *pa = Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re);
-    *pb = Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re);
+unsafe fn rot_lanes<const W: usize>(
+    base: *mut Complex64,
+    pairs: &[[u32; 2]],
+    lanes: usize,
+    start: usize,
+    sins: &[f64],
+    coss: &[f64],
+) -> usize {
+    let s: [f64; W] = sins[start..start + W].try_into().expect("lane block");
+    let c: [f64; W] = coss[start..start + W].try_into().expect("lane block");
+    for p in pairs {
+        let row_a = base.add(p[0] as usize * lanes + start);
+        let row_b = base.add(p[1] as usize * lanes + start);
+        for lane in 0..W {
+            let (pa, pb) = (row_a.add(lane), row_b.add(lane));
+            let (a, b) = (*pa, *pb);
+            *pa = Complex64::new(
+                c[lane] * a.re + s[lane] * b.im,
+                c[lane] * a.im - s[lane] * b.re,
+            );
+            *pb = Complex64::new(
+                c[lane] * b.re + s[lane] * a.im,
+                c[lane] * b.im - s[lane] * a.re,
+            );
+        }
+    }
+    W
 }
 
-/// Batched [`apply_pairs`] for mixed batches: one traversal of the pair
+/// Applies a pair step for mixed batches: one traversal of the pair
 /// table updates all K lanes, each through its own frozen [`LaneKernel`]
-/// (all-rotation batches take [`apply_pairs_batch_rot`] instead). Every
-/// lane evaluates the same per-lane expression as its serial replay.
-fn apply_pairs_batch(
+/// (all-rotation batches take [`apply_pairs_rot`] instead).
+fn apply_pairs_lanes(
     amps: &mut [Complex64],
     pairs: &[[u32; 2]],
     kernels: &[LaneKernel],
@@ -1252,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::gate::UBlock;
     use crate::sparse::SparseStateVector;
+    use crate::state::StateVector;
 
     fn test_poly() -> Arc<PhasePoly> {
         let mut poly = PhasePoly::new(4);
@@ -1264,8 +1051,12 @@ mod tests {
         let mut c = Circuit::new(4);
         c.load_bits(0b0101);
         c.diag(poly.clone(), theta);
-        c.ublock(UBlock::from_u_with_angle(&[1, -1, 0, 1], 0.5));
-        c.ublock(UBlock::from_u_with_angle(&[0, 1, -1, -1], theta));
+        c.ublock(UBlock::from_u_with_angle(&[1, -1, 0, 0], 0.5));
+        c.ublock(UBlock::from_u_with_angle(&[0, 0, 1, -1], theta));
+        // A second layer: phases on the spread state, then rotations
+        // whose pair members are both occupied and complex.
+        c.diag(poly.clone(), theta);
+        c.ublock(UBlock::from_u_with_angle(&[1, -1, 0, 0], theta));
         c
     }
 
@@ -1273,10 +1064,58 @@ mod tests {
         confined_circuit_with(&test_poly(), theta)
     }
 
+    /// Replays `circuits` as one K-lane batch from `|0…0⟩`.
+    fn replay(circuits: &[Circuit], plan: &GatePlan, config: &SimConfig) -> Vec<Complex64> {
+        let k = circuits.len();
+        let mut amps = vec![Complex64::ZERO; k * plan.basis().len()];
+        amps[..k].fill(Complex64::ONE); // rank 0, every lane
+        plan.execute(circuits, &mut amps, &mut BatchScratch::default(), config);
+        amps
+    }
+
     fn run_plan(circuit: &Circuit, plan: &GatePlan) -> Vec<Complex64> {
-        let mut amps = vec![Complex64::ZERO; plan.basis().len()];
-        amps[0] = Complex64::ONE;
-        plan.execute(circuit, &mut amps, &SimConfig::serial());
+        replay(std::slice::from_ref(circuit), plan, &SimConfig::serial())
+    }
+
+    /// Whether two amplitudes agree bit for bit, sign of zero included.
+    fn same_bits(a: Complex64, b: Complex64) -> bool {
+        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+    }
+
+    /// Replays the batch and asserts every lane equals a dense run of its
+    /// own circuit (exact zeros off the feasible basis), and equals a
+    /// K = 1 replay of that circuit alone bit for bit, sign of zero
+    /// included — the width independence batched optimizers rely on.
+    /// Returns the batch amplitudes.
+    fn assert_lanes_match_dense(
+        circuits: &[Circuit],
+        plan: &GatePlan,
+        config: &SimConfig,
+    ) -> Vec<Complex64> {
+        let k = circuits.len();
+        let amps = replay(circuits, plan, config);
+        for (lane, circuit) in circuits.iter().enumerate() {
+            let dense = StateVector::run(circuit);
+            let single = run_plan(circuit, plan);
+            for (bits, &d) in dense.amplitudes().iter().enumerate() {
+                let a = match plan.basis().binary_search(&(bits as u64)) {
+                    Ok(rank) => {
+                        let a = amps[rank * k + lane];
+                        assert!(
+                            same_bits(a, single[rank]),
+                            "lane={lane} bits={bits}: K={k} {a:?} vs K=1 {:?}",
+                            single[rank]
+                        );
+                        a
+                    }
+                    Err(_) => Complex64::ZERO,
+                };
+                assert!(
+                    a.re == d.re && a.im == d.im,
+                    "lane={lane} bits={bits}: replay {a} vs dense {d}"
+                );
+            }
+        }
         amps
     }
 
@@ -1302,15 +1141,7 @@ mod tests {
         for theta in [0.0, 0.3, -1.2, 2.8] {
             let circuit = confined_circuit_with(&poly, theta);
             assert!(plan.shape().matches(&circuit), "theta={theta}");
-            let amps = run_plan(&circuit, &plan);
-            let sparse = SparseStateVector::run(&circuit);
-            for (rank, &bits) in plan.basis().iter().enumerate() {
-                let (a, b) = (amps[rank], sparse.amplitude(bits));
-                assert!(
-                    a.re == b.re && a.im == b.im,
-                    "theta={theta} bits={bits}: {a} vs {b}"
-                );
-            }
+            assert_lanes_match_dense(std::slice::from_ref(&circuit), &plan, &SimConfig::serial());
         }
     }
 
@@ -1361,29 +1192,6 @@ mod tests {
         assert_eq!(merge_sorted(&[7], &[]), vec![7]);
     }
 
-    /// Runs the batch through `execute_batch` and asserts every lane is
-    /// bit-identical to its own serial `execute` replay.
-    fn assert_batch_matches_serial(circuits: &[Circuit], plan: &GatePlan, config: &SimConfig) {
-        let k = circuits.len();
-        let f = plan.basis().len();
-        let mut batched = vec![Complex64::ZERO; k * f];
-        for slot in batched.iter_mut().take(k) {
-            *slot = Complex64::ONE; // rank 0, every lane
-        }
-        let mut scratch = BatchScratch::default();
-        plan.execute_batch(circuits, &mut batched, &mut scratch, config);
-        for (lane, circuit) in circuits.iter().enumerate() {
-            let serial = run_plan(circuit, plan);
-            for rank in 0..f {
-                let (a, b) = (batched[rank * k + lane], serial[rank]);
-                assert!(
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "lane={lane} rank={rank}: batched {a} vs serial {b}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn batched_replay_is_bit_identical_per_lane() {
         let poly = test_poly();
@@ -1398,7 +1206,7 @@ mod tests {
                 parallel_threshold: 1,
                 ..SimConfig::default()
             };
-            assert_batch_matches_serial(&circuits, &plan, &config);
+            assert_lanes_match_dense(&circuits, &plan, &config);
         }
     }
 
@@ -1408,7 +1216,7 @@ mod tests {
         // identity branch, θ = π to the anti-diagonal branch, anything
         // else to the generic complex branch — all inside one batch, next
         // to Ry's real branch, H's fixed real matrix, and phase steps.
-        let build = |theta: f64| {
+        let mixed: fn(f64) -> Circuit = |theta| {
             let mut c = Circuit::new(3);
             c.h(0);
             c.rx(1, theta);
@@ -1419,21 +1227,47 @@ mod tests {
             c.p(2, theta);
             c
         };
-        let plan = GatePlan::compile(&build(0.7), 1 << 10).unwrap();
-        let circuits: Vec<Circuit> = [0.0, std::f64::consts::PI, 0.7]
-            .iter()
-            .map(|&t| build(t))
-            .collect();
-        for c in &circuits {
-            assert!(plan.shape().matches(c));
-        }
-        for threads in [1, 2] {
-            let config = SimConfig {
-                threads,
-                parallel_threshold: 1,
-                ..SimConfig::default()
-            };
-            assert_batch_matches_serial(&circuits, &plan, &config);
+        // Here θ = 0 also gives P/Rz unit entries next to the other lanes'
+        // non-unit ones, on amplitudes where multiplying by exactly one
+        // would flip the sign of a zero: each lane must skip it, as the
+        // dense engine does.
+        let unit_entries: fn(f64) -> Circuit = |theta| {
+            let mut c = Circuit::new(2);
+            c.y(1);
+            c.ry(0, -theta);
+            c.p(1, -theta);
+            c.rz(0, theta);
+            c.z(1);
+            c.rx(1, theta);
+            c.p(1, theta);
+            c
+        };
+        for build in [mixed, unit_entries] {
+            let plan = GatePlan::compile(&build(0.7), 1 << 10).unwrap();
+            let circuits: Vec<Circuit> = [0.0, std::f64::consts::PI, 0.7]
+                .iter()
+                .map(|&t| build(t))
+                .collect();
+            for threads in [1, 2] {
+                let config = SimConfig {
+                    threads,
+                    parallel_threshold: 1,
+                    ..SimConfig::default()
+                };
+                let amps = assert_lanes_match_dense(&circuits, &plan, &config);
+                // Unlike commute-block circuits, these agree with the
+                // dense engine on every sign of zero.
+                for (lane, circuit) in circuits.iter().enumerate() {
+                    let dense = StateVector::run(circuit);
+                    for (rank, &bits) in plan.basis().iter().enumerate() {
+                        let (a, d) = (amps[rank * circuits.len() + lane], dense.amplitude(bits));
+                        assert!(
+                            same_bits(a, d),
+                            "lane={lane} bits={bits}: replay {a:?} vs dense {d:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1448,6 +1282,6 @@ mod tests {
             .map(|i| confined_circuit_with(&poly, 0.05 * i as f64 - 0.4))
             .collect();
         assert!(circuits.len() > plan.basis().len());
-        assert_batch_matches_serial(&circuits, &plan, &SimConfig::serial());
+        assert_lanes_match_dense(&circuits, &plan, &SimConfig::serial());
     }
 }

@@ -99,10 +99,11 @@ pub struct SimConfig {
     /// run converts from the sparse to the dense engine. Ignored by the
     /// other engine kinds.
     pub density_threshold: f64,
-    /// How many candidate angle sets a batched compact replay evaluates
-    /// per plan traversal (`1` = the serial path; the default). Consumers
-    /// with independent evaluations ready — a simplex construction, a
-    /// geometry rebuild — hand up to this many circuits of one shape to
+    /// How many candidate angle sets a compact replay evaluates per plan
+    /// traversal (`1`, the default, replays candidates one at a time
+    /// through the same lane kernels). Consumers with independent
+    /// evaluations ready — a simplex construction, a geometry rebuild —
+    /// hand up to this many circuits of one shape to
     /// [`crate::SimWorkspace::run_batch`] at once. Purely a performance
     /// knob: batched results are bit-identical to sequential replays at
     /// every setting.
@@ -171,7 +172,7 @@ impl SimConfig {
     }
 
     /// The same configuration with a different batch size (0 is clamped
-    /// to 1, the serial path).
+    /// to 1).
     pub fn with_batch(self, batch_size: usize) -> Self {
         SimConfig {
             batch_size: batch_size.max(1),

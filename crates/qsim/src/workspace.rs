@@ -27,6 +27,8 @@
 //!   feasible subspace is enumerated and lowered to rank tables once, and
 //!   every subsequent iteration replays the plan with that iteration's
 //!   angles as flat-array loops — no support rediscovery, no map churn.
+//!   [`SimWorkspace::run`] and [`SimWorkspace::run_batch`] share that one
+//!   replay and its scratch buffers: a serial run is a one-lane batch.
 //!   Shapes that refuse compilation (structural support above the
 //!   occupancy threshold) are remembered as fallbacks and run on the
 //!   per-gate engines (sparse with the auto-style dense fallback).
@@ -42,7 +44,7 @@ use crate::engine::{SimEngine, MAX_DENSIFY_QUBITS};
 use crate::gate::Gate;
 use crate::kernels;
 use crate::phasepoly::PhasePoly;
-use crate::plan::{CircuitShape, GatePlan, PlanError};
+use crate::plan::{BatchScratch, CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig};
 #[cfg(doc)]
 use crate::state::StateVector;
@@ -324,7 +326,10 @@ pub struct SimWorkspace {
     reallocations: u64,
     /// The SoA buffer for batched compact replay ([`SimWorkspace::run_batch`]),
     /// allocated on first use and reused across iterations.
-    batch: Option<BatchWorkspace>,
+    batch: BatchWorkspace,
+    /// Lane-parameter buffers of the compact replay, shared by
+    /// [`SimWorkspace::run`] (one lane) and [`SimWorkspace::run_batch`].
+    scratch: BatchScratch,
 }
 
 impl SimWorkspace {
@@ -353,7 +358,8 @@ impl SimWorkspace {
             run_stamp: 0,
             cumulative_for: u64::MAX,
             reallocations: 0,
-            batch: None,
+            batch: BatchWorkspace::default(),
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -505,44 +511,40 @@ impl SimWorkspace {
         if !circuits.iter().all(|c| plan.shape().matches(c)) {
             return None;
         }
-        let batch = self.batch.get_or_insert_with(BatchWorkspace::new);
-        batch.replay(&plan, circuits, &self.config);
-        Some(&*batch)
+        self.batch
+            .replay(&plan, circuits, &mut self.scratch, &self.config);
+        Some(&self.batch)
     }
 
     /// How many times the batched SoA buffer had to grow (see
     /// [`BatchWorkspace::reallocations`]); 0 before the first
     /// [`SimWorkspace::run_batch`].
     pub fn batch_reallocations(&self) -> u64 {
-        self.batch.as_ref().map_or(0, BatchWorkspace::reallocations)
+        self.batch.reallocations()
     }
 
     /// The compact fast path: find or compile the gate plan for this
     /// circuit's shape and replay it into the (reused) rank-indexed
-    /// amplitude array. Returns `false` when the shape is a remembered or
+    /// amplitude array — a one-lane batch, through the same lane kernels
+    /// as [`SimWorkspace::run_batch`]. Returns `false` when the shape is a remembered or
     /// fresh fallback — the caller then runs the per-gate engines.
     fn run_compact(&mut self, circuit: &Circuit) -> bool {
         let cap = plan_support_cap(&self.config, circuit.n_qubits());
         let Some(plan) = self.plans.lookup_or_compile(circuit, cap) else {
             return false;
         };
-        match &mut self.engine {
-            Some(SimEngine::Compact(c)) if c.n_qubits() == circuit.n_qubits() => {
-                c.reset_for_basis(plan.basis());
-            }
-            slot => {
-                *slot = Some(SimEngine::Compact(CompactStateVector::new(
-                    circuit.n_qubits(),
-                    plan.basis().clone(),
-                    self.config,
-                )));
-                self.reallocations += 1;
-            }
+        let n_qubits = circuit.n_qubits();
+        if !matches!(&self.engine, Some(SimEngine::Compact(c)) if c.n_qubits() == n_qubits) {
+            let state = CompactStateVector::new(n_qubits, plan.basis(), self.config);
+            self.engine = Some(SimEngine::Compact(state));
+            self.reallocations += 1;
         }
         let Some(SimEngine::Compact(state)) = &mut self.engine else {
             unreachable!("engine set to compact above");
         };
-        plan.execute(circuit, state.amps_mut(), &self.config);
+        state.reset_for_basis(plan.basis());
+        let circuits = std::slice::from_ref(circuit);
+        plan.execute(circuits, state.amps_mut(), &mut self.scratch, &self.config);
         true
     }
 

@@ -31,7 +31,7 @@ pub struct RunArgs {
     /// defers to the spec's `[grid] engine` key.
     pub engine: Option<EngineKind>,
     /// Batched-replay width override (`--batch K`); `None` defers to the
-    /// spec's `[grid] batch` key. `1` is the serial path.
+    /// spec's `[grid] batch` key. `1` replays one candidate at a time.
     pub batch: Option<usize>,
     /// Classical-optimizer override
     /// (`--optimizer cobyla|nelder-mead|spsa`); `None` defers to the

@@ -522,7 +522,7 @@ impl ExperimentSpec {
                 return Err(format!(
                     "`[grid] batch`: must be at least 1 (got {v}) — the batched \
                          compact replay evaluates that many candidate angle sets \
-                         per plan traversal; 1 is the serial path"
+                         per plan traversal; 1 replays them one at a time"
                 ));
             }
             Some(v) => Some(v as usize),

@@ -186,11 +186,12 @@ impl CostSpec<'_> {
 /// independent candidates through [`SimWorkspace::run_batch`], one plan
 /// traversal for up to `batch_size` angle sets.
 ///
-/// Bit-identity: [`choco_qsim::BatchWorkspace`] lanes reproduce the exact
-/// IEEE expression sequence of serial replays, so every value this
-/// objective returns is identical whether it went through `eval`,
-/// a batched chunk, or the sequential fallback — optimizer trajectories
-/// cannot depend on `batch_size`.
+/// Bit-identity: a serial compact run and every
+/// [`choco_qsim::BatchWorkspace`] lane go through the same plan replay,
+/// whose per-lane IEEE expression sequence does not depend on the batch
+/// width, so every value this objective returns is identical whether it
+/// went through `eval`, a batched chunk, or the sequential fallback —
+/// optimizer trajectories cannot depend on `batch_size`.
 struct BatchedObjective<'a, F: Fn(&[f64]) -> Circuit> {
     build: &'a F,
     cost: &'a CostSpec<'a>,

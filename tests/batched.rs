@@ -7,15 +7,18 @@
 //! K ∈ {1, 2, 3, 8, 17} (non-powers of two and K > |F| included), and
 //! 1/2/4 worker threads — is **bit-identity**: every lane's amplitudes,
 //! expectations, and deterministic sample histograms equal those of a
-//! serial compact replay of that lane's circuit, byte for byte. The
-//! second half locks the resource story: one plan compilation across
-//! serial runs × batches × workers sharing a cache, and zero SoA
-//! allocations after warmup.
+//! dense-engine run of that lane's circuit, byte for byte. (A serial
+//! compact run is the K = 1 replay itself, so the independent reference
+//! is the dense engine.) Each lane's amplitudes also equal its circuit's
+//! own K = 1 replay to the bit, sign of zero included, so a lane does not
+//! depend on its batch width. The second half locks the resource story: one
+//! plan compilation across serial runs × batches × workers sharing a
+//! cache, and zero SoA allocations after warmup.
 
 use choco_q::core::{ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::SplitMix64;
 use choco_q::model::Problem;
-use choco_q::qsim::{Circuit, EngineKind, PlanCache, SimConfig, SimWorkspace};
+use choco_q::qsim::{Circuit, EngineKind, PlanCache, SimConfig, SimWorkspace, StateVector};
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -88,10 +91,11 @@ fn compact_threaded(threads: usize) -> SimConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(36))]
 
-    /// The batched-vs-serial differential matrix: each lane of a K-wide
-    /// replay is byte-identical (==, not approx) to its own serial
-    /// compact run — amplitudes, expectations, and 2000-shot sample
-    /// histograms — at every batch width and worker count.
+    /// The batched-vs-dense differential matrix: each lane of a K-wide
+    /// replay is byte-identical (==, not approx) to a serial dense run of
+    /// its own circuit — amplitudes, expectations, and 2000-shot sample
+    /// histograms — and to its own K = 1 compact replay to the bit, at
+    /// every batch width and worker count.
     #[test]
     fn batched_lanes_match_serial_replays_bitwise(
         family in 0usize..6,
@@ -106,28 +110,36 @@ proptest! {
         };
         let cost = problem.cost_poly();
 
-        // Serial references, one compact run per lane.
-        let mut serial_ws = SimWorkspace::new(compact_threaded(1));
-        let mut reference = Vec::with_capacity(k);
-        for circuit in &circuits {
-            let state = serial_ws.run(circuit);
-            if !state.is_compact() {
-                // Shape fell back (|F| over the cap): batching declines
-                // it too — checked below, nothing lane-wise to compare.
-                prop_assert!(
-                    SimWorkspace::new(compact_threaded(1)).run_batch(&circuits).is_none(),
-                    "family={family}: batch accepted a shape serial replay refused"
-                );
-                return Ok(());
-            }
-            let amps: Vec<_> = (0..(1u64 << problem.n_vars()))
-                .map(|bits| state.amplitude(bits))
-                .collect();
-            let expectation = state.expectation_diag_poly(&cost);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let histogram = serial_ws.sample(2_000, &mut rng);
-            reference.push((amps, expectation, histogram));
+        if !SimWorkspace::new(compact_threaded(1)).run(&circuits[0]).is_compact() {
+            // Shape fell back (|F| over the cap): batching declines it
+            // too, and there is nothing lane-wise to compare.
+            prop_assert!(
+                SimWorkspace::new(compact_threaded(1)).run_batch(&circuits).is_none(),
+                "family={family}: batch accepted a shape serial replay refused"
+            );
+            return Ok(());
         }
+
+        // Dense references, one serial run per lane.
+        let reference: Vec<_> = circuits
+            .iter()
+            .map(|circuit| {
+                let dense = StateVector::run(circuit);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let histogram = dense.sample(2_000, &mut rng);
+                (dense.amplitudes().to_vec(), dense.expectation_diag_poly(&cost), histogram)
+            })
+            .collect();
+        // Serial compact runs (K = 1 replays), which a lane must match to
+        // the bit, sign of zero included, at any width.
+        let mut serial_ws = SimWorkspace::new(compact_threaded(1));
+        let serial: Vec<Vec<_>> = circuits
+            .iter()
+            .map(|circuit| {
+                let state = serial_ws.run(circuit);
+                (0..(1u64 << circuit.n_qubits())).map(|bits| state.amplitude(bits)).collect()
+            })
+            .collect();
 
         for threads in [1usize, 2, 4] {
             let mut ws = SimWorkspace::new(compact_threaded(threads));
@@ -139,7 +151,14 @@ proptest! {
                     prop_assert!(
                         got.re == expect.re && got.im == expect.im,
                         "family={family} threads={threads} K={k} lane={lane} \
-                         bits={bits}: batched {got} serial {expect}"
+                         bits={bits}: batched {got} dense {expect}"
+                    );
+                    let one = serial[lane][bits];
+                    prop_assert!(
+                        got.re.to_bits() == one.re.to_bits()
+                            && got.im.to_bits() == one.im.to_bits(),
+                        "family={family} threads={threads} K={k} lane={lane} \
+                         bits={bits}: batched {got:?} serial {one:?}"
                     );
                 }
                 prop_assert_eq!(
