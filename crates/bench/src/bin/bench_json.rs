@@ -8,8 +8,9 @@
 //! (`choco_iteration_*`: one warmed `SimWorkspace::run` of a two-layer
 //! multi-one-hot Choco-Q stack on the dense, sparse, and compact
 //! engines — the `ns_per_iteration` behind `compact_speedup_vs_sparse`),
-//! and writes `BENCH_simulation.json` so the perf trajectory stays
-//! comparable across PRs.
+//! full compact solves at F3/G2/F4/G4 (`choco_solve_compact`, n = 15,
+//! 18, 21, 24), and writes `BENCH_simulation.json` so the perf
+//! trajectory stays comparable across PRs.
 //!
 //! ```text
 //! cargo run --release -p choco-bench --bin bench_json [-- --out PATH] [--quick]
@@ -441,6 +442,43 @@ fn main() {
         solve_plan_compiles, solve_shapes,
         "shared plan cache must compile each shape exactly once"
     );
+
+    // Full compact solves at paper scale: one op = one default-budget
+    // `ChocoQSolver::solve_with_workspace` on a fresh compact workspace
+    // (driver synthesis, plan compile, every restart's variational loop,
+    // final sampling; no transpiled statistics). The compact solver reads
+    // the cost at the plan's feasible basis, so no op allocates or fills
+    // a `2^n` cost table — at G4 (24 qubits) that table alone was 128 MiB.
+    let compact_classes: &[&str] = if quick_mode() {
+        &["F3", "G2"]
+    } else {
+        &["F3", "G2", "F4", "G4"]
+    };
+    for &class in compact_classes {
+        let problem = choco_problems::instance(class, 1);
+        let n = problem.n_vars();
+        eprintln!("measuring compact choco solve {class} n = {n} …");
+        let solver = ChocoQSolver::new(ChocoQConfig {
+            transpiled_stats: false,
+            ..ChocoQConfig::default()
+        });
+        entries.push(Entry {
+            group: "choco_solve_compact",
+            n,
+            ns_per_op: measure(
+                || {
+                    let mut ws = SimWorkspace::new(config.with_engine(EngineKind::Compact));
+                    std::hint::black_box(
+                        solver
+                            .solve_with_workspace(&problem, &mut ws)
+                            .expect("solve"),
+                    );
+                },
+                5,
+                budget_ms,
+            ),
+        });
+    }
 
     // Solve-as-a-service latency: one in-process `choco-serve` session
     // over OS pipes. The first job pays plan compilation (cold cache);

@@ -28,7 +28,7 @@ use crate::elimination::{plan_elimination, EliminationPlan};
 use choco_mathkit::SplitMix64;
 use choco_model::{Problem, SolveOutcome, Solver, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
-use choco_qsim::{Circuit, Counts, PhasePoly, SimConfig, SimWorkspace};
+use choco_qsim::{Circuit, Counts, EngineKind, PhasePoly, SimConfig, SimWorkspace};
 use choco_solvers::shared::{
     check_size_for, circuit_stats, variational_loop, CostSpec, QaoaConfig, MAX_SIM_QUBITS,
 };
@@ -390,10 +390,12 @@ impl ChocoQSolver {
             drivers: Vec<CommuteDriver>,
             feasible: Vec<u64>,
             cost_poly: Arc<PhasePoly>,
-            /// Materialized `2^n` cost table — only for registers the
-            /// dense engine could also hold, so the table keeps engine
-            /// results bit-identical. Wider (sparse-only) branches use
-            /// the polynomial directly.
+            /// Materialized `2^n` cost table, built only on the dense,
+            /// sparse and auto engines and only for registers the dense
+            /// engine could also hold. Compact solves read the cost at
+            /// their feasible basis instead (the plan bakes the
+            /// polynomial's value per rank), and wider branches use the
+            /// polynomial directly; both give the table's bits.
             cost_values: Option<Vec<f64>>,
         }
         impl Branch {
@@ -404,6 +406,7 @@ impl ChocoQSolver {
                 }
             }
         }
+        let tabulate = workspace.config().engine != EngineKind::Compact;
         let mut branches = Vec::new();
         for b in &plan.branches {
             // A small pool of feasible points serves as restart seeds.
@@ -436,8 +439,8 @@ impl ChocoQSolver {
             // The cost table spans the *encoded* register (the polynomial
             // ignores the slack bits, so the table just tiles); sampled
             // encoded bitstrings index it directly.
-            let cost_values =
-                (encoded <= MAX_SIM_QUBITS).then(|| cost_poly.values_table(1 << encoded));
+            let cost_values = (tabulate && encoded <= MAX_SIM_QUBITS)
+                .then(|| cost_poly.values_table(1 << encoded));
             branches.push(Branch {
                 assignment: b.assignment,
                 encoded,

@@ -20,7 +20,7 @@
 use crate::compact::{reset_lanes, Lane};
 use crate::counts::Counts;
 use crate::phasepoly::PhasePoly;
-use crate::plan::{BatchScratch, GatePlan};
+use crate::plan::{BatchScratch, GatePlan, PlanBasis};
 use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
 use rand::Rng;
@@ -35,7 +35,7 @@ pub struct BatchWorkspace {
     n_qubits: usize,
     /// The sorted feasible basis `F` shared with the plan that replayed
     /// into this buffer.
-    basis: Arc<Vec<u64>>,
+    basis: Arc<PlanBasis>,
     /// Rank-major lanes: `amps[rank * lanes + lane]`.
     amps: Vec<Complex64>,
     lanes: usize,
@@ -76,7 +76,7 @@ impl BatchWorkspace {
     /// The sorted feasible basis the lanes are ranked over.
     #[inline]
     pub fn basis(&self) -> &[u64] {
-        &self.basis
+        &self.basis.bits
     }
 
     /// How many times the SoA buffer had to grow. Stays flat once the

@@ -10,8 +10,8 @@
 //! (amplitudes, expectations, sampling, support counting).
 //!
 //! That array is a one-lane batch: replay writes it with the same
-//! [`crate::plan::GatePlan::execute`] call that fills a K-lane
-//! [`crate::BatchWorkspace`], and both types read through one [`Lane`]
+//! `GatePlan::execute` call that fills a K-lane
+//! [`crate::BatchWorkspace`], and both types read through one `Lane`
 //! implementation of the rank-strided reads.
 //!
 //! Structural slots the sparse engine pruned hold exact complex zeros
@@ -23,6 +23,7 @@
 
 use crate::counts::Counts;
 use crate::phasepoly::PhasePoly;
+use crate::plan::PlanBasis;
 use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
 use rand::Rng;
@@ -37,10 +38,9 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct CompactStateVector {
     n_qubits: usize,
-    /// The sorted feasible basis `F`: `basis[rank]` is the basis-state
-    /// bit pattern of `amps[rank]`. `basis[0] == 0` always (compilation
-    /// starts from `|0…0⟩`).
-    basis: Arc<Vec<u64>>,
+    /// The sorted feasible basis `F`: `basis.bits[rank]` is the
+    /// basis-state bit pattern of `amps[rank]`.
+    basis: Arc<PlanBasis>,
     amps: Vec<Complex64>,
     config: SimConfig,
 }
@@ -48,7 +48,7 @@ pub struct CompactStateVector {
 impl CompactStateVector {
     /// An unallocated state over the given feasible basis; replay starts
     /// with [`CompactStateVector::reset_for_basis`].
-    pub(crate) fn new(n_qubits: usize, basis: &Arc<Vec<u64>>, config: SimConfig) -> Self {
+    pub(crate) fn new(n_qubits: usize, basis: &Arc<PlanBasis>, config: SimConfig) -> Self {
         CompactStateVector {
             n_qubits,
             basis: basis.clone(),
@@ -61,7 +61,7 @@ impl CompactStateVector {
     /// `|0…0⟩`, reusing the amplitude allocation (capacity permitting) —
     /// the workspace's zero-alloc-per-iteration path when one solve
     /// alternates between circuit shapes.
-    pub(crate) fn reset_for_basis(&mut self, basis: &Arc<Vec<u64>>) {
+    pub(crate) fn reset_for_basis(&mut self, basis: &Arc<PlanBasis>) {
         reset_lanes(&mut self.basis, &mut self.amps, basis, 1);
     }
 
@@ -86,7 +86,7 @@ impl CompactStateVector {
     /// The sorted feasible basis this state is ranked over.
     #[inline]
     pub fn basis(&self) -> &[u64] {
-        &self.basis
+        &self.basis.bits
     }
 
     /// Mutable amplitude array for plan replay (rank-indexed).
@@ -100,7 +100,7 @@ impl CompactStateVector {
     /// numerically non-zero amplitudes.
     #[inline]
     pub fn basis_len(&self) -> usize {
-        self.basis.len()
+        self.basis.bits.len()
     }
 
     /// The amplitude array as the one lane of a K = 1 batch, which is
@@ -166,8 +166,12 @@ impl CompactStateVector {
         self.lane().expectation_diag_values(values)
     }
 
-    /// Expectation of a diagonal observable given as a polynomial —
-    /// `O(|F| · terms)`, no table required.
+    /// Expectation of a diagonal observable given as a polynomial, no
+    /// table required: `O(|F|)` for a polynomial the replayed circuit
+    /// evolves under (its values were baked per rank when the plan was
+    /// compiled), `O(|F| · terms)` for any other. Both give the same
+    /// bits as [`CompactStateVector::expectation_diag_values`] on the
+    /// polynomial's table.
     pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
         self.lane().expectation_diag_poly(poly)
     }
@@ -210,16 +214,20 @@ impl CompactStateVector {
 /// to `|0…0⟩` (rank 0 — every plan's basis starts there), reusing the
 /// allocation when its capacity suffices. Returns whether it had to grow.
 pub(crate) fn reset_lanes(
-    held: &mut Arc<Vec<u64>>,
+    held: &mut Arc<PlanBasis>,
     amps: &mut Vec<Complex64>,
-    basis: &Arc<Vec<u64>>,
+    basis: &Arc<PlanBasis>,
     lanes: usize,
 ) -> bool {
-    assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
+    assert_eq!(
+        basis.bits.first(),
+        Some(&0),
+        "feasible basis must contain |0…0⟩"
+    );
     if !Arc::ptr_eq(held, basis) {
         *held = basis.clone();
     }
-    let needed = lanes * basis.len();
+    let needed = lanes * basis.bits.len();
     let grew = amps.capacity() < needed;
     amps.clear();
     amps.resize(needed, Complex64::ZERO);
@@ -235,7 +243,7 @@ pub(crate) fn reset_lanes(
 #[derive(Clone, Copy)]
 pub(crate) struct Lane<'a> {
     pub(crate) n_qubits: usize,
-    pub(crate) basis: &'a [u64],
+    pub(crate) basis: &'a PlanBasis,
     pub(crate) amps: &'a [Complex64],
     pub(crate) lanes: usize,
     pub(crate) lane: usize,
@@ -247,18 +255,22 @@ impl<'a> Lane<'a> {
         self.amps[self.lane..].iter().step_by(self.lanes).copied()
     }
 
-    /// The lane's `(basis index, amplitude)` entries with exact zeros
-    /// skipped — the sparse engine's entry iteration, term for term.
-    fn occupied(self) -> impl Iterator<Item = (u64, Complex64)> + 'a {
-        self.basis
-            .iter()
-            .copied()
-            .zip(self.iter())
+    /// The lane's `(rank, amplitude)` entries with exact zeros skipped
+    /// — the sparse engine's entry iteration, term for term.
+    fn occupied_ranks(self) -> impl Iterator<Item = (usize, Complex64)> + 'a {
+        self.iter()
+            .enumerate()
             .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
     }
 
+    /// [`Lane::occupied_ranks`] with each rank's basis index.
+    fn occupied(self) -> impl Iterator<Item = (u64, Complex64)> + 'a {
+        let bits = &self.basis.bits;
+        self.occupied_ranks().map(move |(rank, a)| (bits[rank], a))
+    }
+
     pub(crate) fn amplitude(self, bits: u64) -> Complex64 {
-        match self.basis.binary_search(&bits) {
+        match self.basis.bits.binary_search(&bits) {
             Ok(rank) => self.amps[rank * self.lanes + self.lane],
             Err(_) => Complex64::ZERO,
         }
@@ -284,14 +296,24 @@ impl<'a> Lane<'a> {
     }
 
     pub(crate) fn expectation_diag_poly(self, poly: &PhasePoly) -> f64 {
-        self.occupied()
-            .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits))
-            .sum()
+        match self.basis.values_of(poly) {
+            // The plan's own polynomial: the same `eval_bits` values,
+            // baked per rank, over the same occupied terms in the same
+            // order as the fallback below.
+            Some(values) => self
+                .occupied_ranks()
+                .map(|(rank, a)| a.norm_sqr() * values[rank])
+                .sum(),
+            None => self
+                .occupied()
+                .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits))
+                .sum(),
+        }
     }
 
     pub(crate) fn fill_cumulative(self, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.basis.len());
+        out.reserve(self.basis.bits.len());
         let mut acc = 0.0f64;
         for a in self.iter() {
             acc += a.norm_sqr();
@@ -305,7 +327,8 @@ impl<'a> Lane<'a> {
         shots: u64,
         rng: &mut R,
     ) -> Counts {
-        assert_eq!(cumulative.len(), self.basis.len(), "table length mismatch");
+        let basis = &self.basis.bits;
+        assert_eq!(cumulative.len(), basis.len(), "table length mismatch");
         let total = *cumulative.last().expect("non-empty state");
         let mut counts = Counts::new();
         for _ in 0..shots {
@@ -317,7 +340,7 @@ impl<'a> Lane<'a> {
                 0
             } else {
                 let slot = cumulative.partition_point(|&c| c < r);
-                self.basis[slot.min(self.basis.len() - 1)]
+                basis[slot.min(basis.len() - 1)]
             };
             counts.record(bits);
         }
@@ -335,6 +358,7 @@ impl<'a> Lane<'a> {
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
+    use crate::engine::SimEngine;
     use crate::gate::UBlock;
     use crate::plan::{BatchScratch, GatePlan};
     use crate::sparse::SparseStateVector;
@@ -414,6 +438,70 @@ mod tests {
             compact.expectation_diag_poly(&poly),
             sparse.expectation_diag_poly(&poly)
         );
+    }
+
+    #[test]
+    fn plan_rank_values_match_the_cost_table_bitwise() {
+        // The cost spans decision bits 0–2; qubits 3–4 play slack
+        // registers the polynomial never reads. The circuit evolves under
+        // `cost`, so its plan bakes `cost`'s rank values; `other` is not
+        // the plan's and takes the per-entry `eval_bits` fallback.
+        let n = 5;
+        let mut cost = PhasePoly::new(3);
+        cost.add_constant(0.25);
+        cost.add_linear(0, 1.5);
+        cost.add_linear(2, -0.75);
+        cost.add_quadratic(0, 1, 0.6);
+        let cost = Arc::new(cost);
+        let mut other = PhasePoly::new(n);
+        other.add_linear(4, -1.1);
+        other.add_quadratic(1, 3, 0.35);
+        let build = |theta: f64| {
+            let mut c = Circuit::new(n);
+            c.load_bits(0b00101);
+            c.diag(cost.clone(), theta);
+            c.ublock(UBlock::from_u_with_angle(&[1, 0, 0, -1, 0], theta));
+            c.ublock(UBlock::from_u_with_angle(&[0, 1, -1, 0, 1], 0.6 * theta));
+            c.diag(cost.clone(), 0.5 * theta);
+            c.ublock(UBlock::from_u_with_angle(&[0, 0, 1, 0, -1], theta));
+            c
+        };
+        let tables = [cost.values_table(1 << n), other.values_table(1 << n)];
+        let check = |label: &str, by_poly: f64, by_table: f64| {
+            assert_eq!(
+                by_poly.to_bits(),
+                by_table.to_bits(),
+                "{label}: poly {by_poly} vs table {by_table}"
+            );
+        };
+        let config = SimConfig::serial().with_engine(crate::EngineKind::Compact);
+        let mut ws = crate::SimWorkspace::new(config);
+        let SimEngine::Compact(state) = ws.run(&build(0.8)) else {
+            panic!("a confined shape stays compact");
+        };
+        assert!(state.basis.values_of(&cost).is_some(), "plan's own poly");
+        assert!(state.basis.values_of(&other).is_none(), "fallback poly");
+        assert!(state.occupancy() > 4, "the test needs a spread state");
+        for (poly, table) in [&*cost, &other].into_iter().zip(&tables) {
+            let (by_poly, by_table) = (
+                state.expectation_diag_poly(poly),
+                state.expectation_diag_values(table),
+            );
+            check("serial", by_poly, by_table);
+        }
+        for k in [1usize, 3, 8] {
+            let circuits: Vec<Circuit> = (0..k).map(|i| build(0.3 + 0.4 * i as f64)).collect();
+            let batch = ws.run_batch(&circuits).expect("compact batch runs");
+            for lane in 0..k {
+                for (poly, table) in [&*cost, &other].into_iter().zip(&tables) {
+                    let (by_poly, by_table) = (
+                        batch.expectation_diag_poly(lane, poly),
+                        batch.expectation_diag_values(lane, table),
+                    );
+                    check(&format!("K={k} lane={lane}"), by_poly, by_table);
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //!    grow support), producing the final feasible basis `F` (sorted),
 //! 2. every gate is lowered to a [`PlanStep`] of precomputed rank tables
 //!    into `F` — scatter/gather pair lists, subspace rank lists, and a
-//!    deduplicated value table for each diagonal polynomial.
+//!    deduplicated value table for each diagonal polynomial,
+//! 3. every distinct diagonal polynomial of the shape is evaluated once
+//!    at each rank of `F` ([`PlanBasis`]), so expectations of the cost
+//!    the circuit evolves under never re-evaluate it or need a `2^n`
+//!    table.
 //!
 //! Replay ([`GatePlan::execute`]) is the compact engine's one replay
 //! path. It walks K same-shape circuits in lockstep with the steps,
@@ -412,13 +416,42 @@ enum BitsStep {
     DiagPoly(Vec<u64>, Vec<f64>, Vec<u32>),
 }
 
+/// The sorted feasible basis `F` a plan's ranks index into, with every
+/// diagonal polynomial of the shape evaluated at each rank. Shared
+/// (`Arc`) by the plan and every state replayed from it, so a compact
+/// read of the cost the shape already evolves under takes these values
+/// instead of re-evaluating the polynomial per occupied rank.
+#[derive(Debug, Default)]
+pub(crate) struct PlanBasis {
+    /// `bits[rank]` is the basis state of `rank`; `bits[0] == 0` always
+    /// (compilation starts from `|0…0⟩`).
+    pub(crate) bits: Vec<u64>,
+    /// One entry per distinct `DiagPhase` polynomial of the shape: the
+    /// polynomial, held weakly as [`CircuitShape`] holds it, and
+    /// [`PhasePoly::eval_bits`] of every rank's basis state.
+    poly_values: Vec<(Weak<PhasePoly>, Vec<f64>)>,
+}
+
+impl PlanBasis {
+    /// The per-rank values of `poly` when it is one of the shape's own
+    /// polynomials, by pointer identity (the weak keeps the allocation,
+    /// so no other polynomial can live at its address); `None` for any
+    /// other polynomial.
+    pub(crate) fn values_of(&self, poly: &PhasePoly) -> Option<&[f64]> {
+        self.poly_values
+            .iter()
+            .find(|(weak, _)| std::ptr::eq(weak.as_ptr(), poly))
+            .map(|(_, values)| values.as_slice())
+    }
+}
+
 /// A compiled circuit shape: the feasible basis and one [`PlanStep`] per
 /// gate. Owned (and cached across optimizer iterations) by
 /// [`crate::SimWorkspace`].
 #[derive(Debug)]
 pub(crate) struct GatePlan {
     shape: CircuitShape,
-    basis: Arc<Vec<u64>>,
+    basis: Arc<PlanBasis>,
     steps: Vec<PlanStep>,
 }
 
@@ -429,7 +462,7 @@ impl GatePlan {
     }
 
     /// The sorted feasible basis `F` the plan's ranks index into.
-    pub(crate) fn basis(&self) -> &Arc<Vec<u64>> {
+    pub(crate) fn basis(&self) -> &Arc<PlanBasis> {
         &self.basis
     }
 
@@ -523,9 +556,8 @@ impl GatePlan {
         }
 
         // Rank conversion against the final basis.
-        let basis = Arc::new(support);
         let rank = |bits: u64| -> u32 {
-            basis
+            support
                 .binary_search(&bits)
                 .expect("every recorded index is in the final basis") as u32
         };
@@ -549,9 +581,24 @@ impl GatePlan {
                 },
             })
             .collect();
+        let mut poly_values: Vec<(Weak<PhasePoly>, Vec<f64>)> = Vec::new();
+        for gate in circuit.iter() {
+            if let Gate::DiagPhase(poly, _) = gate {
+                let seen = poly_values
+                    .iter()
+                    .any(|(weak, _)| std::ptr::eq(weak.as_ptr(), Arc::as_ptr(poly)));
+                if !seen {
+                    let values = support.iter().map(|&b| poly.eval_bits(b)).collect();
+                    poly_values.push((Arc::downgrade(poly), values));
+                }
+            }
+        }
         Ok(GatePlan {
             shape: CircuitShape::of(circuit),
-            basis,
+            basis: Arc::new(PlanBasis {
+                bits: support,
+                poly_values,
+            }),
             steps,
         })
     }
@@ -586,7 +633,7 @@ impl GatePlan {
         assert!(lanes > 0, "empty batch");
         assert_eq!(
             amps.len(),
-            lanes * self.basis.len(),
+            lanes * self.basis.bits.len(),
             "batch amplitude length mismatch"
         );
         for c in circuits {
@@ -1067,7 +1114,7 @@ mod tests {
     /// Replays `circuits` as one K-lane batch from `|0…0⟩`.
     fn replay(circuits: &[Circuit], plan: &GatePlan, config: &SimConfig) -> Vec<Complex64> {
         let k = circuits.len();
-        let mut amps = vec![Complex64::ZERO; k * plan.basis().len()];
+        let mut amps = vec![Complex64::ZERO; k * plan.basis().bits.len()];
         amps[..k].fill(Complex64::ONE); // rank 0, every lane
         plan.execute(circuits, &mut amps, &mut BatchScratch::default(), config);
         amps
@@ -1098,7 +1145,7 @@ mod tests {
             let dense = StateVector::run(circuit);
             let single = run_plan(circuit, plan);
             for (bits, &d) in dense.amplitudes().iter().enumerate() {
-                let a = match plan.basis().binary_search(&(bits as u64)) {
+                let a = match plan.basis().bits.binary_search(&(bits as u64)) {
                     Ok(rank) => {
                         let a = amps[rank * k + lane];
                         assert!(
@@ -1125,7 +1172,7 @@ mod tests {
         let plan = GatePlan::compile(&circuit, 1 << 10).unwrap();
         let amps = run_plan(&circuit, &plan);
         let sparse = SparseStateVector::run(&circuit);
-        for (rank, &bits) in plan.basis().iter().enumerate() {
+        for (rank, &bits) in plan.basis().bits.iter().enumerate() {
             let (a, b) = (amps[rank], sparse.amplitude(bits));
             assert!(a.re == b.re && a.im == b.im, "bits={bits}: {a} vs {b}");
         }
@@ -1259,7 +1306,7 @@ mod tests {
                 // dense engine on every sign of zero.
                 for (lane, circuit) in circuits.iter().enumerate() {
                     let dense = StateVector::run(circuit);
-                    for (rank, &bits) in plan.basis().iter().enumerate() {
+                    for (rank, &bits) in plan.basis().bits.iter().enumerate() {
                         let (a, d) = (amps[rank * circuits.len() + lane], dense.amplitude(bits));
                         assert!(
                             same_bits(a, d),
@@ -1281,7 +1328,7 @@ mod tests {
         let circuits: Vec<Circuit> = (0..17)
             .map(|i| confined_circuit_with(&poly, 0.05 * i as f64 - 0.4))
             .collect();
-        assert!(circuits.len() > plan.basis().len());
+        assert!(circuits.len() > plan.basis().bits.len());
         assert_lanes_match_dense(&circuits, &plan, &SimConfig::serial());
     }
 }

@@ -1394,14 +1394,24 @@ fn admission_qubits(problem: &choco_model::Problem) -> usize {
     choco_core::encoded_qubits_for(problem.constraints()).unwrap_or(problem.n_vars())
 }
 
+/// Resident bytes a dense cell holds per basis state: the 16-byte
+/// amplitude, the solver's 8-byte cost table, the workspace's 8-byte
+/// cached diagonal of the same polynomial and its 8-byte cumulative
+/// sampling table. A dense F4 Choco-Q cell (21 qubits) peaks at 84 MiB
+/// `VmHWM`: 80 MiB for these four buffers over a ~4 MiB process.
+const DENSE_BYTES_PER_AMPLITUDE: u64 = 40;
+
 /// Estimated resident simulator bytes for one cell, by engine:
-/// dense (and auto, which may fall back to dense) holds the full
-/// `2^n` complex amplitudes at 16 bytes each; sparse holds one map
-/// entry (~24 bytes) and compact one packed entry (~32 bytes) per
-/// feasible-space amplitude, which for Choco-Q cells is bounded by the
-/// enumerated feasible count `|F|`. Non-Choco-Q solvers explore the full
-/// register regardless of engine. Saturating arithmetic: an estimate
-/// that overflows `u64` is "infinite" for admission purposes anyway.
+/// dense (and auto, which may fall back to dense) holds
+/// [`DENSE_BYTES_PER_AMPLITUDE`] per basis state of the full `2^n`
+/// register; sparse holds one map entry (~24 bytes) and compact one
+/// packed entry (~32 bytes) per feasible-space amplitude, which for
+/// Choco-Q cells is bounded by the enumerated feasible count `|F|`. The
+/// compact Choco-Q estimate is the whole footprint: that solver builds
+/// no `2^n` cost table on the compact engine and reads the cost at the
+/// plan's feasible basis. Non-Choco-Q solvers explore the full register
+/// regardless of engine. Saturating arithmetic: an estimate that
+/// overflows `u64` is "infinite" for admission purposes anyway.
 fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
     let Ok(optimum) = &instance.optimum else {
         return 0;
@@ -1414,7 +1424,7 @@ fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
         full
     };
     match engine {
-        EngineKind::Dense | EngineKind::Auto => full.saturating_mul(16),
+        EngineKind::Dense | EngineKind::Auto => full.saturating_mul(DENSE_BYTES_PER_AMPLITUDE),
         EngineKind::Sparse => support.saturating_mul(24),
         EngineKind::Compact => support.saturating_mul(32),
     }
@@ -1710,12 +1720,17 @@ mod tests {
             SolverKind::ChocoQ => (&cells[0], &cells[1]),
             _ => (&cells[1], &cells[0]),
         };
-        // Dense and auto hold the full register regardless of solver.
+        // Dense and auto hold the full register regardless of solver:
+        // amplitude, cost table, cached diagonal and sampling table.
         assert_eq!(
             cell_sim_bytes(choco, instance, EngineKind::Dense),
-            full * 16
+            full * 40
         );
-        assert_eq!(cell_sim_bytes(choco, instance, EngineKind::Auto), full * 16);
+        assert_eq!(cell_sim_bytes(choco, instance, EngineKind::Auto), full * 40);
+        assert_eq!(
+            cell_sim_bytes(penalty, instance, EngineKind::Dense),
+            full * 40
+        );
         // Sparse/compact are |F|-bounded for Choco-Q only.
         assert_eq!(
             cell_sim_bytes(choco, instance, EngineKind::Sparse),

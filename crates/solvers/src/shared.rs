@@ -142,10 +142,12 @@ pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), 
 }
 
 /// The diagonal cost a variational loop minimizes: a materialized `2^n`
-/// table (bit-identical across engines; the default up to
-/// [`MAX_SIM_QUBITS`]) or the bare polynomial (table-free — the only
-/// option for registers too wide to tabulate, where the sparse engine
-/// evaluates it per occupied entry).
+/// table (for registers up to [`MAX_SIM_QUBITS`] on the dense, sparse
+/// and auto engines) or the bare polynomial (table-free). Both give the
+/// same bits on every engine. The polynomial is what a compact Choco-Q
+/// solve uses — the compact state reads the values its plan baked per
+/// feasible-basis rank — and the only option for registers too wide to
+/// tabulate, where the sparse engine evaluates it per occupied entry.
 pub enum CostSpec<'a> {
     /// A per-basis-state value table of length `2^n`.
     Table(&'a [f64]),

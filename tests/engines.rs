@@ -499,3 +499,37 @@ fn choco_circuit_for_support(problem: &Problem) -> Circuit {
 /// gates and the diagonal keep one basis state, then the serialized
 /// driver blocks spread the support.
 const PINNED_GCP_3X2X2_PROFILE: &[usize] = &[1, 1, 1, 1, 1, 2, 2, 2];
+
+/// Whole Choco-Q solves on the dense and compact engines reach the same
+/// bits: the dense solve reads its cost from the `2^n` table, the compact
+/// one from the plan's per-rank polynomial values (it builds no table),
+/// so equal counts and cost histories pin the two cost paths to each
+/// other through every optimizer step, the CVaR restart selection and
+/// the final sampling. B2n has a native `≤` row (driver-synthesized slack
+/// bits the cost never reads); G1 is a 12-qubit equality instance.
+#[test]
+fn choco_solves_match_between_dense_and_compact() {
+    use choco_q::core::ChocoQConfig;
+    use choco_q::model::Solver;
+    for (class, min_qubits) in [("B2n", 8), ("G1", 12)] {
+        let problem = choco_q::problems::instance(class, 1);
+        let encoded = choco_q::core::encoded_qubits_for(problem.constraints()).unwrap();
+        assert!(encoded >= min_qubits, "{class}: {encoded} qubits");
+        let solve = |engine| {
+            let config = ChocoQConfig {
+                sim: SimConfig::serial().with_engine(engine),
+                ..ChocoQConfig::fast_test()
+            };
+            ChocoQSolver::new(config).solve(&problem).unwrap()
+        };
+        let (dense, compact) = (solve(EngineKind::Dense), solve(EngineKind::Compact));
+        assert_eq!(dense.counts, compact.counts, "{class}: counts");
+        let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&dense.cost_history),
+            bits(&compact.cost_history),
+            "{class}: cost history"
+        );
+        assert!(!dense.cost_history.is_empty());
+    }
+}

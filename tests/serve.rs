@@ -602,8 +602,9 @@ fn per_job_knobs_override_daemon_settings() {
 #[test]
 fn mem_budget_admission_has_an_exact_boundary() {
     // The spec's cells are all dense-engine full-register estimates:
-    // 2^n × 16 bytes per worker. Compute the exact requirement and probe
-    // one byte below (rejected) and at it (accepted).
+    // 2^n × 40 bytes per worker (amplitude, cost table, cached diagonal
+    // and sampling table). Compute the exact requirement and probe one
+    // byte below (rejected) and at it (accepted).
     let spec = ExperimentSpec::parse_str(SPEC).expect("spec");
     let cells = spec.expand_cells(false);
     let instances = build_instances(&cells).expect("instances");
@@ -613,7 +614,7 @@ fn mem_budget_admission_has_an_exact_boundary() {
         .expect("instance")
         .problem
         .n_vars() as u32;
-    let per_worker = 16u64 << n;
+    let per_worker = 40u64 << n;
     let workers = 2usize;
     let required = per_worker * workers as u64;
 
