@@ -51,7 +51,6 @@ fn bench_choco_iteration(c: &mut Criterion) {
         let stack = choco_onehot_stack(n, 2);
         for (label, engine) in [
             ("dense", EngineKind::Dense),
-            ("sparse", EngineKind::Sparse),
             ("compact", EngineKind::Compact),
         ] {
             let mut ws = SimWorkspace::new(SimConfig::default().with_engine(engine));
@@ -62,6 +61,14 @@ fn bench_choco_iteration(c: &mut Criterion) {
                 });
             });
         }
+        // Per-gate map churn on a reused sparse state.
+        let mut sparse = SparseStateVector::new(n);
+        group.bench_with_input(BenchmarkId::new("sparse", n), &stack, |b, stack| {
+            b.iter(|| {
+                sparse.reset_zero();
+                sparse.apply_circuit(std::hint::black_box(stack));
+            });
+        });
     }
     group.finish();
 }
@@ -121,7 +128,7 @@ fn bench_statevector_workspace(c: &mut Criterion) {
     group.sample_size(20);
     for n in [10usize, 14, 18] {
         let circuit = layer_circuit(n);
-        let mut ws = SimWorkspace::new(SimConfig::default());
+        let mut ws = SimWorkspace::new(SimConfig::default().with_engine(EngineKind::Dense));
         ws.run(&circuit); // warmup: allocate the buffer, expand the diagonal
         group.bench_with_input(BenchmarkId::from_parameter(n), &circuit, |b, circuit| {
             b.iter(|| {
@@ -145,7 +152,7 @@ fn bench_sampling(c: &mut Criterion) {
             b.iter(|| state.sample(10_000, &mut rng));
         });
         // The workspace path amortizes the prefix-table build across calls.
-        let mut ws = SimWorkspace::new(SimConfig::default());
+        let mut ws = SimWorkspace::new(SimConfig::default().with_engine(EngineKind::Dense));
         ws.run(&circuit);
         let mut rng = StdRng::seed_from_u64(7);
         ws.sample(1, &mut rng); // build the table once

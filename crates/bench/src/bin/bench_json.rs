@@ -69,7 +69,8 @@ fn main() {
     };
     let samples = 7;
     let budget_ms = 700.0;
-    let config = SimConfig::default();
+    // Groups that name no engine measure the dense one.
+    let config = SimConfig::default().with_engine(EngineKind::Dense);
     let mut entries: Vec<Entry> = Vec::new();
 
     for &n in sizes {
@@ -213,29 +214,37 @@ fn main() {
     }
 
     // Whole-iteration cost per engine: what one optimizer evaluation
-    // pays, workspace-warmed (buffers allocated, plans compiled) — so
-    // dense measures buffer-reuse replay, sparse measures per-gate map
-    // churn + support rediscovery, compact measures plan replay.
+    // pays, warmed (buffers allocated, plans compiled) — so dense
+    // measures buffer-reuse replay, sparse measures per-gate map churn +
+    // support rediscovery on a reused sparse state, compact measures plan
+    // replay.
     for &n in sparse_sizes {
         eprintln!("measuring choco iteration n = {n} (dense vs sparse vs compact) …");
         let stack = choco_onehot_stack(n, 2);
-        for (group, engine, samples_here) in [
-            ("choco_iteration_dense", EngineKind::Dense, 3),
-            ("choco_iteration_sparse", EngineKind::Sparse, samples),
-            ("choco_iteration_compact", EngineKind::Compact, samples),
-        ] {
-            let mut ws = SimWorkspace::new(config.with_engine(engine));
-            ws.run(&stack); // warmup: allocate, compile the plan
+        // Warm up: allocate buffers, compile the plan.
+        let mut dense = SimWorkspace::new(config);
+        dense.run(&stack);
+        let mut sparse = SparseStateVector::new_with(n, config);
+        let mut compact = SimWorkspace::new(config.with_engine(EngineKind::Compact));
+        compact.run(&stack);
+        let groups: [(_, _, &mut dyn FnMut()); 3] = [
+            ("choco_iteration_dense", 3, &mut || {
+                std::hint::black_box(dense.run(&stack));
+            }),
+            ("choco_iteration_sparse", samples, &mut || {
+                sparse.reset_zero();
+                sparse.apply_circuit(std::hint::black_box(&stack));
+            }),
+            ("choco_iteration_compact", samples, &mut || {
+                std::hint::black_box(compact.run(&stack));
+            }),
+        ];
+        for (group, samples_here, op) in groups {
+            let ns_per_op = measure(op, samples_here, budget_ms / 2.0);
             entries.push(Entry {
                 group,
                 n,
-                ns_per_op: measure(
-                    || {
-                        std::hint::black_box(ws.run(&stack));
-                    },
-                    samples_here,
-                    budget_ms / 2.0,
-                ),
+                ns_per_op,
             });
         }
     }

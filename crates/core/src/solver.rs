@@ -352,8 +352,8 @@ impl ChocoQSolver {
         problem: &Problem,
         workspace: &mut SimWorkspace,
     ) -> Result<SolveOutcome, SolverError> {
-        // Size gate follows the workspace's engine: the sparse engines
-        // accept feasible-subspace instances the dense buffer cannot hold.
+        // Size gate follows the workspace's engine: the compact engine
+        // accepts feasible-subspace instances the dense buffer cannot hold.
         // Native-inequality instances are admitted by their *encoded*
         // width — decision variables plus the slack registers the driver
         // layer will synthesize (identical to `n_vars` otherwise).
@@ -390,12 +390,11 @@ impl ChocoQSolver {
             drivers: Vec<CommuteDriver>,
             feasible: Vec<u64>,
             cost_poly: Arc<PhasePoly>,
-            /// Materialized `2^n` cost table, built only on the dense,
-            /// sparse and auto engines and only for registers the dense
-            /// engine could also hold. Compact solves read the cost at
-            /// their feasible basis instead (the plan bakes the
-            /// polynomial's value per rank), and wider branches use the
-            /// polynomial directly; both give the table's bits.
+            /// Materialized `2^n` cost table, built only on the dense
+            /// engine and only for registers it can hold. Compact solves
+            /// read the cost at their feasible basis instead (the plan
+            /// bakes the polynomial's value per rank), and wider branches
+            /// use the polynomial directly; both give the table's bits.
             cost_values: Option<Vec<f64>>,
         }
         impl Branch {
@@ -406,7 +405,7 @@ impl ChocoQSolver {
                 }
             }
         }
-        let tabulate = workspace.config().engine != EngineKind::Compact;
+        let tabulate = workspace.config().engine == EngineKind::Dense;
         let mut branches = Vec::new();
         for b in &plan.branches {
             // A small pool of feasible points serves as restart seeds.
@@ -861,7 +860,7 @@ mod tests {
         // allowed per register width.
         let problem = paper_problem();
         let solver = ChocoQSolver::new(ChocoQConfig::fast_test());
-        let mut workspace = SimWorkspace::new(SimConfig::serial());
+        let mut workspace = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         solver
             .solve_with_workspace(&problem, &mut workspace)
             .unwrap();
@@ -885,7 +884,7 @@ mod tests {
         use choco_qsim::EngineKind;
         let problem = paper_problem();
         let solver = ChocoQSolver::new(ChocoQConfig::fast_test());
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         let dense = solver
             .solve_with_workspace(&problem, &mut dense_ws)
             .unwrap();
@@ -1074,6 +1073,7 @@ mod tests {
         // And the parallel compact solve matches the serial dense solve.
         let serial = ChocoQSolver::new(ChocoQConfig {
             restart_workers: 1,
+            sim: SimConfig::serial().with_engine(EngineKind::Dense),
             ..config
         })
         .solve(&problem)
@@ -1207,7 +1207,7 @@ mod tests {
         // bounded by |F|.
         let p = knapsack_problem();
         let solver = ChocoQSolver::new(ChocoQConfig::fast_test());
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         solver.solve_with_workspace(&p, &mut ws).unwrap();
         let driver = CommuteDriver::build(p.constraints()).unwrap();
         let feasible: std::collections::HashSet<u64> = p
@@ -1234,17 +1234,18 @@ mod tests {
     fn native_inequality_solve_is_engine_and_worker_invariant() {
         use choco_qsim::EngineKind;
         let p = knapsack_problem();
-        let config = ChocoQConfig::fast_test();
+        let config = ChocoQConfig {
+            sim: SimConfig::serial().with_engine(EngineKind::Dense),
+            ..ChocoQConfig::fast_test()
+        };
         let dense = ChocoQSolver::new(config.clone()).solve(&p).unwrap();
-        for kind in [EngineKind::Sparse, EngineKind::Compact] {
-            let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(kind));
-            let other = ChocoQSolver::new(config.clone())
-                .solve_with_workspace(&p, &mut ws)
-                .unwrap();
-            assert_eq!(dense.counts, other.counts, "{kind:?}");
-            assert_eq!(dense.cost_history, other.cost_history, "{kind:?}");
-            assert_eq!(dense.iterations, other.iterations, "{kind:?}");
-        }
+        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        let compact = ChocoQSolver::new(config.clone())
+            .solve_with_workspace(&p, &mut ws)
+            .unwrap();
+        assert_eq!(dense.counts, compact.counts);
+        assert_eq!(dense.cost_history, compact.cost_history);
+        assert_eq!(dense.iterations, compact.iterations);
         for workers in [2usize, 4] {
             let parallel = ChocoQSolver::new(ChocoQConfig {
                 restart_workers: workers,

@@ -64,7 +64,7 @@ pub use engine::{SimEngine, MAX_DENSIFY_QUBITS};
 pub use gate::{Gate, RegisterShift, ShiftBlock, UBlock};
 pub use noise::NoiseModel;
 pub use phasepoly::PhasePoly;
-pub use simconfig::{EngineKind, SimConfig, DEFAULT_DENSITY_THRESHOLD, DEFAULT_PARALLEL_THRESHOLD};
+pub use simconfig::{EngineKind, SimConfig, DEFAULT_PARALLEL_THRESHOLD, DENSITY_THRESHOLD};
 pub use sparse::{SparseStateVector, MAX_SPARSE_QUBITS};
 pub use state::StateVector;
 pub use synth::{

@@ -34,10 +34,11 @@
 //! to every kernel.
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
-//! once the structural support crosses the same occupancy threshold that
-//! trips [`crate::EngineKind::Auto`]'s dense fallback, [`PlanError`] is
-//! returned and [`crate::SimWorkspace`] runs the circuit on the per-gate
-//! engines instead (dense after the auto-style fallback).
+//! once the structural support crosses the same
+//! [`crate::DENSITY_THRESHOLD`] that trips the per-gate dense fallback,
+//! [`PlanError`] is returned and [`crate::SimWorkspace`] runs the circuit
+//! on the per-gate engines instead (sparse, densifying past the
+//! threshold).
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;

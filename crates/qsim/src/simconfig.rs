@@ -7,40 +7,33 @@ use std::sync::OnceLock;
 ///
 /// Choco-Q circuits never leave the feasible subspace (the commute
 /// Hamiltonian's central property), so their state has `|F| ≪ 2^n`
-/// occupied basis states. The sparse engine exploits that; the dense
-/// strided engine is the general-purpose fallback.
+/// occupied basis states. The compact engine exploits that and falls
+/// back on its own for circuits that fill the register; the dense
+/// strided engine is the general-purpose reference.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// The dense strided engine ([`crate::StateVector`]): `2^n`
     /// amplitudes, every gate enumerated over its `2^(n-k)` subspace.
-    #[default]
     Dense,
-    /// The feasible-subspace sparse engine
-    /// ([`crate::SparseStateVector`]): only occupied basis states are
-    /// stored and updated. Never converts back to dense — the caller has
-    /// opted in, even for circuits that fill the register.
-    Sparse,
     /// The rank-indexed compact engine ([`crate::CompactStateVector`]):
     /// [`crate::SimWorkspace`] enumerates the feasible subspace once per
     /// circuit shape, compiles a gate plan of precomputed rank tables,
     /// and replays it as flat-array loops on every optimizer iteration.
-    /// Circuits that break subspace confinement fall back to the dense
-    /// engine exactly like [`EngineKind::Auto`].
+    /// Circuits that break subspace confinement run gate by gate on the
+    /// sparse representation ([`crate::SparseStateVector`]) and densify
+    /// once the occupied fraction of the register crosses
+    /// [`DENSITY_THRESHOLD`] (when the register is small enough to
+    /// allocate densely).
+    #[default]
     Compact,
-    /// Start sparse, densify automatically once the occupied fraction of
-    /// the register crosses [`SimConfig::density_threshold`] (and the
-    /// register is small enough to allocate densely).
-    Auto,
 }
 
 impl EngineKind {
-    /// Short label (`"dense"`, `"sparse"`, `"compact"`, `"auto"`).
+    /// Short label (`"dense"`, `"compact"`).
     pub fn label(&self) -> &'static str {
         match self {
             EngineKind::Dense => "dense",
-            EngineKind::Sparse => "sparse",
             EngineKind::Compact => "compact",
-            EngineKind::Auto => "auto",
         }
     }
 
@@ -52,12 +45,8 @@ impl EngineKind {
     pub fn parse(text: &str) -> Result<EngineKind, String> {
         match text.trim().to_ascii_lowercase().as_str() {
             "dense" => Ok(EngineKind::Dense),
-            "sparse" => Ok(EngineKind::Sparse),
             "compact" => Ok(EngineKind::Compact),
-            "auto" => Ok(EngineKind::Auto),
-            _ => Err(format!(
-                "unknown engine `{text}` (expected dense|sparse|compact|auto)"
-            )),
+            _ => Err(format!("unknown engine `{text}` (expected dense|compact)")),
         }
     }
 }
@@ -82,9 +71,9 @@ impl std::fmt::Display for EngineKind {
 ///
 /// let serial = SimConfig::serial();
 /// assert_eq!(serial.threads, 1);
-/// assert_eq!(serial.engine, EngineKind::Dense);
-/// let sparse = SimConfig::serial().with_engine(EngineKind::Sparse);
-/// assert_eq!(sparse.engine, EngineKind::Sparse);
+/// assert_eq!(serial.engine, EngineKind::Compact);
+/// let dense = SimConfig::serial().with_engine(EngineKind::Dense);
+/// assert_eq!(dense.engine, EngineKind::Dense);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
@@ -95,10 +84,6 @@ pub struct SimConfig {
     pub parallel_threshold: usize,
     /// Which amplitude representation to run circuits on.
     pub engine: EngineKind,
-    /// Occupied fraction of the register above which an [`EngineKind::Auto`]
-    /// run converts from the sparse to the dense engine. Ignored by the
-    /// other engine kinds.
-    pub density_threshold: f64,
     /// How many candidate angle sets a compact replay evaluates per plan
     /// traversal (`1`, the default, replays candidates one at a time
     /// through the same lane kernels). Consumers with independent
@@ -114,10 +99,11 @@ pub struct SimConfig {
 /// than it saves on typical hardware.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 15;
 
-/// Default auto-densify point: once an eighth of the register is occupied
-/// the sorted-map overhead of the sparse engine outweighs the dense
-/// engine's contiguous strides.
-pub const DEFAULT_DENSITY_THRESHOLD: f64 = 0.125;
+/// The compact engine's densify point: once an eighth of the register is
+/// occupied the sorted-map overhead of the sparse fallback outweighs the
+/// dense engine's contiguous strides. Shapes whose structural support
+/// exceeds it refuse plan compilation for the same reason.
+pub const DENSITY_THRESHOLD: f64 = 0.125;
 
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
@@ -138,15 +124,14 @@ impl Default for SimConfig {
         SimConfig {
             threads: default_threads(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            engine: EngineKind::Dense,
-            density_threshold: DEFAULT_DENSITY_THRESHOLD,
+            engine: EngineKind::default(),
             batch_size: 1,
         }
     }
 }
 
 impl SimConfig {
-    /// Strictly serial execution (dense engine).
+    /// Strictly serial execution (compact engine).
     pub fn serial() -> Self {
         SimConfig {
             threads: 1,
@@ -231,37 +216,34 @@ mod tests {
     }
 
     #[test]
-    fn default_engine_is_dense() {
-        assert_eq!(SimConfig::default().engine, EngineKind::Dense);
-        assert_eq!(SimConfig::serial().engine, EngineKind::Dense);
-        assert!(SimConfig::default().density_threshold > 0.0);
+    fn default_engine_is_compact() {
+        assert_eq!(SimConfig::default().engine, EngineKind::Compact);
+        assert_eq!(SimConfig::serial().engine, EngineKind::Compact);
+        assert_eq!(SimConfig::with_threads(2).engine, EngineKind::Compact);
     }
 
     #[test]
     fn engine_kind_parse_round_trips() {
-        for kind in [
-            EngineKind::Dense,
-            EngineKind::Sparse,
-            EngineKind::Compact,
-            EngineKind::Auto,
-        ] {
+        for kind in [EngineKind::Dense, EngineKind::Compact] {
             assert_eq!(EngineKind::parse(kind.label()), Ok(kind));
             assert_eq!(format!("{kind}"), kind.label());
         }
-        let err = EngineKind::parse("gpu").unwrap_err();
-        assert!(
-            err.contains("gpu") && err.contains("dense|sparse|compact|auto"),
-            "{err}"
-        );
+        // Unknown and retired selections name the accepted values.
+        for text in ["gpu", "sparse", "auto"] {
+            let err = EngineKind::parse(text).unwrap_err();
+            assert!(
+                err.contains(&format!("`{text}`")) && err.contains("dense|compact"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn engine_kind_parse_is_case_insensitive() {
         for (text, kind) in [
             ("Dense", EngineKind::Dense),
-            ("SPARSE", EngineKind::Sparse),
+            (" dense ", EngineKind::Dense),
             ("Compact", EngineKind::Compact),
-            (" auto ", EngineKind::Auto),
             ("COMPACT", EngineKind::Compact),
         ] {
             assert_eq!(EngineKind::parse(text), Ok(kind), "{text}");
@@ -270,9 +252,9 @@ mod tests {
 
     #[test]
     fn with_engine_preserves_other_fields() {
-        let c = SimConfig::with_threads(3).with_engine(EngineKind::Auto);
+        let c = SimConfig::with_threads(3).with_engine(EngineKind::Dense);
         assert_eq!(c.threads, 3);
-        assert_eq!(c.engine, EngineKind::Auto);
+        assert_eq!(c.engine, EngineKind::Dense);
     }
 
     #[test]
@@ -286,7 +268,7 @@ mod tests {
         // Engine and batch builders compose in either order.
         let c = SimConfig::serial()
             .with_batch(4)
-            .with_engine(EngineKind::Compact);
-        assert_eq!((c.batch_size, c.engine), (4, EngineKind::Compact));
+            .with_engine(EngineKind::Dense);
+        assert_eq!((c.batch_size, c.engine), (4, EngineKind::Dense));
     }
 }

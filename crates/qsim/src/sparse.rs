@@ -19,8 +19,8 @@
 //! on demand: a pair kernel inserts the partner of an occupied entry, a
 //! Hadamard doubles the occupied set. Circuits that fill the register
 //! (penalty/HEA mixers) are therefore still correct here, just slower
-//! than dense — [`crate::SimEngine`] with [`crate::EngineKind::Auto`]
-//! densifies at a configurable occupancy threshold instead.
+//! than dense — [`crate::SimEngine`] under [`crate::EngineKind::Compact`]
+//! densifies at [`crate::DENSITY_THRESHOLD`] instead.
 
 use crate::circuit::Circuit;
 use crate::counts::Counts;
@@ -157,8 +157,8 @@ impl SparseStateVector {
     }
 
     /// Number of occupied (non-zero) basis entries — the sparse engine's
-    /// support counter, and the quantity the auto-densify threshold
-    /// watches.
+    /// support counter, and the quantity the compact engine's densify
+    /// threshold watches.
     #[inline]
     pub fn occupancy(&self) -> usize {
         self.entries.len()

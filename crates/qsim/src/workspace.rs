@@ -31,7 +31,7 @@
 //!   replay and its scratch buffers: a serial run is a one-lane batch.
 //!   Shapes that refuse compilation (structural support above the
 //!   occupancy threshold) are remembered as fallbacks and run on the
-//!   per-gate engines (sparse with the auto-style dense fallback).
+//!   per-gate engines (sparse, densifying past the threshold).
 //!
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
@@ -45,7 +45,7 @@ use crate::gate::Gate;
 use crate::kernels;
 use crate::phasepoly::PhasePoly;
 use crate::plan::{BatchScratch, CircuitShape, GatePlan, PlanError};
-use crate::simconfig::{EngineKind, SimConfig};
+use crate::simconfig::{EngineKind, SimConfig, DENSITY_THRESHOLD};
 #[cfg(doc)]
 use crate::state::StateVector;
 use rand::Rng;
@@ -268,13 +268,13 @@ impl PlanCache {
 }
 
 /// The structural-support cap above which plan compilation gives up: the
-/// same occupancy threshold that trips [`crate::EngineKind::Auto`]'s
-/// dense fallback (floored so tiny registers always compile), or a hard
-/// table-size cap where no dense fallback exists.
-fn plan_support_cap(config: &SimConfig, n_qubits: usize) -> usize {
+/// same [`DENSITY_THRESHOLD`] that trips the per-gate dense fallback
+/// (floored so tiny registers always compile), or a hard table-size cap
+/// where no dense fallback exists.
+fn plan_support_cap(n_qubits: usize) -> usize {
     if n_qubits <= MAX_DENSIFY_QUBITS {
         let dim = (1u64 << n_qubits) as f64;
-        ((config.density_threshold * dim) as usize).max(64)
+        ((DENSITY_THRESHOLD * dim) as usize).max(64)
     } else {
         1 << 22
     }
@@ -345,9 +345,9 @@ impl SimWorkspace {
     ///
     /// Share a cache only between workspaces running the **same
     /// `SimConfig`**: cached outcomes are keyed by circuit shape alone,
-    /// so the compile-or-fallback decision (which depends on the
-    /// config's occupancy threshold) is made by whichever workspace
-    /// reaches a shape first and then inherited by every sharer.
+    /// so the compile-or-fallback decision is made by whichever
+    /// workspace reaches a shape first and then inherited by every
+    /// sharer.
     pub fn with_plan_cache(config: SimConfig, plans: Arc<PlanCache>) -> Self {
         SimWorkspace {
             config,
@@ -437,9 +437,9 @@ impl SimWorkspace {
             match gate {
                 // The cached-diagonal fast path only exists on the dense
                 // engine; a sparse state evaluates the polynomial per
-                // occupied entry inside `apply_gate` (and an auto run
-                // that just fell back to dense starts using the cache
-                // from this gate on).
+                // occupied entry inside `apply_gate` (and a run that
+                // just fell back to dense starts using the cache from
+                // this gate on).
                 Gate::DiagPhase(poly, theta)
                     if self.engine.as_ref().is_some_and(|e| e.as_dense().is_some()) =>
                 {
@@ -506,7 +506,7 @@ impl SimWorkspace {
         if circuits.is_empty() || self.config.engine != EngineKind::Compact {
             return None;
         }
-        let cap = plan_support_cap(&self.config, circuits[0].n_qubits());
+        let cap = plan_support_cap(circuits[0].n_qubits());
         let plan = self.plans.lookup_or_compile(&circuits[0], cap)?;
         if !circuits.iter().all(|c| plan.shape().matches(c)) {
             return None;
@@ -529,7 +529,7 @@ impl SimWorkspace {
     /// as [`SimWorkspace::run_batch`]. Returns `false` when the shape is a remembered or
     /// fresh fallback — the caller then runs the per-gate engines.
     fn run_compact(&mut self, circuit: &Circuit) -> bool {
-        let cap = plan_support_cap(&self.config, circuit.n_qubits());
+        let cap = plan_support_cap(circuit.n_qubits());
         let Some(plan) = self.plans.lookup_or_compile(circuit, cap) else {
             return false;
         };
@@ -617,6 +617,28 @@ mod tests {
         c
     }
 
+    /// The dense reference configuration.
+    fn dense() -> SimConfig {
+        SimConfig::serial().with_engine(EngineKind::Dense)
+    }
+
+    /// A shape that refuses plan compilation yet stays sparse when run:
+    /// each zero-angle `ry` doubles the structural support (to `2^(n-2)`,
+    /// twice the threshold) while acting as the identity, so the per-gate
+    /// fallback never densifies.
+    fn sparse_fallback(n: usize, poly: &Arc<PhasePoly>, theta: f64) -> Circuit {
+        let mut c = Circuit::new(n);
+        c.load_bits(0b0101);
+        for q in 0..n - 2 {
+            c.ry(q, 0.0);
+        }
+        c.diag(poly.clone(), theta);
+        let mut u = vec![0i8; n];
+        u[..4].copy_from_slice(&[1, -1, 1, -1]);
+        c.ublock(crate::gate::UBlock::from_u_with_angle(&u, 0.5));
+        c
+    }
+
     fn test_poly(n: usize) -> Arc<PhasePoly> {
         let mut poly = PhasePoly::new(n);
         for i in 0..n {
@@ -629,7 +651,7 @@ mod tests {
     #[test]
     fn run_matches_bare_statevector() {
         let poly = test_poly(4);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         for theta in [0.2, 0.9, 1.7] {
             let circuit = layer_circuit(4, &poly, theta);
             let expected = StateVector::run(&circuit);
@@ -644,7 +666,7 @@ mod tests {
     #[test]
     fn amplitude_buffer_allocated_once_across_iterations() {
         let poly = test_poly(5);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         for i in 0..50 {
             let circuit = layer_circuit(5, &poly, 0.1 * i as f64);
             ws.run(&circuit);
@@ -657,7 +679,7 @@ mod tests {
     fn width_change_reallocates_and_clears_diag_cache() {
         let p4 = test_poly(4);
         let p6 = test_poly(6);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         ws.run(&layer_circuit(4, &p4, 0.3));
         ws.run(&layer_circuit(6, &p6, 0.3));
         assert_eq!(ws.reallocations(), 2);
@@ -669,7 +691,7 @@ mod tests {
     fn distinct_polys_cache_separately() {
         let a = test_poly(4);
         let b = test_poly(4);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         let mut c = Circuit::new(4);
         c.diag(a.clone(), 0.5)
             .diag(b.clone(), 0.25)
@@ -685,7 +707,7 @@ mod tests {
     fn sampling_reuses_the_cumulative_table_per_run() {
         let poly = test_poly(4);
         let circuit = layer_circuit(4, &poly, 0.8);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         ws.run(&circuit);
         let mut rng = StdRng::seed_from_u64(9);
         let a = ws.sample(2_000, &mut rng);
@@ -704,7 +726,7 @@ mod tests {
     fn workspace_sampling_matches_direct_sampling() {
         let poly = test_poly(4);
         let circuit = layer_circuit(4, &poly, 0.8);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         ws.run(&circuit);
         let direct = {
             let mut rng = StdRng::seed_from_u64(33);
@@ -717,27 +739,25 @@ mod tests {
 
     #[test]
     fn sparse_workspace_matches_dense_and_skips_diag_cache() {
-        let poly = test_poly(4);
-        let mut sparse_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Sparse));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let poly = test_poly(10);
+        let mut compact_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         for theta in [0.3, 1.1] {
-            // A subspace-confined circuit (no mixers): basis load + diag.
-            let mut c = Circuit::new(4);
-            c.load_bits(0b0110);
-            c.diag(poly.clone(), theta);
-            c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, -1], 0.5));
+            let c = sparse_fallback(10, &poly, theta);
             let dense_probs: Vec<f64> = {
                 let e = dense_ws.run(&c);
-                (0..16).map(|b| e.probability(b)).collect()
+                (0..1024).map(|b| e.probability(b)).collect()
             };
-            let sparse = sparse_ws.run(&c);
-            assert!(sparse.is_sparse(), "confined circuit stays sparse");
+            let sparse = compact_ws.run(&c);
+            assert!(sparse.is_sparse(), "confined fallback run stays sparse");
+            assert_eq!(sparse.occupancy(), 2);
             for (bits, &p) in dense_probs.iter().enumerate() {
                 assert!((sparse.probability(bits as u64) - p).abs() < 1e-15);
             }
         }
+        assert_eq!(compact_ws.plan_compilations(), 1, "refusal remembered");
         assert_eq!(
-            sparse_ws.cached_diagonals(),
+            compact_ws.cached_diagonals(),
             0,
             "sparse runs never expand a 2^n diagonal"
         );
@@ -746,17 +766,15 @@ mod tests {
 
     #[test]
     fn sparse_workspace_sampling_matches_dense_stream() {
-        let mut c = Circuit::new(4);
-        c.load_bits(0b0011);
-        c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, 0], 0.8));
-        let mut sparse_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Sparse));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
-        sparse_ws.run(&c);
+        let c = sparse_fallback(10, &test_poly(10), 0.8);
+        let mut compact_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
+        assert!(compact_ws.run(&c).is_sparse());
         dense_ws.run(&c);
         let mut ra = StdRng::seed_from_u64(21);
         let mut rb = StdRng::seed_from_u64(21);
         assert_eq!(
-            sparse_ws.sample(4_000, &mut ra),
+            compact_ws.sample(4_000, &mut ra),
             dense_ws.sample(4_000, &mut rb)
         );
     }
@@ -777,7 +795,7 @@ mod tests {
         };
         let mut compact_ws =
             SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         for (i, theta) in [0.3, 1.1, -0.7, 0.0, 2.2].into_iter().enumerate() {
             let c = confined(theta);
             let dense_amps: Vec<_> = {
@@ -811,7 +829,7 @@ mod tests {
         c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, 0], 0.8));
         let mut compact_ws =
             SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         assert!(compact_ws.run(&c).is_compact());
         dense_ws.run(&c);
         let mut ra = StdRng::seed_from_u64(21);
@@ -825,7 +843,7 @@ mod tests {
     #[test]
     fn compact_workspace_falls_back_cleanly_on_dense_shapes() {
         // A register-filling mixer: compilation refuses the shape, the
-        // run degrades to the per-gate engines with the auto-style dense
+        // run degrades to the per-gate engines with their automatic dense
         // fallback, and the refusal is remembered (no recompile attempts).
         let mut mixer = Circuit::new(10);
         for q in 0..10 {
@@ -835,7 +853,7 @@ mod tests {
         for _ in 0..3 {
             let state = ws.run(&mixer);
             assert!(!state.is_compact(), "dense shape must not stay compact");
-            assert!(!state.is_sparse(), "auto-style fallback densifies");
+            assert!(!state.is_sparse(), "the per-gate fallback densifies");
             let expected = StateVector::run(&mixer);
             assert!((state.fidelity_against_dense(&expected) - 1.0).abs() < 1e-12);
         }
@@ -1022,7 +1040,7 @@ mod tests {
         let poly = test_poly(4);
         let circuits = vec![confined_4q(&poly, 0.3), confined_4q(&poly, 0.9)];
         // Non-compact engine selection.
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         assert!(dense_ws.run_batch(&circuits).is_none());
         // Empty batch.
         let config = SimConfig::serial().with_engine(EngineKind::Compact);
@@ -1108,21 +1126,22 @@ mod tests {
         assert_eq!(shared.len(), 1);
     }
 
+    /// A register-filling mixer: it refuses compilation and its per-gate
+    /// fallback densifies.
+    fn mixer(n: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        c
+    }
+
     #[test]
     fn reset_engine_redoes_representation_resolution() {
-        let config = SimConfig {
-            density_threshold: 0.2,
-            ..SimConfig::serial().with_engine(EngineKind::Auto)
-        };
-        let mut ws = SimWorkspace::new(config);
-        let mut mixer = Circuit::new(4);
-        for q in 0..4 {
-            mixer.h(q);
-        }
-        assert!(!ws.run(&mixer).is_sparse(), "fallback tripped");
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        assert!(!ws.run(&mixer(10)).is_sparse(), "fallback tripped");
         // Sticky without a reset…
-        let mut confined = Circuit::new(4);
-        confined.load_bits(0b0101);
+        let confined = sparse_fallback(10, &test_poly(10), 0.4);
         assert!(!ws.run(&confined).is_sparse());
         // …re-resolved per configuration after one.
         ws.reset_engine();
@@ -1131,16 +1150,9 @@ mod tests {
 
     #[test]
     fn auto_workspace_fallback_is_sticky_and_allocation_free() {
-        let config = SimConfig {
-            density_threshold: 0.2,
-            ..SimConfig::serial().with_engine(EngineKind::Auto)
-        };
-        let mut ws = SimWorkspace::new(config);
+        let mut ws = SimWorkspace::new(SimConfig::serial());
         // A mixer circuit fills the register: fallback trips mid-run.
-        let mut mixer = Circuit::new(4);
-        for q in 0..4 {
-            mixer.h(q);
-        }
+        let mixer = mixer(10);
         assert!(!ws.run(&mixer).is_sparse(), "fallback tripped");
         // Iterating the same workload stays on the retained dense buffer:
         // no per-iteration sparse ramp, no fresh 2^n allocation — and the
@@ -1168,12 +1180,7 @@ mod tests {
         );
         assert_eq!(ws.reallocations(), 1, "fallback is not a reallocation");
         // A width change still starts sparse per the configuration.
-        let mut confined = Circuit::new(5);
-        confined.load_bits(0b00101);
-        confined.ublock(crate::gate::UBlock::from_u_with_angle(
-            &[1, -1, 1, -1, 0],
-            0.4,
-        ));
+        let confined = sparse_fallback(11, &test_poly(11), 0.4);
         assert!(ws.run(&confined).is_sparse(), "fresh width starts sparse");
         assert_eq!(ws.reallocations(), 2);
     }

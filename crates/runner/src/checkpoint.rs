@@ -444,7 +444,7 @@ mod tests {
             spec_hash: 0xABCD,
             cells: 4,
             quick: false,
-            engine: "auto".into(),
+            engine: "compact".into(),
             optimizer: "adam".into(),
         }
     }

@@ -502,7 +502,7 @@ fn run_cell_attempt(
         if matches!(fault, Some(FaultKind::Panic)) {
             panic!("injected fault: forced panic (CHOCO_FAULT_INJECT)");
         }
-        // Re-resolve the engine representation per cell: auto/compact
+        // Re-resolve the engine representation per cell: compact
         // fallbacks are sticky within a workspace, so without this the
         // reported engine would depend on which cells shared a worker —
         // and the report would stop being byte-identical across worker
@@ -1071,14 +1071,16 @@ max_iters = 3
     fn engine_resolution_prefers_cli_then_spec_then_default() {
         let mut spec = tiny_spec();
         let opts = RunOptions::default();
+        // A spec with no `engine` key runs on the compact default.
+        assert_eq!(spec.engine, None);
+        assert_eq!(opts.effective_sim(&spec).engine, EngineKind::Compact);
+        spec.engine = Some(EngineKind::Dense);
         assert_eq!(opts.effective_sim(&spec).engine, EngineKind::Dense);
-        spec.engine = Some(EngineKind::Sparse);
-        assert_eq!(opts.effective_sim(&spec).engine, EngineKind::Sparse);
         let cli = RunOptions {
-            engine: Some(EngineKind::Auto),
+            engine: Some(EngineKind::Compact),
             ..RunOptions::default()
         };
-        assert_eq!(cli.effective_sim(&spec).engine, EngineKind::Auto);
+        assert_eq!(cli.effective_sim(&spec).engine, EngineKind::Compact);
         // Non-engine fields pass through untouched.
         assert_eq!(cli.effective_sim(&spec).threads, cli.sim.threads);
     }
@@ -1096,9 +1098,9 @@ max_iters = 3
         };
         assert_eq!(cli.effective_sim(&spec).batch_size, 8);
         // Batch and engine resolve independently from their own sources.
-        spec.engine = Some(EngineKind::Compact);
+        spec.engine = Some(EngineKind::Dense);
         let sim = cli.effective_sim(&spec);
-        assert_eq!((sim.engine, sim.batch_size), (EngineKind::Compact, 8));
+        assert_eq!((sim.engine, sim.batch_size), (EngineKind::Dense, 8));
     }
 
     #[test]
@@ -1182,9 +1184,9 @@ max_iters = 3
     fn grid_reports_are_byte_identical_across_engines() {
         // The whole point of the engine abstraction: selection is a
         // performance decision, not a numerical one. choco-q cells stay
-        // subspace-confined (sparse / compact-plan executed); the
-        // penalty-style baseline forces the dense fallback mid-run — all
-        // paths must reproduce the dense report byte-for-byte, up to the
+        // subspace-confined (compact-plan executed); the penalty-style
+        // baseline forces the dense fallback mid-run — both paths must
+        // reproduce the dense report byte-for-byte, up to the
         // resolved-engine annotation itself.
         let spec = ExperimentSpec::parse_str(
             r#"
@@ -1208,9 +1210,11 @@ transpiled_stats = false
             execute(&spec, &opts).unwrap().to_json()
         };
         let dense = mask_engine_field(&run(EngineKind::Dense));
-        for kind in [EngineKind::Sparse, EngineKind::Compact, EngineKind::Auto] {
-            assert_eq!(dense, mask_engine_field(&run(kind)), "{kind} diverged");
-        }
+        let compact = run(EngineKind::Compact);
+        assert_eq!(dense, mask_engine_field(&compact), "compact diverged");
+        // No selection at all is the compact engine, byte for byte.
+        let default = execute(&spec, &RunOptions::default()).unwrap().to_json();
+        assert_eq!(default, compact);
     }
 
     #[test]

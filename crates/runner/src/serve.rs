@@ -760,8 +760,8 @@ fn prepare_job(
                     format!(
                         "estimated resident simulator state ~{} ({} per worker x {} workers; \
                          peak cell {worst} needs {}) exceeds --mem-budget {}; raise the budget, \
-                         lower --workers, or pick a leaner engine (sparse/compact hold |F| \
-                         amplitudes instead of 2^n)",
+                         lower --workers, or pick the compact engine (it holds |F| amplitudes \
+                         instead of 2^n for Choco-Q cells)",
                         fmt_bytes(required),
                         fmt_bytes(floor),
                         n_workers,
@@ -1401,32 +1401,32 @@ fn admission_qubits(problem: &choco_model::Problem) -> usize {
 /// `VmHWM`: 80 MiB for these four buffers over a ~4 MiB process.
 const DENSE_BYTES_PER_AMPLITUDE: u64 = 40;
 
-/// Estimated resident simulator bytes for one cell, by engine:
-/// dense (and auto, which may fall back to dense) holds
-/// [`DENSE_BYTES_PER_AMPLITUDE`] per basis state of the full `2^n`
-/// register; sparse holds one map entry (~24 bytes) and compact one
-/// packed entry (~32 bytes) per feasible-space amplitude, which for
-/// Choco-Q cells is bounded by the enumerated feasible count `|F|`. The
-/// compact Choco-Q estimate is the whole footprint: that solver builds
-/// no `2^n` cost table on the compact engine and reads the cost at the
-/// plan's feasible basis. Non-Choco-Q solvers explore the full register
-/// regardless of engine. Saturating arithmetic: an estimate that
-/// overflows `u64` is "infinite" for admission purposes anyway.
+/// Estimated resident simulator bytes for one cell, by engine and
+/// solver. The dense engine holds [`DENSE_BYTES_PER_AMPLITUDE`] per basis
+/// state of the full `2^n` register, and so do penalty and HEA cells on
+/// the compact engine: their mixers leave the feasible subspace, so the
+/// per-gate fallback densifies and the solver tabulates its `2^n` cost.
+/// Choco-Q and cyclic cells stay confined on compact at one packed entry
+/// (~32 bytes) per amplitude. For Choco-Q that is bounded by the
+/// enumerated feasible count `|F|` and is the whole footprint: the
+/// solver builds no `2^n` cost table on compact and reads the cost at the
+/// plan's feasible basis. Cyclic is sized on the full register.
+/// Saturating arithmetic: an estimate that overflows `u64` is "infinite"
+/// for admission purposes anyway.
 fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
     let Ok(optimum) = &instance.optimum else {
         return 0;
     };
     let n = admission_qubits(&instance.problem).min(62) as u32;
     let full = 1u64 << n;
-    let support = if matches!(cell.solver, SolverKind::ChocoQ) {
-        (optimum.n_feasible as u64).clamp(1, full)
-    } else {
-        full
-    };
-    match engine {
-        EngineKind::Dense | EngineKind::Auto => full.saturating_mul(DENSE_BYTES_PER_AMPLITUDE),
-        EngineKind::Sparse => support.saturating_mul(24),
-        EngineKind::Compact => support.saturating_mul(32),
+    match (engine, cell.solver) {
+        (EngineKind::Dense, _) | (_, SolverKind::Penalty | SolverKind::Hea) => {
+            full.saturating_mul(DENSE_BYTES_PER_AMPLITUDE)
+        }
+        (EngineKind::Compact, SolverKind::ChocoQ) => (optimum.n_feasible as u64)
+            .clamp(1, full)
+            .saturating_mul(32),
+        (EngineKind::Compact, SolverKind::Cyclic) => full.saturating_mul(32),
     }
 }
 
@@ -1699,7 +1699,7 @@ mod tests {
     fn mem_estimates_scale_by_engine_and_solver() {
         let cells = crate::run::expand_grid_cells(
             &ExperimentSpec::parse_str(
-                "name = \"m\"\n[grid]\nproblems = [\"F1\"]\nsolvers = [\"choco\", \"penalty\"]\nseeds = [1]\n",
+                "name = \"m\"\n[grid]\nproblems = [\"F1\"]\nsolvers = [\"choco\", \"penalty\", \"cyclic\", \"hea\"]\nseeds = [1]\n",
             )
             .unwrap(),
             false,
@@ -1716,34 +1716,26 @@ mod tests {
         let feasible = instance.optimum.as_ref().unwrap().n_feasible as u64;
         assert!(feasible < full, "F1 must have a non-trivial feasible space");
 
-        let (choco, penalty) = match cells[0].solver {
-            SolverKind::ChocoQ => (&cells[0], &cells[1]),
-            _ => (&cells[1], &cells[0]),
+        let bytes = |solver: SolverKind, engine: EngineKind| {
+            let cell = cells.iter().find(|c| c.solver == solver).unwrap();
+            cell_sim_bytes(cell, instance, engine)
         };
-        // Dense and auto hold the full register regardless of solver:
-        // amplitude, cost table, cached diagonal and sampling table.
+        // Dense holds the full register regardless of solver: amplitude,
+        // cost table, cached diagonal and sampling table.
+        for solver in SolverKind::ALL {
+            assert_eq!(bytes(solver, EngineKind::Dense), full * 40, "{solver:?}");
+        }
+        // Penalty and HEA leave the subspace and fall back to dense on
+        // compact, cost table included.
+        assert_eq!(bytes(SolverKind::Penalty, EngineKind::Compact), full * 40);
+        assert_eq!(bytes(SolverKind::Hea, EngineKind::Compact), full * 40);
+        // Confined solvers: Choco-Q is |F|-bounded, cyclic stays compact
+        // over the full register.
         assert_eq!(
-            cell_sim_bytes(choco, instance, EngineKind::Dense),
-            full * 40
-        );
-        assert_eq!(cell_sim_bytes(choco, instance, EngineKind::Auto), full * 40);
-        assert_eq!(
-            cell_sim_bytes(penalty, instance, EngineKind::Dense),
-            full * 40
-        );
-        // Sparse/compact are |F|-bounded for Choco-Q only.
-        assert_eq!(
-            cell_sim_bytes(choco, instance, EngineKind::Sparse),
-            feasible * 24
-        );
-        assert_eq!(
-            cell_sim_bytes(choco, instance, EngineKind::Compact),
+            bytes(SolverKind::ChocoQ, EngineKind::Compact),
             feasible * 32
         );
-        assert_eq!(
-            cell_sim_bytes(penalty, instance, EngineKind::Sparse),
-            full * 24
-        );
+        assert_eq!(bytes(SolverKind::Cyclic, EngineKind::Compact), full * 32);
     }
 
     #[test]

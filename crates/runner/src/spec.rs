@@ -343,7 +343,8 @@ pub struct ExperimentSpec {
     /// Device axis (`None` = ideal).
     pub devices: Vec<Option<Device>>,
     /// Simulation engine the whole grid runs on (`None` = the runner's
-    /// default, overridable by `choco-cli run --engine`). Not a grid axis:
+    /// default, compact; overridable by `choco-cli run --engine`). Not a
+    /// grid axis:
     /// engines are bit-identical, so sweeping them would duplicate every
     /// record.
     pub engine: Option<EngineKind>,
@@ -508,11 +509,10 @@ impl ExperimentSpec {
         let engine = match known.str_key(doc, "grid.engine")? {
             Some(name) => Some(EngineKind::parse(&name).map_err(|e| {
                 format!(
-                    "`[grid] engine`: {e} — pick `dense` for the 2^n strided \
-                         engine, `sparse` for the feasible-subspace engine, \
-                         `compact` for the plan-compiled rank-indexed engine, or \
-                         `auto` to start sparse and densify at the occupancy \
-                         threshold"
+                    "`[grid] engine`: {e} — pick `compact` (the default) for \
+                         the plan-compiled feasible-subspace engine, which falls \
+                         back gate by gate on circuits that fill the register, \
+                         or `dense` for the 2^n strided reference engine"
                 )
             })?),
             None => None,
@@ -1016,9 +1016,7 @@ quick_problems = ["F1"]
         assert_eq!(ExperimentSpec::parse_str(MINIMAL).unwrap().engine, None);
         for (name, kind) in [
             ("dense", EngineKind::Dense),
-            ("sparse", EngineKind::Sparse),
             ("compact", EngineKind::Compact),
-            ("auto", EngineKind::Auto),
             // Case-insensitive: specs written by hand shouldn't care.
             ("Compact", EngineKind::Compact),
             ("DENSE", EngineKind::Dense),
@@ -1038,11 +1036,23 @@ quick_problems = ["F1"]
         )
         .unwrap_err();
         assert!(err.contains("unknown engine `gpu`"), "{err}");
-        assert!(err.contains("dense|sparse|compact|auto"), "{err}");
+        assert!(err.contains("dense|compact"), "{err}");
         assert!(
             err.contains("feasible-subspace"),
             "error must explain the choices: {err}"
         );
+        // The retired selections are rejected like any unknown name.
+        for retired in ["sparse", "auto"] {
+            let err = ExperimentSpec::parse_str(&format!(
+                "name = \"e\"\n[grid]\nproblems = [\"F1\"]\nengine = \"{retired}\""
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("unknown engine `{retired}`"))
+                    && err.contains("dense|compact"),
+                "{err}"
+            );
+        }
         // Wrong type is also caught, not silently ignored.
         let err =
             ExperimentSpec::parse_str("name = \"e\"\n[grid]\nproblems = [\"F1\"]\nengine = 3")

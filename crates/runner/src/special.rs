@@ -250,8 +250,8 @@ pub(crate) fn execute_ablation(
 /// Choco-Q circuit (quantum parallelism growth).
 ///
 /// The profile runs on the engine the spec/CLI selects and counts support
-/// through the engine's occupancy-aware counter — with `engine = "sparse"`
-/// the harness never allocates a `2^n` buffer, which is what lets
+/// through the engine's occupancy-aware counter — on the compact default
+/// a confined circuit never allocates a `2^n` buffer, which is what lets
 /// `experiments/scaling_sparse.toml` profile registers the dense engine
 /// cannot hold (the counts themselves are engine-independent).
 /// Record keys for the five support sample points.

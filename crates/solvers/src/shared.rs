@@ -122,14 +122,14 @@ pub fn reject_inequalities(
 }
 
 /// Engine-aware size gate: the dense engine stops at [`MAX_SIM_QUBITS`];
-/// the sparse/compact/auto engines accept anything the circuit IR can
-/// express ([`MAX_SPARSE_QUBITS`]) because a feasible-subspace solve
-/// never allocates `2^n` of anything (the compact engine's storage is
-/// `|F|` amplitudes plus its compiled rank tables).
+/// the compact engine accepts anything the circuit IR can express
+/// ([`MAX_SPARSE_QUBITS`]) because a feasible-subspace solve never
+/// allocates `2^n` of anything (its storage is `|F|` amplitudes plus its
+/// compiled rank tables).
 pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), SolverError> {
     let limit = match engine {
         EngineKind::Dense => MAX_SIM_QUBITS,
-        EngineKind::Sparse | EngineKind::Compact | EngineKind::Auto => MAX_SPARSE_QUBITS,
+        EngineKind::Compact => MAX_SPARSE_QUBITS,
     };
     if required_qubits > limit {
         Err(SolverError::TooLarge {
@@ -142,8 +142,8 @@ pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), 
 }
 
 /// The diagonal cost a variational loop minimizes: a materialized `2^n`
-/// table (for registers up to [`MAX_SIM_QUBITS`] on the dense, sparse
-/// and auto engines) or the bare polynomial (table-free). Both give the
+/// table (for registers up to [`MAX_SIM_QUBITS`]; Choco-Q tabulates only
+/// on the dense engine) or the bare polynomial (table-free). Both give the
 /// same bits on every engine. The polynomial is what a compact Choco-Q
 /// solve uses — the compact state reads the values its plan baked per
 /// feasible-basis rank — and the only option for registers too wide to
@@ -492,15 +492,13 @@ mod tests {
 
     #[test]
     fn sparse_engines_lift_the_size_gate() {
-        // The dense cap exists because of the 2^n buffer; the sparse
-        // engines go to the circuit IR's limit.
-        for engine in [EngineKind::Sparse, EngineKind::Compact, EngineKind::Auto] {
-            assert!(check_size_for(MAX_SIM_QUBITS + 2, engine).is_ok());
-            assert!(matches!(
-                check_size_for(MAX_SPARSE_QUBITS + 1, engine),
-                Err(SolverError::TooLarge { .. })
-            ));
-        }
+        // The dense cap exists because of the 2^n buffer; the compact
+        // engine goes to the circuit IR's limit.
+        assert!(check_size_for(MAX_SIM_QUBITS + 2, EngineKind::Compact).is_ok());
+        assert!(matches!(
+            check_size_for(MAX_SPARSE_QUBITS + 1, EngineKind::Compact),
+            Err(SolverError::TooLarge { .. })
+        ));
         assert!(matches!(
             check_size_for(MAX_SIM_QUBITS + 2, EngineKind::Dense),
             Err(SolverError::TooLarge { .. })
@@ -544,7 +542,7 @@ mod tests {
             transpiled_stats: false,
             ..QaoaConfig::default()
         };
-        let mut workspace = SimWorkspace::new(SimConfig::serial());
+        let mut workspace = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         let result = variational_loop(
             1,
             |params| {
@@ -619,7 +617,11 @@ mod tests {
         }
         // Non-compact engines take the sequential fallback and still
         // produce the same trajectory.
-        let (dense, _) = run_confined_loop(SimConfig::serial().with_batch(8));
+        let (dense, _) = run_confined_loop(
+            SimConfig::serial()
+                .with_engine(EngineKind::Dense)
+                .with_batch(8),
+        );
         assert_eq!(serial.counts, dense.counts);
         assert_eq!(serial.cost_history, dense.cost_history);
     }

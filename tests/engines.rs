@@ -10,8 +10,8 @@
 //! 1e-10 agreement against the oracle, and *identical* deterministic
 //! sampling streams everywhere. The adversarial half drives circuits
 //! that break subspace confinement (penalty/HEA-style mixers,
-//! noise-trajectory gate soup) and asserts the auto engine's dense
-//! fallback — and the compact engine's compilation refusal — trip while
+//! noise-trajectory gate soup) and asserts the compact engine's
+//! per-gate dense fallback and its compilation refusal trip while
 //! results stay oracle-exact.
 
 use choco_q::core::{support_profile, support_profile_with, ChocoQSolver, CommuteDriver};
@@ -327,17 +327,15 @@ fn noisy_trajectory_circuit(n: usize, seed: u64) -> Circuit {
 
 #[test]
 fn subspace_breaking_circuits_trip_the_auto_fallback() {
-    // Threshold 0.05: the mixer circuits fill the register outright, and
-    // the noisy trajectory's stray-Hadamard churn reaches 16/256 = 6.25%
-    // — all three must cross and densify.
-    let config = SimConfig {
-        density_threshold: 0.05,
-        ..SimConfig::serial().with_engine(EngineKind::Auto)
-    };
+    // The compact engine's per-gate path densifies automatically past
+    // 1/8 occupancy: the mixer circuits fill the register outright, and
+    // the noisy trajectory's stray-Hadamard churn reaches 8/32 = 25% —
+    // all three must cross and densify.
+    let config = SimConfig::serial().with_engine(EngineKind::Compact);
     for (label, circuit) in [
         ("penalty", penalty_style_circuit(8, 11)),
         ("hea", hea_style_circuit(8, 12)),
-        ("noisy", noisy_trajectory_circuit(8, 13)),
+        ("noisy", noisy_trajectory_circuit(5, 13)),
     ] {
         let mut engine = SimEngine::new_with(circuit.n_qubits(), config);
         engine.apply_circuit(&circuit);
@@ -372,7 +370,7 @@ fn subspace_breaking_circuits_trip_the_auto_fallback() {
 fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
     // The compact engine refuses to compile shapes whose structural
     // support crosses the occupancy threshold, and runs them through the
-    // per-gate engines with the auto-style dense fallback instead —
+    // per-gate engines with their automatic dense fallback instead —
     // oracle-exact, with dense-identical sample streams, and without
     // re-attempting compilation on later iterations.
     use rand::rngs::StdRng;
@@ -414,12 +412,11 @@ fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
 
 #[test]
 fn forced_sparse_handles_subspace_breaking_circuits_exactly() {
-    // EngineKind::Sparse never falls back — it must still be correct on a
-    // register-filling circuit, merely slower.
+    // The sparse representation itself never falls back (registers above
+    // the densify cap keep it whatever their occupancy) — it must still
+    // be correct on a register-filling circuit, merely slower.
     let circuit = penalty_style_circuit(7, 21);
-    let config = SimConfig::serial().with_engine(EngineKind::Sparse);
-    let engine = SimEngine::run_with(&circuit, config);
-    assert!(engine.is_sparse());
+    let engine = SimEngine::Sparse(SparseStateVector::run(&circuit));
     assert_eq!(engine.occupancy(), 1 << 7, "mixers fill the register");
     let oracle = ScalarStateVector::run(&circuit);
     assert!((oracle.fidelity_against_engine(&engine) - 1.0).abs() < 1e-10);
@@ -428,11 +425,11 @@ fn forced_sparse_handles_subspace_breaking_circuits_exactly() {
 #[test]
 fn support_profile_consistent_through_the_fallback() {
     // The fig09b metric on a circuit whose execution densifies mid-way:
-    // the auto profile must equal the dense profile gate for gate.
+    // the compact profile must equal the dense profile gate for gate.
     let circuit = penalty_style_circuit(6, 31);
-    let auto = SimConfig::serial().with_engine(EngineKind::Auto);
+    let compact = SimConfig::serial().with_engine(EngineKind::Compact);
     assert_eq!(
-        support_profile_with(&circuit, 1e-9, auto),
+        support_profile_with(&circuit, 1e-9, compact),
         support_profile(&circuit, 1e-9),
         "post-fallback support counts diverged from the dense fig09b path"
     );
@@ -441,19 +438,19 @@ fn support_profile_consistent_through_the_fallback() {
 #[test]
 fn noise_channel_sampling_ignores_engine_selection() {
     // Stochastic noise breaks subspace confinement by construction, so
-    // the Monte-Carlo executor always runs dense — a sparse-configured
+    // the Monte-Carlo executor always runs dense — a compact-configured
     // SimConfig must not change its histograms.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut c = Circuit::new(3);
     c.h(0).cx(0, 1).cx(1, 2);
     let noise = NoiseModel::new(0.02, 0.05, 0.01);
-    let dense_cfg = SimConfig::serial();
-    let sparse_cfg = SimConfig::serial().with_engine(EngineKind::Sparse);
+    let dense_cfg = SimConfig::serial().with_engine(EngineKind::Dense);
+    let compact_cfg = SimConfig::serial().with_engine(EngineKind::Compact);
     let mut ra = StdRng::seed_from_u64(7);
     let mut rb = StdRng::seed_from_u64(7);
     let a = noise.sample_noisy_with(dense_cfg, &c, 2_000, 10, &mut ra);
-    let b = noise.sample_noisy_with(sparse_cfg, &c, 2_000, 10, &mut rb);
+    let b = noise.sample_noisy_with(compact_cfg, &c, 2_000, 10, &mut rb);
     assert_eq!(a, b);
 }
 
@@ -472,10 +469,8 @@ fn fig09b_support_numbers_pinned_on_small_gcp() {
     // silently shift fig09b.
     assert_eq!(dense.first(), Some(&1), "profile starts at one basis state");
     assert_eq!(dense, PINNED_GCP_3X2X2_PROFILE, "fig09b numbers moved");
-    for kind in [EngineKind::Sparse, EngineKind::Compact, EngineKind::Auto] {
-        let config = SimConfig::serial().with_engine(kind);
-        assert_eq!(support_profile_with(&circuit, 1e-9, config), dense);
-    }
+    let compact = SimConfig::serial().with_engine(EngineKind::Compact);
+    assert_eq!(support_profile_with(&circuit, 1e-9, compact), dense);
 }
 
 /// The exact circuit `execute_support` profiles (initial params, one

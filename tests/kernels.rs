@@ -7,7 +7,9 @@
 
 use choco_q::mathkit::SplitMix64;
 use choco_q::qsim::oracle::ScalarStateVector;
-use choco_q::qsim::{Circuit, Gate, PhasePoly, SimConfig, SimWorkspace, StateVector, UBlock};
+use choco_q::qsim::{
+    Circuit, EngineKind, Gate, PhasePoly, SimConfig, SimWorkspace, StateVector, UBlock,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -177,6 +179,7 @@ proptest! {
         let config = SimConfig {
             threads,
             parallel_threshold: 1,
+            engine: EngineKind::Dense,
             ..SimConfig::default()
         };
         let mut ws = SimWorkspace::new(config);

@@ -167,8 +167,8 @@ transpiled_stats = false
 #[test]
 fn support_reports_identical_across_engines() {
     // The fig09b harness now counts support through the engine's
-    // occupancy counter; selecting the sparse engine (as
-    // experiments/scaling_sparse.toml does) must not move a single byte
+    // occupancy counter; the compact default (which
+    // experiments/scaling_sparse.toml runs on) must not move a single byte
     // of the report on sizes the dense engine can still check.
     let base = r#"
 name = "support-engines"
@@ -187,13 +187,10 @@ problems = ["gcp:3x2x2", "F1"]
     };
     use choco_q::qsim::EngineKind;
     let dense = run(EngineKind::Dense);
-    assert_eq!(dense, run(EngineKind::Sparse));
     assert_eq!(dense, run(EngineKind::Compact));
-    assert_eq!(dense, run(EngineKind::Auto));
     // And the spec-level engine key engages without a CLI override.
-    let sparse_spec =
-        ExperimentSpec::parse_str(&format!("{base}engine = \"sparse\"")).expect("spec");
-    let from_spec = execute(&sparse_spec, &RunOptions::default())
+    let dense_spec = ExperimentSpec::parse_str(&format!("{base}engine = \"dense\"")).expect("spec");
+    let from_spec = execute(&dense_spec, &RunOptions::default())
         .expect("support runs")
         .to_json();
     assert_eq!(dense, from_spec);

@@ -601,11 +601,13 @@ fn per_job_knobs_override_daemon_settings() {
 
 #[test]
 fn mem_budget_admission_has_an_exact_boundary() {
-    // The spec's cells are all dense-engine full-register estimates:
-    // 2^n × 40 bytes per worker (amplitude, cost table, cached diagonal
-    // and sampling table). Compute the exact requirement and probe one
-    // byte below (rejected) and at it (accepted).
-    let spec = ExperimentSpec::parse_str(SPEC).expect("spec");
+    // Pinned to the dense engine, the spec's cells are all full-register
+    // estimates: 2^n × 40 bytes per worker (amplitude, cost table, cached
+    // diagonal and sampling table). Compute the exact requirement and
+    // probe one byte below (rejected) and at it (accepted).
+    let dense_spec = SPEC.replace("[grid]\n", "[grid]\nengine = \"dense\"\n");
+    let spec = ExperimentSpec::parse_str(&dense_spec).expect("spec");
+    assert_eq!(spec.engine, Some(EngineKind::Dense));
     let cells = spec.expand_cells(false);
     let instances = build_instances(&cells).expect("instances");
     let n = instances
@@ -621,7 +623,7 @@ fn mem_budget_admission_has_an_exact_boundary() {
     let submit = |opts: &ServeOptions| {
         let dir = opts.state_dir.parent().unwrap().to_path_buf();
         let spec_file = dir.join("spec.toml");
-        std::fs::write(&spec_file, SPEC).expect("write spec");
+        std::fs::write(&spec_file, &dense_spec).expect("write spec");
         run_session(
             opts,
             &format!(
@@ -655,6 +657,44 @@ fn mem_budget_admission_has_an_exact_boundary() {
     assert_eq!(count_events(&events, "accepted"), 1, "{events:?}");
     assert_eq!(count_events(&events, "done"), 1, "{events:?}");
     assert!(exact.state_dir.join("serve-grid.done").exists());
+}
+
+#[test]
+fn jobs_default_to_compact_and_retired_engines_are_rejected() {
+    // A job that names no engine runs on the compact default; one that
+    // names a retired selection is a structured rejection listing the
+    // accepted values, and the daemon keeps serving the next job.
+    let opts = serve_opts(scratch("engine_default").join("state"), 1);
+    let job = |name: &str, engine: &str| {
+        format!(
+            "{{\"op\": \"submit\", \"job\": {{\"name\": \"{name}\", \"problems\": [\"F1\"], \
+             \"solvers\": [\"choco-q\"], \"seeds\": [1], \"shots\": 200, \"max_iters\": 2, \
+             \"restarts\": 1{engine}}}}}\n"
+        )
+    };
+    let input = [
+        job("old-sparse", ", \"engine\": \"sparse\""),
+        job("old-auto", ", \"engine\": \"auto\""),
+        job("default", ""),
+    ]
+    .concat();
+    let events = run_session(&opts, &input);
+    for retired in ["sparse", "auto"] {
+        assert!(
+            events.iter().any(|e| e.contains("\"event\": \"rejected\"")
+                && e.contains(&format!("unknown engine `{retired}`"))
+                && e.contains("dense|compact")),
+            "{retired}: {events:?}"
+        );
+    }
+    assert_eq!(count_events(&events, "rejected"), 2, "{events:?}");
+    assert_eq!(count_events(&events, "accepted"), 1, "{events:?}");
+    assert_eq!(count_events(&events, "done"), 1, "{events:?}");
+    let record = events
+        .iter()
+        .find(|e| e.contains("\"event\": \"record\""))
+        .expect("record event");
+    assert!(record.contains("\"engine\": \"compact\""), "{record}");
 }
 
 #[test]
