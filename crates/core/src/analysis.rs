@@ -1,7 +1,10 @@
 //! Circuit-level analyses used by the evaluation section.
 
 use crate::driver::CommuteDriver;
-use choco_qsim::{transpile, Circuit, EngineKind, SimConfig, SimEngine, TranspileOptions};
+use choco_qsim::{
+    transpile, Circuit, EngineKind, Gate, SimConfig, SparseStateVector, StateVector,
+    TranspileOptions,
+};
 use std::time::{Duration, Instant};
 
 /// The number of basis states with probability above `eps` after each gate
@@ -14,19 +17,44 @@ pub fn support_profile(circuit: &Circuit, eps: f64) -> Vec<usize> {
     support_profile_with(circuit, eps, dense)
 }
 
-/// [`support_profile`] on an explicit engine configuration. On the
-/// compact engine the per-gate count reads its sparse representation's
-/// occupied-entry list instead of scanning (or even allocating) the `2^n`
-/// register — this is how the fig09b harness profiles Choco-Q circuits
-/// at widths the dense engine cannot hold. All engines report identical
-/// counts where they can run (their amplitudes are bit-identical).
+/// [`support_profile`] on an explicit engine configuration. The dense
+/// engine walks a [`StateVector`]; the compact engine walks a
+/// [`SparseStateVector`], whose per-gate count reads its occupied-entry
+/// list instead of scanning (or even allocating) the `2^n` register —
+/// this is how the fig09b harness profiles Choco-Q circuits at widths the
+/// dense engine cannot hold. Both report identical counts where they can
+/// run (their amplitudes are bit-identical).
 pub fn support_profile_with(circuit: &Circuit, eps: f64, config: SimConfig) -> Vec<usize> {
-    let mut engine = SimEngine::new_with(circuit.n_qubits(), config);
+    let n = circuit.n_qubits();
+    match config.engine {
+        EngineKind::Dense => walk_support(
+            StateVector::new_with(n, config),
+            circuit,
+            StateVector::apply_gate,
+            |s| s.support_size(eps),
+        ),
+        EngineKind::Compact => walk_support(
+            SparseStateVector::new_with(n, config),
+            circuit,
+            SparseStateVector::apply_gate,
+            |s| s.support_size(eps),
+        ),
+    }
+}
+
+/// Applies the circuit gate by gate, recording `support` before the first
+/// gate and after every gate.
+fn walk_support<S>(
+    mut state: S,
+    circuit: &Circuit,
+    apply: fn(&mut S, &Gate),
+    support: impl Fn(&S) -> usize,
+) -> Vec<usize> {
     let mut profile = Vec::with_capacity(circuit.len() + 1);
-    profile.push(engine.support_size(eps));
+    profile.push(support(&state));
     for gate in circuit.iter() {
-        engine.apply_gate(gate);
-        profile.push(engine.support_size(eps));
+        apply(&mut state, gate);
+        profile.push(support(&state));
     }
     profile
 }

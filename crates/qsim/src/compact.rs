@@ -122,11 +122,6 @@ impl CompactStateVector {
         self.lane().occupancy()
     }
 
-    /// Occupied fraction of the `2^n` register.
-    pub fn density(&self) -> f64 {
-        self.occupancy() as f64 / (1u64 << self.n_qubits) as f64
-    }
-
     /// The non-zero entries `(basis index, amplitude)` in basis order —
     /// exactly the sparse engine's entry list for the same state.
     pub fn entries(&self) -> Vec<(u64, Complex64)> {

@@ -1,111 +1,85 @@
 //! The engine abstraction: one solver-facing state type over the dense
-//! strided [`StateVector`], the feasible-subspace [`SparseStateVector`],
-//! or the rank-indexed [`CompactStateVector`], selected by
-//! [`SimConfig::engine`].
+//! strided [`StateVector`] or the rank-indexed [`CompactStateVector`],
+//! selected by [`SimConfig::engine`].
 //!
 //! Everything above the kernels — [`crate::SimWorkspace`], the solvers'
-//! variational loop, the experiment runner, and the CLI — drives a
+//! variational loop, the experiment runner, and the CLI — reads a
 //! [`SimEngine`] and never names a concrete representation. The engines
 //! produce bit-identical amplitudes, expectations, and sampling streams
-//! (see [`crate::sparse`] and [`crate::compact`]), so engine selection is
-//! purely a performance decision:
+//! (see [`crate::compact`]), so engine selection is purely a performance
+//! decision:
 //!
 //! * [`EngineKind::Dense`] — always the `2^n` buffer.
-//! * [`EngineKind::Compact`] (the default) — the plan-replay engine. Its
-//!   fast path lives in [`crate::SimWorkspace::run`] (whole-circuit
-//!   replay against a compiled gate plan); in the *incremental* per-gate
-//!   API here it starts sparse and **densifies automatically** once
-//!   occupancy exceeds [`DENSITY_THRESHOLD`]` · 2^n` (subspace
-//!   confinement broken — penalty/HEA mixers, uniform superpositions),
-//!   provided the register is small enough to allocate densely. That is
-//!   the clean fallback for circuits whose shape did not compile.
+//! * [`EngineKind::Compact`] (the default) — plan replay:
+//!   [`crate::SimWorkspace::run`] compiles each circuit shape once and
+//!   replays it over the feasible basis. A shape whose structural support
+//!   exceeds [`DENSITY_THRESHOLD`]` · 2^n` (penalty/HEA mixers, uniform
+//!   superpositions) refuses its plan and runs on the dense engine
+//!   instead, so the representation is a function of the circuit shape
+//!   alone.
+//!
+//! [`DENSITY_THRESHOLD`]: crate::DENSITY_THRESHOLD
 
-use crate::circuit::Circuit;
 use crate::compact::CompactStateVector;
 use crate::counts::Counts;
-use crate::gate::Gate;
 use crate::phasepoly::PhasePoly;
-use crate::simconfig::{EngineKind, SimConfig, DENSITY_THRESHOLD};
-use crate::sparse::SparseStateVector;
+#[cfg(doc)]
+use crate::simconfig::{EngineKind, SimConfig};
 use crate::state::StateVector;
 use choco_mathkit::Complex64;
 use rand::Rng;
 
-/// Largest register the compact engine's fallback will densify: beyond
-/// this the dense buffer itself is the bottleneck (2^26 amplitudes =
-/// 1 GiB), so a wider sparse state stays sparse even above the threshold.
+/// Largest register a refused plan falls back to dense on: beyond this
+/// the dense buffer itself is the bottleneck (2^26 amplitudes = 1 GiB).
 pub const MAX_DENSIFY_QUBITS: usize = 26;
+
+/// The guard in front of the dense fallback: panics when a shape whose
+/// plan refused at `support` entries (over `cap`) is too wide to run
+/// densely. Those registers exist precisely because their dense buffer
+/// (4 GiB at 28 qubits) cannot be allocated, and an explicit panic beats
+/// an OOM abort.
+pub(crate) fn assert_dense_fallback(n_qubits: usize, support: usize, cap: usize) {
+    assert!(
+        n_qubits <= MAX_DENSIFY_QUBITS,
+        "cannot densify a {n_qubits}-qubit shape whose plan refused at support {support} \
+         (cap {cap}): the dense buffer would not fit in memory (limit {MAX_DENSIFY_QUBITS} qubits)"
+    );
+}
 
 /// A quantum state behind one of the two amplitude representations.
 ///
 /// # Examples
 ///
 /// ```
-/// use choco_qsim::{Circuit, EngineKind, SimConfig, SimEngine, UBlock};
+/// use choco_qsim::{Circuit, EngineKind, SimConfig, SimWorkspace, UBlock};
 ///
-/// // The per-gate API of the default (compact) engine starts sparse.
+/// // The default (compact) engine replays a confined shape over |F|.
 /// let config = SimConfig::serial();
 /// assert_eq!(config.engine, EngineKind::Compact);
-/// let mut engine = SimEngine::new_with(5, config);
+/// let mut ws = SimWorkspace::new(config);
 /// let mut c = Circuit::new(5);
 /// c.load_bits(0b00001);
 /// c.ublock(UBlock::from_u_with_angle(&[1, -1, -1, 0, 0], 0.8));
-/// engine.apply_circuit(&c);
-/// assert!(engine.is_sparse());
-/// assert_eq!(engine.occupancy(), 2); // |F|-confined, not 2^5
+/// let state = ws.run(&c);
+/// assert!(state.is_compact());
+/// assert_eq!(state.occupancy(), 2); // |F|-confined, not 2^5
 /// ```
 #[derive(Clone, Debug)]
 pub enum SimEngine {
     /// The dense strided engine.
     Dense(StateVector),
-    /// The feasible-subspace sparse engine.
-    Sparse(SparseStateVector),
     /// The rank-indexed compact engine (built by
-    /// [`crate::SimWorkspace`]'s plan replay; the per-gate API degrades
-    /// it to sparse on first mutation).
+    /// [`crate::SimWorkspace`]'s plan replay).
     Compact(CompactStateVector),
 }
 
 impl SimEngine {
-    /// The all-zeros state `|0…0⟩`, represented per `config.engine`
-    /// ([`EngineKind::Compact`] starts sparse — the compact
-    /// representation only materializes through
-    /// [`crate::SimWorkspace`]'s whole-circuit plan replay).
-    pub fn new_with(n_qubits: usize, config: SimConfig) -> Self {
-        match config.engine {
-            EngineKind::Dense => SimEngine::Dense(StateVector::new_with(n_qubits, config)),
-            EngineKind::Compact => SimEngine::Sparse(SparseStateVector::new_with(n_qubits, config)),
-        }
-    }
-
-    /// Runs a circuit from `|0…0⟩` under an explicit configuration.
-    pub fn run_with(circuit: &Circuit, config: SimConfig) -> Self {
-        let mut e = SimEngine::new_with(circuit.n_qubits(), config);
-        e.apply_circuit(circuit);
-        e
-    }
-
-    /// The execution configuration.
-    pub fn config(&self) -> &SimConfig {
-        match self {
-            SimEngine::Dense(s) => s.config(),
-            SimEngine::Sparse(s) => s.config(),
-            SimEngine::Compact(s) => s.config(),
-        }
-    }
-
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         match self {
             SimEngine::Dense(s) => s.n_qubits(),
-            SimEngine::Sparse(s) => s.n_qubits(),
             SimEngine::Compact(s) => s.n_qubits(),
         }
-    }
-
-    /// `true` while the state is held in the sparse representation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, SimEngine::Sparse(_))
     }
 
     /// `true` while the state is held in the compact (rank-indexed)
@@ -114,13 +88,12 @@ impl SimEngine {
         matches!(self, SimEngine::Compact(_))
     }
 
-    /// Short label of the current representation (`"dense"`, `"sparse"`,
-    /// `"compact"`) — what [`EngineKind::Compact`] actually resolved to,
-    /// as opposed to what was configured.
+    /// Short label of the current representation (`"dense"` or
+    /// `"compact"`) — what [`EngineKind::Compact`] actually resolved to
+    /// for this circuit shape, as opposed to what was configured.
     pub fn representation_label(&self) -> &'static str {
         match self {
             SimEngine::Dense(_) => "dense",
-            SimEngine::Sparse(_) => "sparse",
             SimEngine::Compact(_) => "compact",
         }
     }
@@ -133,109 +106,13 @@ impl SimEngine {
         }
     }
 
-    /// Mutable dense state, if that is the current representation.
-    pub fn as_dense_mut(&mut self) -> Option<&mut StateVector> {
-        match self {
-            SimEngine::Dense(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Number of occupied (exactly non-zero) basis entries. For the
-    /// sparse engine this is the stored entry count; the dense and
-    /// compact engines scan their buffers. Engine-invariant: amplitudes
-    /// are bit-identical across representations, so the count is too.
+    /// Number of occupied (exactly non-zero) basis entries. Both engines
+    /// scan their buffers. Engine-invariant: amplitudes are bit-identical
+    /// across representations, so the count is too.
     pub fn occupancy(&self) -> usize {
         match self {
             SimEngine::Dense(s) => s.occupancy(),
-            SimEngine::Sparse(s) => s.occupancy(),
             SimEngine::Compact(s) => s.occupancy(),
-        }
-    }
-
-    /// Resets to `|0…0⟩` in place. The representation is **sticky**: a
-    /// compact run that fell back to dense stays dense for subsequent runs —
-    /// the workload has shown its support fills the register, and
-    /// re-starting sparse would re-pay the occupancy ramp plus a fresh
-    /// `2^n` densify allocation on every variational iteration. (A dense
-    /// reset reuses the buffer in place, preserving the workspace's
-    /// zero-alloc-per-iteration invariant; fresh engines — new width, new
-    /// workspace — still start sparse per the configuration.)
-    pub fn reset_zero(&mut self) {
-        match self {
-            SimEngine::Dense(s) => s.reset_zero(),
-            SimEngine::Sparse(s) => s.reset_zero(),
-            SimEngine::Compact(s) => s.reset_zero(),
-        }
-    }
-
-    /// Applies a single gate, then densifies a sparse state whose
-    /// occupancy crossed [`DENSITY_THRESHOLD`]. A compact state degrades
-    /// to sparse first: the rank tables that drove it belong to a
-    /// whole-circuit plan, not to incremental mutation.
-    pub fn apply_gate(&mut self, gate: &Gate) {
-        if self.is_compact() {
-            self.sparsify();
-        }
-        match self {
-            SimEngine::Dense(s) => s.apply_gate(gate),
-            SimEngine::Sparse(s) => {
-                s.apply_gate(gate);
-                self.maybe_densify();
-            }
-            SimEngine::Compact(_) => unreachable!("compact states sparsify before mutation"),
-        }
-    }
-
-    /// Converts a compact state into the sparse representation in place
-    /// (exact: the non-zero entries become the sparse entry list).
-    fn sparsify(&mut self) {
-        if let SimEngine::Compact(c) = self {
-            let sparse =
-                SparseStateVector::from_sorted_entries(c.n_qubits(), c.entries(), *c.config());
-            *self = SimEngine::Sparse(sparse);
-        }
-    }
-
-    /// Applies every gate of a circuit in order (with per-gate fallback
-    /// checks on the sparse representation).
-    pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        for g in circuit.iter() {
-            self.apply_gate(g);
-        }
-    }
-
-    /// Converts a sparse state into the dense representation in place
-    /// (exact: occupied entries are scattered into a fresh `2^n` buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics above [`MAX_DENSIFY_QUBITS`]: those registers exist
-    /// precisely because their dense buffer (4 GiB at 28 qubits) cannot
-    /// be allocated, and an explicit panic beats an OOM abort.
-    pub fn densify(&mut self) {
-        if self.is_compact() {
-            self.sparsify();
-        }
-        if let SimEngine::Sparse(s) = self {
-            assert!(
-                s.n_qubits() <= MAX_DENSIFY_QUBITS,
-                "cannot densify a {}-qubit sparse state (limit {MAX_DENSIFY_QUBITS}: \
-                 the dense buffer would not fit in memory)",
-                s.n_qubits()
-            );
-            let dense = StateVector::from_sparse_entries(s.n_qubits(), s.entries(), *s.config());
-            *self = SimEngine::Dense(dense);
-        }
-    }
-
-    /// The compact engine's incremental fallback: densify once occupancy
-    /// exceeds [`DENSITY_THRESHOLD`]` · 2^n`, unless the register is too
-    /// wide to allocate densely ([`MAX_DENSIFY_QUBITS`]).
-    fn maybe_densify(&mut self) {
-        let SimEngine::Sparse(s) = self else { return };
-        if s.n_qubits() <= MAX_DENSIFY_QUBITS && s.density() > DENSITY_THRESHOLD {
-            self.densify();
         }
     }
 
@@ -243,7 +120,6 @@ impl SimEngine {
     pub fn amplitude(&self, bits: u64) -> Complex64 {
         match self {
             SimEngine::Dense(s) => s.amplitude(bits),
-            SimEngine::Sparse(s) => s.amplitude(bits),
             SimEngine::Compact(s) => s.amplitude(bits),
         }
     }
@@ -252,7 +128,6 @@ impl SimEngine {
     pub fn probability(&self, bits: u64) -> f64 {
         match self {
             SimEngine::Dense(s) => s.probability(bits),
-            SimEngine::Sparse(s) => s.probability(bits),
             SimEngine::Compact(s) => s.probability(bits),
         }
     }
@@ -261,7 +136,6 @@ impl SimEngine {
     pub fn support_size(&self, eps: f64) -> usize {
         match self {
             SimEngine::Dense(s) => s.support_size(eps),
-            SimEngine::Sparse(s) => s.support_size(eps),
             SimEngine::Compact(s) => s.support_size(eps),
         }
     }
@@ -270,7 +144,6 @@ impl SimEngine {
     pub fn norm_sqr(&self) -> f64 {
         match self {
             SimEngine::Dense(s) => s.norm_sqr(),
-            SimEngine::Sparse(s) => s.norm_sqr(),
             SimEngine::Compact(s) => s.norm_sqr(),
         }
     }
@@ -282,17 +155,14 @@ impl SimEngine {
     /// Panics on dimension mismatch.
     pub fn fidelity_against_dense(&self, other: &StateVector) -> f64 {
         assert_eq!(self.n_qubits(), other.n_qubits(), "dimension mismatch");
-        let over_entries = |entries: &[(u64, Complex64)]| {
-            entries
+        match self {
+            SimEngine::Dense(s) => s.fidelity(other),
+            SimEngine::Compact(s) => s
+                .entries()
                 .iter()
                 .map(|&(bits, a)| a.conj() * other.amplitude(bits))
                 .sum::<Complex64>()
-                .norm_sqr()
-        };
-        match self {
-            SimEngine::Dense(s) => s.fidelity(other),
-            SimEngine::Sparse(s) => over_entries(s.entries()),
-            SimEngine::Compact(s) => over_entries(&s.entries()),
+                .norm_sqr(),
         }
     }
 
@@ -304,29 +174,25 @@ impl SimEngine {
     pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_values(values),
-            SimEngine::Sparse(s) => s.expectation_diag_values(values),
             SimEngine::Compact(s) => s.expectation_diag_values(values),
         }
     }
 
     /// Expectation of a diagonal observable given as a polynomial — the
-    /// table-free path large sparse registers rely on.
+    /// table-free path compact solves rely on.
     pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_poly(poly),
-            SimEngine::Sparse(s) => s.expectation_diag_poly(poly),
             SimEngine::Compact(s) => s.expectation_diag_poly(poly),
         }
     }
 
     /// Fills `out` with this engine's cumulative probability table
-    /// (length `2^n` dense, occupancy sparse, `|F|` compact — pass it
-    /// back to [`SimEngine::sample_with_cumulative`] on the *same*
-    /// state).
+    /// (length `2^n` dense, `|F|` compact — pass it back to
+    /// [`SimEngine::sample_with_cumulative`] on the *same* state).
     pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
         match self {
             SimEngine::Dense(s) => s.fill_cumulative(out),
-            SimEngine::Sparse(s) => s.fill_cumulative(out),
             SimEngine::Compact(s) => s.fill_cumulative(out),
         }
     }
@@ -346,7 +212,6 @@ impl SimEngine {
     ) -> Counts {
         match self {
             SimEngine::Dense(s) => s.sample_with_cumulative(cumulative, shots, rng),
-            SimEngine::Sparse(s) => s.sample_with_cumulative(cumulative, shots, rng),
             SimEngine::Compact(s) => s.sample_with_cumulative(cumulative, shots, rng),
         }
     }
@@ -355,7 +220,6 @@ impl SimEngine {
     pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
         match self {
             SimEngine::Dense(s) => s.sample(shots, rng),
-            SimEngine::Sparse(s) => s.sample(shots, rng),
             SimEngine::Compact(s) => s.sample(shots, rng),
         }
     }
@@ -364,7 +228,10 @@ impl SimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Circuit;
     use crate::gate::UBlock;
+    use crate::simconfig::{EngineKind, SimConfig};
+    use crate::workspace::SimWorkspace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -378,65 +245,85 @@ mod tests {
 
     #[test]
     fn engine_kind_selects_representation() {
-        assert!(!SimEngine::new_with(3, dense_cfg()).is_sparse());
-        assert!(SimEngine::new_with(3, compact_cfg()).is_sparse());
-        assert!(SimEngine::new_with(3, SimConfig::serial()).is_sparse());
+        // Dense always runs dense; compact replays a confined shape and
+        // runs a register-filling one (its plan refused) on dense.
+        let mut confined = Circuit::new(10);
+        confined.load_bits(0b01);
+        confined.ublock(UBlock::from_u_with_angle(&[1, -1], 0.4));
+        let mut filling = Circuit::new(10);
+        for q in 0..10 {
+            filling.h(q);
+        }
+        let label = |config, c: &Circuit| SimWorkspace::new(config).run(c).representation_label();
+        assert_eq!(label(dense_cfg(), &confined), "dense");
+        assert_eq!(label(compact_cfg(), &confined), "compact");
+        assert_eq!(label(SimConfig::serial(), &confined), "compact");
+        assert_eq!(label(compact_cfg(), &filling), "dense");
     }
 
     #[test]
     fn auto_densifies_when_threshold_crossed() {
-        // 4 qubits at the 1/8 threshold: densify once occupancy > 2.
-        let mut e = SimEngine::new_with(4, compact_cfg());
-        e.apply_gate(&Gate::H(0));
-        assert!(e.is_sparse(), "2 entries = threshold, not above");
-        e.apply_gate(&Gate::H(1));
-        assert!(!e.is_sparse(), "4 entries > 2: fallback must trip");
-        // Post-fallback evolution continues on the dense engine.
-        e.apply_gate(&Gate::H(2));
-        e.apply_gate(&Gate::H(3));
-        assert!((e.norm_sqr() - 1.0).abs() < 1e-12);
-        assert_eq!(e.occupancy(), 16);
+        // 10 qubits: the plan cap is a quarter of the register (256). A
+        // Hadamard wall over 8 qubits still compiles; a ninth Hadamard
+        // crosses the cap and the shape runs dense.
+        let wall = |k: usize| {
+            let mut c = Circuit::new(10);
+            for q in 0..k {
+                c.h(q);
+            }
+            c
+        };
+        let mut ws = SimWorkspace::new(compact_cfg());
+        assert!(
+            ws.run(&wall(8)).is_compact(),
+            "support 256 = cap, not above"
+        );
+        let state = ws.run(&wall(9));
+        assert!(
+            state.as_dense().is_some(),
+            "support 512 > 256: plan refused"
+        );
+        assert!((state.norm_sqr() - 1.0).abs() < 1e-12);
+        assert_eq!(state.occupancy(), 512);
+        assert_eq!(ws.plan_cache().stats().refusals, 1);
     }
 
     #[test]
     fn densify_is_exact() {
-        let mut c = Circuit::new(5);
+        // A refused shape's dense run is bit-identical to a bare dense run.
+        let mut poly = PhasePoly::new(10);
+        poly.add_linear(1, 0.6);
+        poly.add_quadratic(0, 9, -0.3);
+        let mut c = Circuit::new(10);
         c.load_bits(0b00010);
         c.ublock(UBlock::from_u_with_angle(&[-1, 1, -1, 0, 0], 0.9));
-        let mut e = SimEngine::run_with(&c, compact_cfg());
-        assert!(e.is_sparse(), "2 of 32 entries stays below the threshold");
+        c.diag(std::sync::Arc::new(poly), 0.7);
+        for q in 2..10 {
+            c.ry(q, 0.1 * q as f64);
+        }
+        let mut ws = SimWorkspace::new(compact_cfg());
+        let e = ws.run(&c);
+        assert!(e.as_dense().is_some(), "2 · 2^8 of 1024 entries refuses");
         let reference = StateVector::run(&c);
-        e.densify();
-        assert!(!e.is_sparse());
-        for bits in 0..32u64 {
+        for bits in 0..1024u64 {
             let (a, b) = (e.amplitude(bits), reference.amplitude(bits));
             assert!(a.re == b.re && a.im == b.im, "bits={bits}");
         }
     }
 
     #[test]
-    fn reset_after_fallback_stays_dense() {
-        // Sticky representation: once a run has shown its support fills
-        // the register, later same-width runs reuse the dense buffer in
-        // place instead of re-paying the sparse ramp + densify per run.
-        let mut e = SimEngine::new_with(3, compact_cfg());
-        let mut c = Circuit::new(3);
-        c.h(0).h(1);
-        e.apply_circuit(&c);
-        assert!(!e.is_sparse(), "fallback tripped");
-        e.reset_zero();
-        assert!(!e.is_sparse(), "fallback is sticky across resets");
-        assert_eq!(e.occupancy(), 1);
-        assert_eq!(e.probability(0), 1.0);
-    }
-
-    #[test]
     fn densify_refuses_registers_beyond_the_dense_cap() {
-        let mut e = SimEngine::new_with(30, compact_cfg());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.densify()))
+        // Within the cap the guard passes; beyond it a refused shape must
+        // panic (naming its support and the cap), not OOM.
+        assert_dense_fallback(MAX_DENSIFY_QUBITS, 1 << 25, 1 << 24);
+        let err = std::panic::catch_unwind(|| assert_dense_fallback(30, (1 << 22) + 1, 1 << 22))
             .expect_err("must panic, not OOM");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("cannot densify"), "{msg}");
+        assert!(
+            msg.contains("support 4194305") && msg.contains("cap 4194304"),
+            "{msg}"
+        );
     }
 
     #[test]
@@ -444,12 +331,13 @@ mod tests {
         let mut c = Circuit::new(5);
         c.load_bits(0b00001);
         c.ublock(UBlock::from_u_with_angle(&[1, -1, -1, 0, 0], 0.7));
-        let dense = SimEngine::run_with(&c, dense_cfg());
-        let sparse = SimEngine::run_with(&c, compact_cfg());
-        assert!(!dense.is_sparse() && sparse.is_sparse());
+        let mut dense_ws = SimWorkspace::new(dense_cfg());
+        let mut compact_ws = SimWorkspace::new(compact_cfg());
+        let (dense, compact) = (dense_ws.run(&c), compact_ws.run(&c));
+        assert!(!dense.is_compact() && compact.is_compact());
         let mut ra = StdRng::seed_from_u64(9);
         let mut rb = StdRng::seed_from_u64(9);
-        assert_eq!(dense.sample(3_000, &mut ra), sparse.sample(3_000, &mut rb));
+        assert_eq!(dense.sample(3_000, &mut ra), compact.sample(3_000, &mut rb));
     }
 
     #[test]
@@ -457,9 +345,10 @@ mod tests {
         let mut c = Circuit::new(6);
         c.h(0).cx(0, 1).ry(2, 0.4);
         let reference = StateVector::run(&c);
-        for (config, sparse) in [(dense_cfg(), false), (compact_cfg(), true)] {
-            let e = SimEngine::run_with(&c, config);
-            assert_eq!(e.is_sparse(), sparse, "4 of 64 entries stays sparse");
+        for (config, compact) in [(dense_cfg(), false), (compact_cfg(), true)] {
+            let mut ws = SimWorkspace::new(config);
+            let e = ws.run(&c);
+            assert_eq!(e.is_compact(), compact, "4 of 64 entries compiles");
             assert!((e.fidelity_against_dense(&reference) - 1.0).abs() < 1e-12);
         }
     }

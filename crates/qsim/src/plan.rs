@@ -34,11 +34,9 @@
 //! to every kernel.
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
-//! once the structural support crosses the same
-//! [`crate::DENSITY_THRESHOLD`] that trips the per-gate dense fallback,
-//! [`PlanError`] is returned and [`crate::SimWorkspace`] runs the circuit
-//! on the per-gate engines instead (sparse, densifying past the
-//! threshold).
+//! once the structural support crosses [`crate::DENSITY_THRESHOLD`] of
+//! the register, [`PlanError`] is returned and [`crate::SimWorkspace`]
+//! runs the circuit on the dense engine instead.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;

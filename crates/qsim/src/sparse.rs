@@ -1,4 +1,4 @@
-//! The feasible-subspace sparse engine.
+//! The feasible-subspace sparse state: the per-gate reference walker.
 //!
 //! Choco-Q's central theorem is that commute-Hamiltonian evolution never
 //! leaves the feasible subspace: starting from one feasible basis state,
@@ -19,8 +19,13 @@
 //! on demand: a pair kernel inserts the partner of an occupied entry, a
 //! Hadamard doubles the occupied set. Circuits that fill the register
 //! (penalty/HEA mixers) are therefore still correct here, just slower
-//! than dense — [`crate::SimEngine`] under [`crate::EngineKind::Compact`]
-//! densifies at [`crate::DENSITY_THRESHOLD`] instead.
+//! than dense.
+//!
+//! Solves never run here: [`crate::SimWorkspace`] replays a compiled plan
+//! or runs the dense engine. This type walks a circuit gate by gate where
+//! the per-gate state itself is the product — the Figure 9(b) support
+//! profile on the compact engine, at widths no dense buffer holds — and
+//! it is the reference the plan replay is checked against bit for bit.
 
 use crate::circuit::Circuit;
 use crate::counts::Counts;
@@ -61,13 +66,6 @@ pub struct SparseStateVector {
     /// zeros are pruned so `occupancy` tracks true support.
     entries: Vec<(u64, Complex64)>,
     config: SimConfig,
-    /// Lazily-built cumulative probability table over the occupied
-    /// entries, reused across repeated [`SparseStateVector::sample`]
-    /// calls on an unchanged state (the sparse counterpart of the dense
-    /// prefix-table cache in [`crate::SimWorkspace`]). Invalidated by
-    /// every mutating kernel.
-    cumulative: std::cell::RefCell<Vec<f64>>,
-    cumulative_valid: std::cell::Cell<bool>,
 }
 
 impl SparseStateVector {
@@ -86,29 +84,7 @@ impl SparseStateVector {
             n_qubits,
             entries: vec![(0, Complex64::ONE)],
             config,
-            cumulative: std::cell::RefCell::new(Vec::new()),
-            cumulative_valid: std::cell::Cell::new(false),
         }
-    }
-
-    /// Builds a sparse state from an already-sorted non-zero entry list
-    /// (the compact engine's degrade path for incremental mutation).
-    pub(crate) fn from_sorted_entries(
-        n_qubits: usize,
-        entries: Vec<(u64, Complex64)>,
-        config: SimConfig,
-    ) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut s = SparseStateVector::new_with(n_qubits, config);
-        s.entries = entries;
-        s
-    }
-
-    /// Marks the cached sampling table stale (every mutation funnels
-    /// through one of the callers of this).
-    #[inline]
-    fn touch(&mut self) {
-        self.cumulative_valid.set(false);
     }
 
     /// A computational basis state `|bits⟩`.
@@ -138,14 +114,12 @@ impl SparseStateVector {
 
     /// Resets to `|0…0⟩` in place, reusing the entry buffer.
     pub fn reset_zero(&mut self) {
-        self.touch();
         self.entries.clear();
         self.entries.push((0, Complex64::ONE));
     }
 
     /// Resets to the basis state `|bits⟩` in place.
     pub fn reset_bits(&mut self, bits: u64) {
-        self.touch();
         self.entries.clear();
         self.entries.push((bits, Complex64::ONE));
     }
@@ -156,17 +130,11 @@ impl SparseStateVector {
         self.n_qubits
     }
 
-    /// Number of occupied (non-zero) basis entries — the sparse engine's
-    /// support counter, and the quantity the compact engine's densify
-    /// threshold watches.
+    /// Number of occupied (non-zero) basis entries — the sparse state's
+    /// support counter.
     #[inline]
     pub fn occupancy(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Occupied fraction of the `2^n` register.
-    pub fn density(&self) -> f64 {
-        self.entries.len() as f64 / (1u64 << self.n_qubits) as f64
     }
 
     /// The occupied entries `(basis index, amplitude)`, sorted by index.
@@ -401,7 +369,6 @@ impl SparseStateVector {
     /// phases are bit-identical) — `O(occupancy · terms)` instead of the
     /// dense path's `O(2^n)` diagonal buffer.
     pub fn apply_diag_poly(&mut self, poly: &PhasePoly, theta: f64) {
-        self.touch();
         for (bits, a) in self.entries.iter_mut() {
             let f = poly.eval_bits(*bits);
             if f != 0.0 {
@@ -423,7 +390,6 @@ impl SparseStateVector {
             1usize << self.n_qubits,
             "diagonal length mismatch"
         );
-        self.touch();
         for (bits, a) in self.entries.iter_mut() {
             let f = values[*bits as usize];
             if f != 0.0 {
@@ -513,16 +479,11 @@ impl SparseStateVector {
         counts
     }
 
-    /// Samples `shots` measurement outcomes. The cumulative-weight table
-    /// is built at most once per state mutation: repeated `sample` calls
-    /// within one evaluation reuse it, matching the dense engine's
-    /// prefix-table cache in [`crate::SimWorkspace`].
+    /// Samples `shots` measurement outcomes (builds the cumulative table
+    /// per call).
     pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
-        if !self.cumulative_valid.get() {
-            self.fill_cumulative(&mut self.cumulative.borrow_mut());
-            self.cumulative_valid.set(true);
-        }
-        let cumulative = self.cumulative.borrow();
+        let mut cumulative = Vec::new();
+        self.fill_cumulative(&mut cumulative);
         self.sample_with_cumulative(&cumulative, shots, rng)
     }
 
@@ -533,7 +494,6 @@ impl SparseStateVector {
     where
         Op: Fn(Complex64) -> Complex64,
     {
-        self.touch();
         for (bits, a) in self.entries.iter_mut() {
             if *bits & fixed_mask == fixed_value {
                 *a = op(*a);
@@ -588,7 +548,6 @@ impl SparseStateVector {
     /// sorted entry list, pruning exact complex zeros.
     fn merge_updates(&mut self, updates: Vec<(u64, Complex64)>) {
         debug_assert!(updates.windows(2).all(|w| w[0].0 < w[1].0));
-        self.touch();
         let old = std::mem::take(&mut self.entries);
         let mut out = Vec::with_capacity(old.len() + updates.len());
         let push_nonzero = |out: &mut Vec<(u64, Complex64)>, bits: u64, a: Complex64| {
@@ -646,7 +605,6 @@ mod tests {
         let s = SparseStateVector::new(4);
         assert_eq!(s.occupancy(), 1);
         assert_eq!(s.probability(0), 1.0);
-        assert!((s.density() - 1.0 / 16.0).abs() < EPS);
     }
 
     #[test]
@@ -862,43 +820,6 @@ mod tests {
         assert_eq!(s.occupancy(), 2);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
         assert!((s.probability(v_bits) - 0.7f64.cos().powi(2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn repeated_sampling_reuses_the_cumulative_table() {
-        let mut c = Circuit::new(4);
-        c.load_bits(0b0011);
-        c.ublock(UBlock::from_u_with_angle(&[1, -1, 1, 0], 0.8));
-        let mut s = SparseStateVector::run(&c);
-        assert!(!s.cumulative_valid.get(), "fresh state has no table");
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = s.sample(1_000, &mut rng);
-        assert!(s.cumulative_valid.get(), "first sample builds the table");
-        let table_ptr = s.cumulative.borrow().as_ptr();
-        let b = s.sample(1_000, &mut rng);
-        assert_eq!(s.cumulative.borrow().as_ptr(), table_ptr, "table rebuilt");
-        assert_eq!(a.shots() + b.shots(), 2_000);
-        // The cached path must sample the same stream as a fresh table.
-        let mut fresh = Vec::new();
-        s.fill_cumulative(&mut fresh);
-        let mut ra = StdRng::seed_from_u64(9);
-        let mut rb = StdRng::seed_from_u64(9);
-        assert_eq!(
-            s.sample(2_000, &mut ra),
-            s.sample_with_cumulative(&fresh, 2_000, &mut rb)
-        );
-        // Any mutation invalidates the cache.
-        s.apply_gate(&Gate::X(0));
-        assert!(!s.cumulative_valid.get(), "mutation must invalidate");
-        let mut rc = StdRng::seed_from_u64(5);
-        let mut rd = StdRng::seed_from_u64(5);
-        let cached = s.sample(2_000, &mut rc);
-        let direct = {
-            let mut fresh = Vec::new();
-            s.fill_cumulative(&mut fresh);
-            s.sample_with_cumulative(&fresh, 2_000, &mut rd)
-        };
-        assert_eq!(cached, direct, "post-mutation table must be rebuilt");
     }
 
     #[test]

@@ -99,25 +99,6 @@ impl StateVector {
         }
     }
 
-    /// Builds a dense state by scattering sparse occupied entries into a
-    /// fresh `2^n` buffer (the engine fallback's densify step — exact).
-    pub(crate) fn from_sparse_entries(
-        n_qubits: usize,
-        entries: &[(u64, Complex64)],
-        config: SimConfig,
-    ) -> Self {
-        let mut amps = vec![Complex64::ZERO; 1 << n_qubits];
-        for &(bits, a) in entries {
-            amps[bits as usize] = a;
-        }
-        StateVector {
-            n_qubits,
-            amps,
-            config,
-            diag_scratch: Vec::new(),
-        }
-    }
-
     /// Runs a circuit from `|0…0⟩`.
     pub fn run(circuit: &Circuit) -> Self {
         Self::run_with(circuit, SimConfig::default())

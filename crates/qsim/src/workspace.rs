@@ -8,19 +8,17 @@
 //! call. [`SimWorkspace`] owns all three buffers across iterations,
 //! restarts, and elimination branches:
 //!
-//! * the amplitude state is an engine ([`SimEngine`]) reset in place —
-//!   dense buffers are reused, sparse entry lists are cleared
+//! * the amplitude state is an engine ([`SimEngine`]) reset in place
 //!   (`reallocations()` counts how often the engine had to be rebuilt —
 //!   the zero-alloc-per-iteration invariant the solvers assert in their
 //!   tests),
-//! * diagonals are cached per `Arc<PhasePoly>` identity **while the
-//!   engine is dense**, so a polynomial shared across iterations is
-//!   expanded exactly once per register width; the sparse engine
-//!   evaluates the polynomial per occupied entry instead and needs no
-//!   `2^n` table at all,
+//! * diagonals are cached per `Arc<PhasePoly>` identity **on dense
+//!   runs**, so a polynomial shared across iterations is expanded exactly
+//!   once per register width; compact plans bake their diagonals per
+//!   feasible rank instead and need no `2^n` table at all,
 //! * the sampling prefix table is built lazily per final state and reused
 //!   across repeated `sample` calls (its meaning follows the engine:
-//!   `2^n` slots dense, occupancy slots sparse, `|F|` slots compact),
+//!   `2^n` slots dense, `|F|` slots compact),
 //! * compiled **gate plans** (the compact engine's rank-table
 //!   compiler) are cached per circuit
 //!   *shape* when [`crate::EngineKind::Compact`] is selected: the
@@ -29,9 +27,9 @@
 //!   angles as flat-array loops — no support rediscovery, no map churn.
 //!   [`SimWorkspace::run`] and [`SimWorkspace::run_batch`] share that one
 //!   replay and its scratch buffers: a serial run is a one-lane batch.
-//!   Shapes that refuse compilation (structural support above the
-//!   occupancy threshold) are remembered as fallbacks and run on the
-//!   per-gate engines (sparse, densifying past the threshold).
+//!   Shapes that refuse compilation (structural support above
+//!   [`DENSITY_THRESHOLD`]` · 2^n`) are remembered as refusals and run on
+//!   the dense engine, so each shape has exactly one representation.
 //!
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
@@ -40,13 +38,12 @@ use crate::batch::BatchWorkspace;
 use crate::circuit::Circuit;
 use crate::compact::CompactStateVector;
 use crate::counts::Counts;
-use crate::engine::{SimEngine, MAX_DENSIFY_QUBITS};
+use crate::engine::{assert_dense_fallback, SimEngine, MAX_DENSIFY_QUBITS};
 use crate::gate::Gate;
 use crate::kernels;
 use crate::phasepoly::PhasePoly;
 use crate::plan::{BatchScratch, CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig, DENSITY_THRESHOLD};
-#[cfg(doc)]
 use crate::state::StateVector;
 use rand::Rng;
 use std::sync::{Arc, Mutex, Weak};
@@ -67,17 +64,25 @@ const PLAN_CACHE_CAP: usize = 8;
 enum PlanEntry {
     /// The shape compiled: replay it.
     Compiled(Arc<GatePlan>),
-    /// The shape refused compilation (structural support too dense):
+    /// The shape refused compilation at this structural support:
     /// remember that, so iterations skip the recompile attempt and go
-    /// straight to the per-gate fallback engines.
-    Fallback(CircuitShape),
+    /// straight to the dense engine.
+    Refused(CircuitShape, usize),
 }
 
 impl PlanEntry {
     fn shape(&self) -> &CircuitShape {
         match self {
             PlanEntry::Compiled(plan) => plan.shape(),
-            PlanEntry::Fallback(shape) => shape,
+            PlanEntry::Refused(shape, _) => shape,
+        }
+    }
+
+    /// The plan to replay, or the support the shape refused at.
+    fn outcome(&self) -> Result<Arc<GatePlan>, usize> {
+        match self {
+            PlanEntry::Compiled(plan) => Ok(plan.clone()),
+            PlanEntry::Refused(_, support) => Err(*support),
         }
     }
 }
@@ -104,6 +109,8 @@ struct PlanCacheInner {
     entries: Vec<PlanEntry>,
     /// Total compilations (successful or refused) ever run.
     compilations: u64,
+    /// Of those, the compilations that refused.
+    refusals: u64,
     /// Total shape lookups served from a cached entry.
     hits: u64,
     /// Content-interned diagonal polynomials, most recently used last.
@@ -130,6 +137,8 @@ pub struct PlanCacheStats {
     pub shapes: usize,
     /// Plan compilations (successful or refused) ever run.
     pub compilations: u64,
+    /// Of those, the compilations that refused (their shapes run dense).
+    pub refusals: u64,
     /// Shape lookups served from a cached entry.
     pub hits: u64,
 }
@@ -162,7 +171,7 @@ impl PlanCache {
     }
 
     /// Number of circuit shapes with a cached compilation outcome
-    /// (compiled plan or remembered fallback).
+    /// (compiled plan or remembered refusal).
     pub fn len(&self) -> usize {
         self.lock_inner().entries.len()
     }
@@ -181,13 +190,14 @@ impl PlanCache {
     }
 
     /// A snapshot of the cache counters (shape count, compilations,
-    /// hits) — the observability hook behind `choco-serve`'s `stats`
-    /// request.
+    /// refusals, hits) — the observability hook behind `choco-serve`'s
+    /// `stats` and `health` requests.
     pub fn stats(&self) -> PlanCacheStats {
         let inner = self.lock_inner();
         PlanCacheStats {
             shapes: inner.entries.len(),
             compilations: inner.compilations,
+            refusals: inner.refusals,
             hits: inner.hits,
         }
     }
@@ -219,13 +229,13 @@ impl PlanCache {
     }
 
     /// Finds the plan for `circuit`'s shape, compiling it on a miss.
-    /// Returns `None` when the shape is a (fresh or remembered) fallback:
-    /// the caller then runs the per-gate engines.
+    /// Returns the structural support instead when the shape (freshly or
+    /// previously) refused: the caller then runs it dense.
     pub(crate) fn lookup_or_compile(
         &self,
         circuit: &Circuit,
         max_support: usize,
-    ) -> Option<Arc<GatePlan>> {
+    ) -> Result<Arc<GatePlan>, usize> {
         let mut inner = self.lock_inner();
         if let Some(idx) = inner
             .entries
@@ -237,10 +247,7 @@ impl PlanCache {
             // cache holds would thrash into per-iteration recompiles.
             inner.hits += 1;
             let entry = inner.entries.remove(idx);
-            let found = match &entry {
-                PlanEntry::Compiled(plan) => Some(plan.clone()),
-                PlanEntry::Fallback(_) => None,
-            };
+            let found = entry.outcome();
             inner.entries.push(entry);
             return found;
         }
@@ -250,7 +257,10 @@ impl PlanCache {
         inner.compilations += 1;
         let entry = match GatePlan::compile(circuit, max_support) {
             Ok(plan) => PlanEntry::Compiled(Arc::new(plan)),
-            Err(PlanError::TooDense { .. }) => PlanEntry::Fallback(CircuitShape::of(circuit)),
+            Err(PlanError::TooDense { support }) => {
+                inner.refusals += 1;
+                PlanEntry::Refused(CircuitShape::of(circuit), support)
+            }
         };
         // Entries whose diagonal polynomials died can never match again;
         // drop them first, then bound the cache.
@@ -258,19 +268,16 @@ impl PlanCache {
         if inner.entries.len() >= PLAN_CACHE_CAP {
             inner.entries.remove(0);
         }
-        let found = match &entry {
-            PlanEntry::Compiled(plan) => Some(plan.clone()),
-            PlanEntry::Fallback(_) => None,
-        };
+        let found = entry.outcome();
         inner.entries.push(entry);
         found
     }
 }
 
-/// The structural-support cap above which plan compilation gives up: the
-/// same [`DENSITY_THRESHOLD`] that trips the per-gate dense fallback
-/// (floored so tiny registers always compile), or a hard table-size cap
-/// where no dense fallback exists.
+/// The structural-support cap above which plan compilation gives up and
+/// the shape runs dense: [`DENSITY_THRESHOLD`] of the register (floored
+/// so tiny registers always compile), or a hard table-size cap where no
+/// dense fallback exists.
 fn plan_support_cap(n_qubits: usize) -> usize {
     if n_qubits <= MAX_DENSIFY_QUBITS {
         let dim = (1u64 << n_qubits) as f64;
@@ -299,10 +306,10 @@ fn plan_support_cap(n_qubits: usize) -> usize {
 ///
 /// # Unwind safety
 ///
-/// A workspace is **not** [`std::panic::UnwindSafe`]: the sparse engine
-/// holds interior-mutable sampling caches, and a panic mid-`run` can
-/// leave the engine state, diagonal cache, or sampling table logically
-/// inconsistent (never memory-unsafe). Callers that isolate panics with
+/// A workspace is **not** unwind-safe in the logical sense: a panic
+/// mid-`run` can leave the engine state, diagonal cache, or sampling
+/// table inconsistent with each other (never memory-unsafe). Callers
+/// that isolate panics with
 /// `catch_unwind(AssertUnwindSafe(..))` — the experiment runner's
 /// per-cell fault isolation — must **discard the workspace afterwards**
 /// and build a fresh one rather than reuse it. The shared [`PlanCache`]
@@ -313,7 +320,7 @@ pub struct SimWorkspace {
     config: SimConfig,
     engine: Option<SimEngine>,
     diag_cache: Vec<CachedDiag>,
-    /// Compiled gate plans (and fallback markers), keyed by circuit shape
+    /// Compiled gate plans (and refusal markers), keyed by circuit shape
     /// ([`crate::EngineKind::Compact`] only). Shareable: workspaces built
     /// with [`SimWorkspace::with_plan_cache`] compile each shape once
     /// between them.
@@ -345,7 +352,7 @@ impl SimWorkspace {
     ///
     /// Share a cache only between workspaces running the **same
     /// `SimConfig`**: cached outcomes are keyed by circuit shape alone,
-    /// so the compile-or-fallback decision is made by whichever
+    /// so the compile-or-refuse decision is made by whichever
     /// workspace reaches a shape first and then inherited by every
     /// sharer.
     pub fn with_plan_cache(config: SimConfig, plans: Arc<PlanCache>) -> Self {
@@ -392,14 +399,14 @@ impl SimWorkspace {
         self.reallocations
     }
 
-    /// Number of distinct diagonals currently cached (dense engine only;
-    /// the sparse engine never materializes a diagonal).
+    /// Number of distinct diagonals currently cached (dense runs only;
+    /// compact plans never materialize a `2^n` diagonal).
     pub fn cached_diagonals(&self) -> usize {
         self.diag_cache.len()
     }
 
     /// Number of circuit shapes with a cached compilation outcome
-    /// (compiled plan or remembered fallback; compact engine only).
+    /// (compiled plan or remembered refusal; compact engine only).
     /// Counted on the (possibly shared) plan cache.
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
@@ -414,12 +421,9 @@ impl SimWorkspace {
         self.plans.compilations()
     }
 
-    /// Drops the engine state (buffers and the sticky representation of a
-    /// previous fallback) so the next run re-resolves its representation
-    /// from the configuration. Callers that report *which* engine served
-    /// a task — like the experiment runner — use this to make the
-    /// resolution deterministic per task instead of dependent on what the
-    /// workspace executed before. Plan and diagonal caches survive.
+    /// Drops the engine state and its amplitude buffer, so the next run
+    /// allocates afresh (a measurement harness uses this to time each
+    /// task from the same cold start). Plan and diagonal caches survive.
     pub fn reset_engine(&mut self) {
         self.engine = None;
     }
@@ -427,32 +431,54 @@ impl SimWorkspace {
     /// Runs `circuit` from `|0…0⟩` reusing the workspace buffers, and
     /// returns the resulting engine state (borrowed — it stays inside the
     /// workspace for sampling / expectation calls).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a compact shape refuses its plan on a register wider
+    /// than [`MAX_DENSIFY_QUBITS`], where no dense fallback fits.
     pub fn run(&mut self, circuit: &Circuit) -> &SimEngine {
         self.run_stamp += 1;
-        if self.config.engine == EngineKind::Compact && self.run_compact(circuit) {
-            return self.engine.as_ref().expect("compact run set the engine");
-        }
-        self.reset_for(circuit.n_qubits());
-        for gate in circuit.iter() {
-            match gate {
-                // The cached-diagonal fast path only exists on the dense
-                // engine; a sparse state evaluates the polynomial per
-                // occupied entry inside `apply_gate` (and a run that
-                // just fell back to dense starts using the cache from
-                // this gate on).
-                Gate::DiagPhase(poly, theta)
-                    if self.engine.as_ref().is_some_and(|e| e.as_dense().is_some()) =>
-                {
-                    self.apply_cached_diag(poly, *theta)
-                }
-                g => self
-                    .engine
-                    .as_mut()
-                    .expect("engine prepared by reset_for")
-                    .apply_gate(g),
+        if self.config.engine == EngineKind::Compact {
+            let n_qubits = circuit.n_qubits();
+            let cap = plan_support_cap(n_qubits);
+            match self.plans.lookup_or_compile(circuit, cap) {
+                Ok(plan) => return self.run_compact(&plan, circuit),
+                Err(support) => assert_dense_fallback(n_qubits, support, cap),
             }
         }
-        self.engine.as_ref().expect("engine prepared by reset_for")
+        self.run_dense(circuit)
+    }
+
+    /// The dense path: reset the `2^n` buffer in place (allocating it on
+    /// a width or representation change) and apply the gates, reading
+    /// diagonals from the per-`Arc` cache.
+    fn run_dense(&mut self, circuit: &Circuit) -> &SimEngine {
+        let n_qubits = circuit.n_qubits();
+        if !matches!(&self.engine, Some(SimEngine::Dense(s)) if s.n_qubits() == n_qubits) {
+            if self.engine.as_ref().map(SimEngine::n_qubits) != Some(n_qubits) {
+                // Cached diagonals are per-width; drop stale ones.
+                self.diag_cache.clear();
+            }
+            self.engine = Some(SimEngine::Dense(StateVector::new_with(
+                n_qubits,
+                self.config,
+            )));
+            self.reallocations += 1;
+        }
+        let Some(SimEngine::Dense(state)) = &mut self.engine else {
+            unreachable!("engine set to dense above");
+        };
+        state.reset_zero();
+        for gate in circuit.iter() {
+            match gate {
+                Gate::DiagPhase(poly, theta) => {
+                    let values = cached_diag(&mut self.diag_cache, poly, n_qubits);
+                    state.apply_diag_values(values, *theta);
+                }
+                g => state.apply_gate(g),
+            }
+        }
+        self.engine.as_ref().expect("engine set to dense above")
     }
 
     /// The state left by the last [`SimWorkspace::run`], if any.
@@ -492,8 +518,8 @@ impl SimWorkspace {
     /// Returns the lane-addressable batch state, or `None` when batching
     /// does not apply and the caller should fall back to K sequential
     /// [`SimWorkspace::run`] calls: a non-compact engine selection, an
-    /// empty batch, a shape that refused compilation, or circuits of
-    /// differing shapes.
+    /// empty batch, a shape that refused compilation (it runs dense), or
+    /// circuits of differing shapes.
     ///
     /// The serial engine state ([`SimWorkspace::state`], sampling caches)
     /// is untouched — a batched evaluation never disturbs what a
@@ -507,7 +533,7 @@ impl SimWorkspace {
             return None;
         }
         let cap = plan_support_cap(circuits[0].n_qubits());
-        let plan = self.plans.lookup_or_compile(&circuits[0], cap)?;
+        let plan = self.plans.lookup_or_compile(&circuits[0], cap).ok()?;
         if !circuits.iter().all(|c| plan.shape().matches(c)) {
             return None;
         }
@@ -523,16 +549,10 @@ impl SimWorkspace {
         self.batch.reallocations()
     }
 
-    /// The compact fast path: find or compile the gate plan for this
-    /// circuit's shape and replay it into the (reused) rank-indexed
-    /// amplitude array — a one-lane batch, through the same lane kernels
-    /// as [`SimWorkspace::run_batch`]. Returns `false` when the shape is a remembered or
-    /// fresh fallback — the caller then runs the per-gate engines.
-    fn run_compact(&mut self, circuit: &Circuit) -> bool {
-        let cap = plan_support_cap(circuit.n_qubits());
-        let Some(plan) = self.plans.lookup_or_compile(circuit, cap) else {
-            return false;
-        };
+    /// The compact fast path: replay the shape's gate plan into the
+    /// (reused) rank-indexed amplitude array — a one-lane batch, through
+    /// the same lane kernels as [`SimWorkspace::run_batch`].
+    fn run_compact(&mut self, plan: &GatePlan, circuit: &Circuit) -> &SimEngine {
         let n_qubits = circuit.n_qubits();
         if !matches!(&self.engine, Some(SimEngine::Compact(c)) if c.n_qubits() == n_qubits) {
             let state = CompactStateVector::new(n_qubits, plan.basis(), self.config);
@@ -545,58 +565,42 @@ impl SimWorkspace {
         state.reset_for_basis(plan.basis());
         let circuits = std::slice::from_ref(circuit);
         plan.execute(circuits, state.amps_mut(), &mut self.scratch, &self.config);
-        true
+        self.engine.as_ref().expect("engine set to compact above")
     }
+}
 
-    /// Prepares the engine for an `n`-qubit run, resetting it in place
-    /// when the width and configuration match and counting a reallocation
-    /// otherwise.
-    fn reset_for(&mut self, n_qubits: usize) {
-        match &mut self.engine {
-            Some(engine) if engine.n_qubits() == n_qubits => engine.reset_zero(),
-            slot => {
-                *slot = Some(SimEngine::new_with(n_qubits, self.config));
-                self.reallocations += 1;
-                // Cached diagonals are per-width; drop stale ones.
-                self.diag_cache.clear();
-            }
+/// The `2^n` diagonal of `poly` from the per-`Arc` cache, expanding (and
+/// caching) it on a miss.
+fn cached_diag<'a>(
+    cache: &'a mut Vec<CachedDiag>,
+    poly: &Arc<PhasePoly>,
+    n_qubits: usize,
+) -> &'a [f64] {
+    let dim = 1usize << n_qubits;
+    let hit = cache.iter().position(|entry| {
+        entry.values.len() == dim
+            && entry
+                .poly
+                .upgrade()
+                .is_some_and(|live| Arc::ptr_eq(&live, poly))
+    });
+    let idx = match hit {
+        Some(idx) => idx,
+        None => {
+            // Drop entries whose polynomial is gone: they can never
+            // match again, and each holds a 2^n-element Vec — a
+            // long-lived workspace would otherwise grow per solve.
+            cache.retain(|e| e.poly.strong_count() > 0);
+            let mut values = vec![0.0f64; dim];
+            kernels::accumulate_poly_diag(&mut values, poly);
+            cache.push(CachedDiag {
+                poly: Arc::downgrade(poly),
+                values,
+            });
+            cache.len() - 1
         }
-    }
-
-    /// Applies a diagonal evolution on the dense engine using (and
-    /// populating) the per-`Arc` diagonal cache.
-    fn apply_cached_diag(&mut self, poly: &Arc<PhasePoly>, theta: f64) {
-        let state = self
-            .engine
-            .as_mut()
-            .and_then(|e| e.as_dense_mut())
-            .expect("cached-diag path requires the dense engine");
-        let dim = 1usize << state.n_qubits();
-        let hit = self.diag_cache.iter().position(|entry| {
-            entry.values.len() == dim
-                && entry
-                    .poly
-                    .upgrade()
-                    .is_some_and(|live| Arc::ptr_eq(&live, poly))
-        });
-        let idx = match hit {
-            Some(idx) => idx,
-            None => {
-                // Drop entries whose polynomial is gone: they can never
-                // match again, and each holds a 2^n-element Vec — a
-                // long-lived workspace would otherwise grow per solve.
-                self.diag_cache.retain(|e| e.poly.strong_count() > 0);
-                let mut values = vec![0.0f64; dim];
-                kernels::accumulate_poly_diag(&mut values, poly);
-                self.diag_cache.push(CachedDiag {
-                    poly: Arc::downgrade(poly),
-                    values,
-                });
-                self.diag_cache.len() - 1
-            }
-        };
-        state.apply_diag_values(&self.diag_cache[idx].values, theta);
-    }
+    };
+    &cache[idx].values
 }
 
 #[cfg(test)]
@@ -622,14 +626,13 @@ mod tests {
         SimConfig::serial().with_engine(EngineKind::Dense)
     }
 
-    /// A shape that refuses plan compilation yet stays sparse when run:
-    /// each zero-angle `ry` doubles the structural support (to `2^(n-2)`,
-    /// twice the threshold) while acting as the identity, so the per-gate
-    /// fallback never densifies.
-    fn sparse_fallback(n: usize, poly: &Arc<PhasePoly>, theta: f64) -> Circuit {
+    /// A shape that refuses plan compilation yet stays numerically
+    /// confined: each zero-angle `ry` doubles the structural support (to
+    /// `2^(n-1)`, twice the threshold) while acting as the identity.
+    fn zero_angle_spread(n: usize, poly: &Arc<PhasePoly>, theta: f64) -> Circuit {
         let mut c = Circuit::new(n);
         c.load_bits(0b0101);
-        for q in 0..n - 2 {
+        for q in 0..n - 1 {
             c.ry(q, 0.0);
         }
         c.diag(poly.clone(), theta);
@@ -738,38 +741,44 @@ mod tests {
     }
 
     #[test]
-    fn sparse_workspace_matches_dense_and_skips_diag_cache() {
+    fn refused_shape_matches_dense_and_uses_the_diag_cache() {
         let poly = test_poly(10);
         let mut compact_ws = SimWorkspace::new(SimConfig::serial());
         let mut dense_ws = SimWorkspace::new(dense());
         for theta in [0.3, 1.1] {
-            let c = sparse_fallback(10, &poly, theta);
-            let dense_probs: Vec<f64> = {
+            let c = zero_angle_spread(10, &poly, theta);
+            let dense_amps: Vec<_> = {
                 let e = dense_ws.run(&c);
-                (0..1024).map(|b| e.probability(b)).collect()
+                (0..1024u64).map(|b| e.amplitude(b)).collect()
             };
-            let sparse = compact_ws.run(&c);
-            assert!(sparse.is_sparse(), "confined fallback run stays sparse");
-            assert_eq!(sparse.occupancy(), 2);
-            for (bits, &p) in dense_probs.iter().enumerate() {
-                assert!((sparse.probability(bits as u64) - p).abs() < 1e-15);
+            let state = compact_ws.run(&c);
+            assert!(state.as_dense().is_some(), "a refused shape runs dense");
+            assert_eq!(state.occupancy(), 2);
+            for (bits, d) in dense_amps.iter().enumerate() {
+                let a = state.amplitude(bits as u64);
+                assert!(a.re == d.re && a.im == d.im, "theta={theta} bits={bits}");
             }
         }
-        assert_eq!(compact_ws.plan_compilations(), 1, "refusal remembered");
+        let stats = compact_ws.plan_cache().stats();
+        assert_eq!(
+            (stats.compilations, stats.refusals),
+            (1, 1),
+            "refusal remembered"
+        );
+        assert_eq!(compact_ws.reallocations(), 1);
         assert_eq!(
             compact_ws.cached_diagonals(),
-            0,
-            "sparse runs never expand a 2^n diagonal"
+            1,
+            "dense runs expand the shared diagonal once"
         );
-        assert!(dense_ws.cached_diagonals() > 0);
     }
 
     #[test]
-    fn sparse_workspace_sampling_matches_dense_stream() {
-        let c = sparse_fallback(10, &test_poly(10), 0.8);
+    fn refused_shape_sampling_matches_dense_stream() {
+        let c = zero_angle_spread(10, &test_poly(10), 0.8);
         let mut compact_ws = SimWorkspace::new(SimConfig::serial());
         let mut dense_ws = SimWorkspace::new(dense());
-        assert!(compact_ws.run(&c).is_sparse());
+        assert!(!compact_ws.run(&c).is_compact());
         dense_ws.run(&c);
         let mut ra = StdRng::seed_from_u64(21);
         let mut rb = StdRng::seed_from_u64(21);
@@ -843,8 +852,8 @@ mod tests {
     #[test]
     fn compact_workspace_falls_back_cleanly_on_dense_shapes() {
         // A register-filling mixer: compilation refuses the shape, the
-        // run degrades to the per-gate engines with their automatic dense
-        // fallback, and the refusal is remembered (no recompile attempts).
+        // run goes to the dense engine, and the refusal is remembered (no
+        // recompile attempts).
         let mut mixer = Circuit::new(10);
         for q in 0..10 {
             mixer.h(q);
@@ -852,13 +861,13 @@ mod tests {
         let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
         for _ in 0..3 {
             let state = ws.run(&mixer);
-            assert!(!state.is_compact(), "dense shape must not stay compact");
-            assert!(!state.is_sparse(), "the per-gate fallback densifies");
+            assert!(state.as_dense().is_some(), "a refused shape runs dense");
             let expected = StateVector::run(&mixer);
             assert!((state.fidelity_against_dense(&expected) - 1.0).abs() < 1e-12);
         }
         assert_eq!(ws.cached_plans(), 1, "fallback shape cached");
         assert_eq!(ws.plan_compilations(), 1, "refusal remembered");
+        assert_eq!(ws.plan_cache().stats().refusals, 1);
         // A confined shape afterwards still gets the compact fast path.
         let mut confined = Circuit::new(10);
         confined.load_bits(0b101);
@@ -1126,8 +1135,7 @@ mod tests {
         assert_eq!(shared.len(), 1);
     }
 
-    /// A register-filling mixer: it refuses compilation and its per-gate
-    /// fallback densifies.
+    /// A register-filling mixer: it refuses compilation and runs dense.
     fn mixer(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         for q in 0..n {
@@ -1139,33 +1147,33 @@ mod tests {
     #[test]
     fn reset_engine_redoes_representation_resolution() {
         let mut ws = SimWorkspace::new(SimConfig::serial());
-        assert!(!ws.run(&mixer(10)).is_sparse(), "fallback tripped");
-        // Sticky without a reset…
-        let confined = sparse_fallback(10, &test_poly(10), 0.4);
-        assert!(!ws.run(&confined).is_sparse());
-        // …re-resolved per configuration after one.
+        assert!(ws.run(&mixer(10)).as_dense().is_some(), "plan refused");
         ws.reset_engine();
-        assert!(ws.run(&confined).is_sparse(), "fresh resolution is sparse");
+        assert!(ws.state().is_none(), "reset drops the engine state");
+        let mut confined = Circuit::new(10);
+        confined.load_bits(0b01);
+        confined.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1], 0.4));
+        assert!(ws.run(&confined).is_compact(), "fresh resolution per shape");
+        assert_eq!(ws.reallocations(), 2);
     }
 
     #[test]
     fn auto_workspace_fallback_is_sticky_and_allocation_free() {
         let mut ws = SimWorkspace::new(SimConfig::serial());
-        // A mixer circuit fills the register: fallback trips mid-run.
+        // A mixer circuit fills the register: its plan refuses.
         let mixer = mixer(10);
-        assert!(!ws.run(&mixer).is_sparse(), "fallback tripped");
+        assert!(ws.run(&mixer).as_dense().is_some(), "plan refused");
         // Iterating the same workload stays on the retained dense buffer:
-        // no per-iteration sparse ramp, no fresh 2^n allocation — and the
-        // results still match a dense run exactly.
+        // no fresh 2^n allocation — and the results still match a dense
+        // run exactly.
         let buffer = ws
             .state()
             .and_then(|e| e.as_dense())
-            .expect("dense after fallback")
+            .expect("dense after the refusal")
             .amplitudes()
             .as_ptr();
         for _ in 0..3 {
             let state = ws.run(&mixer);
-            assert!(!state.is_sparse(), "fallback is sticky across runs");
             let expected = StateVector::run(&mixer);
             assert!((state.fidelity_against_dense(&expected) - 1.0).abs() < 1e-12);
         }
@@ -1176,12 +1184,13 @@ mod tests {
                 .amplitudes()
                 .as_ptr(),
             buffer,
-            "iterations reuse the densified buffer in place"
+            "iterations reuse the dense buffer in place"
         );
-        assert_eq!(ws.reallocations(), 1, "fallback is not a reallocation");
-        // A width change still starts sparse per the configuration.
-        let confined = sparse_fallback(11, &test_poly(11), 0.4);
-        assert!(ws.run(&confined).is_sparse(), "fresh width starts sparse");
+        assert_eq!(ws.reallocations(), 1);
+        assert_eq!(ws.plan_compilations(), 1, "refusal remembered");
+        // A width change reallocates.
+        let wider = zero_angle_spread(11, &test_poly(11), 0.4);
+        assert!(ws.run(&wider).as_dense().is_some());
         assert_eq!(ws.reallocations(), 2);
     }
 

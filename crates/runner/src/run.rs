@@ -502,12 +502,6 @@ fn run_cell_attempt(
         if matches!(fault, Some(FaultKind::Panic)) {
             panic!("injected fault: forced panic (CHOCO_FAULT_INJECT)");
         }
-        // Re-resolve the engine representation per cell: compact
-        // fallbacks are sticky within a workspace, so without this the
-        // reported engine would depend on which cells shared a worker —
-        // and the report would stop being byte-identical across worker
-        // counts.
-        workspace.reset_engine();
         solve_cell(spec, opts, cell, instance, workspace, deadline)
     }));
     match attempt {

@@ -1297,11 +1297,12 @@ fn emit_stats(shared: &Shared) {
             let stats = cache.stats();
             let _ = write!(
                 line,
-                "{{\"engine\": \"{}\", \"batch\": {}, \"shapes\": {}, \"compilations\": {}, \"hits\": {}}}",
+                "{{\"engine\": \"{}\", \"batch\": {}, \"shapes\": {}, \"compilations\": {}, \"refusals\": {}, \"hits\": {}}}",
                 sim.engine.label(),
                 sim.batch_size,
                 stats.shapes,
                 stats.compilations,
+                stats.refusals,
                 stats.hits
             );
         }
@@ -1330,16 +1331,19 @@ fn emit_health(shared: &Shared) {
         .iter()
         .map(|r| r.load(Ordering::SeqCst))
         .sum();
-    let (shapes, compilations, hits) = {
+    let (shapes, compilations, refusals, hits) = {
         let caches = lock(&shared.caches);
-        caches.iter().fold((0u64, 0u64, 0u64), |acc, (_, cache)| {
-            let s = cache.stats();
-            (
-                acc.0 + s.shapes as u64,
-                acc.1 + s.compilations,
-                acc.2 + s.hits,
-            )
-        })
+        caches
+            .iter()
+            .fold((0u64, 0u64, 0u64, 0u64), |acc, (_, cache)| {
+                let s = cache.stats();
+                (
+                    acc.0 + s.shapes as u64,
+                    acc.1 + s.compilations,
+                    acc.2 + s.refusals,
+                    acc.3 + s.hits,
+                )
+            })
     };
     let mut line = format!(
         "{{\"event\": \"health\", \"jobs_active\": {active}, \"cells_queued\": {queued}, \
@@ -1358,7 +1362,8 @@ fn emit_health(shared: &Shared) {
     }
     let _ = write!(
         line,
-        ", \"plan_shapes\": {shapes}, \"plan_compilations\": {compilations}, \"plan_hits\": {hits}}}"
+        ", \"plan_shapes\": {shapes}, \"plan_compilations\": {compilations}, \
+         \"plan_refusals\": {refusals}, \"plan_hits\": {hits}}}"
     );
     emit(shared, &line);
 }
@@ -1404,8 +1409,8 @@ const DENSE_BYTES_PER_AMPLITUDE: u64 = 40;
 /// Estimated resident simulator bytes for one cell, by engine and
 /// solver. The dense engine holds [`DENSE_BYTES_PER_AMPLITUDE`] per basis
 /// state of the full `2^n` register, and so do penalty and HEA cells on
-/// the compact engine: their mixers leave the feasible subspace, so the
-/// per-gate fallback densifies and the solver tabulates its `2^n` cost.
+/// the compact engine: their mixers leave the feasible subspace, so their
+/// plans refuse, they run dense and the solver tabulates its `2^n` cost.
 /// Choco-Q and cyclic cells stay confined on compact at one packed entry
 /// (~32 bytes) per amplitude. For Choco-Q that is bounded by the
 /// enumerated feasible count `|F|` and is the whole footprint: the

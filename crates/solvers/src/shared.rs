@@ -125,7 +125,9 @@ pub fn reject_inequalities(
 /// the compact engine accepts anything the circuit IR can express
 /// ([`MAX_SPARSE_QUBITS`]) because a feasible-subspace solve never
 /// allocates `2^n` of anything (its storage is `|F|` amplitudes plus its
-/// compiled rank tables).
+/// compiled rank tables). A shape that refuses its plan runs dense, which
+/// only fits up to [`choco_qsim::MAX_DENSIFY_QUBITS`]; wider refusals
+/// panic in the simulator instead of exhausting memory.
 pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), SolverError> {
     let limit = match engine {
         EngineKind::Dense => MAX_SIM_QUBITS,
@@ -147,7 +149,7 @@ pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), 
 /// same bits on every engine. The polynomial is what a compact Choco-Q
 /// solve uses — the compact state reads the values its plan baked per
 /// feasible-basis rank — and the only option for registers too wide to
-/// tabulate, where the sparse engine evaluates it per occupied entry.
+/// tabulate.
 pub enum CostSpec<'a> {
     /// A per-basis-state value table of length `2^n`.
     Table(&'a [f64]),
@@ -518,8 +520,9 @@ mod tests {
         }
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).ry(2, 0.7);
-        let state = choco_qsim::SimEngine::run_with(&c, SimConfig::serial());
-        assert!((spec_t.expectation(&state) - spec_p.expectation(&state)).abs() < 1e-12);
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let state = ws.run(&c);
+        assert!((spec_t.expectation(state) - spec_p.expectation(state)).abs() < 1e-12);
     }
 
     #[test]

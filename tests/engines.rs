@@ -10,17 +10,15 @@
 //! 1e-10 agreement against the oracle, and *identical* deterministic
 //! sampling streams everywhere. The adversarial half drives circuits
 //! that break subspace confinement (penalty/HEA-style mixers,
-//! noise-trajectory gate soup) and asserts the compact engine's
-//! per-gate dense fallback and its compilation refusal trip while
-//! results stay oracle-exact.
+//! noise-trajectory gate soup) and asserts the compact engine refuses
+//! their plans and runs them dense while results stay oracle-exact.
 
 use choco_q::core::{support_profile, support_profile_with, ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::SplitMix64;
 use choco_q::model::Problem;
 use choco_q::qsim::oracle::ScalarStateVector;
 use choco_q::qsim::{
-    Circuit, EngineKind, NoiseModel, SimConfig, SimEngine, SimWorkspace, SparseStateVector,
-    StateVector,
+    Circuit, EngineKind, NoiseModel, SimConfig, SimWorkspace, SparseStateVector, StateVector,
 };
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
@@ -327,31 +325,30 @@ fn noisy_trajectory_circuit(n: usize, seed: u64) -> Circuit {
 
 #[test]
 fn subspace_breaking_circuits_trip_the_auto_fallback() {
-    // The compact engine's per-gate path densifies automatically past
-    // 1/8 occupancy: the mixer circuits fill the register outright, and
-    // the noisy trajectory's stray-Hadamard churn reaches 8/32 = 25% —
-    // all three must cross and densify.
+    // The compact engine refuses a shape whose structural support
+    // crosses a quarter of the register (floored at 64 entries) and runs
+    // it dense: the 8-qubit mixers fill the register outright, and the
+    // noisy trajectory's readout churn does too.
     let config = SimConfig::serial().with_engine(EngineKind::Compact);
     for (label, circuit) in [
         ("penalty", penalty_style_circuit(8, 11)),
         ("hea", hea_style_circuit(8, 12)),
-        ("noisy", noisy_trajectory_circuit(5, 13)),
+        ("noisy", noisy_trajectory_circuit(8, 13)),
     ] {
-        let mut engine = SimEngine::new_with(circuit.n_qubits(), config);
-        engine.apply_circuit(&circuit);
+        let mut ws = SimWorkspace::new(config);
+        let engine = ws.run(&circuit);
         assert!(
-            !engine.is_sparse(),
-            "{label}: occupancy {} of {} never crossed the threshold",
-            engine.occupancy(),
-            1 << circuit.n_qubits()
+            engine.as_dense().is_some(),
+            "{label}: the plan of a register-filling shape must refuse"
         );
-        // Post-fallback state is still oracle-exact.
+        // The dense run is oracle-exact.
         let oracle = ScalarStateVector::run(&circuit);
-        let fidelity = oracle.fidelity_against_engine(&engine);
+        let fidelity = oracle.fidelity_against_engine(engine);
         assert!(
             (fidelity - 1.0).abs() < 1e-10,
             "{label}: fidelity {fidelity}"
         );
+        assert_eq!(ws.plan_cache().stats().refusals, 1, "{label}");
         // ... and its sample stream matches a dense run's exactly.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -359,7 +356,7 @@ fn subspace_breaking_circuits_trip_the_auto_fallback() {
         let mut ra = StdRng::seed_from_u64(5);
         let mut rb = StdRng::seed_from_u64(5);
         assert_eq!(
-            engine.sample(1_500, &mut ra),
+            ws.sample(1_500, &mut ra),
             dense.sample(1_500, &mut rb),
             "{label}"
         );
@@ -369,10 +366,9 @@ fn subspace_breaking_circuits_trip_the_auto_fallback() {
 #[test]
 fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
     // The compact engine refuses to compile shapes whose structural
-    // support crosses the occupancy threshold, and runs them through the
-    // per-gate engines with their automatic dense fallback instead —
-    // oracle-exact, with dense-identical sample streams, and without
-    // re-attempting compilation on later iterations.
+    // support crosses the occupancy threshold, and runs them on the dense
+    // engine instead — oracle-exact, with dense-identical sample streams,
+    // and without re-attempting compilation on later iterations.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     for (label, circuit) in [
@@ -384,8 +380,8 @@ fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
         for replay in 0..2 {
             let state = ws.run(&circuit);
             assert!(
-                !state.is_compact(),
-                "{label} replay {replay}: register-filling shape stayed compact"
+                state.as_dense().is_some(),
+                "{label} replay {replay}: register-filling shape did not run dense"
             );
             let oracle = ScalarStateVector::run(&circuit);
             let fidelity = oracle.fidelity_against_engine(state);
@@ -399,6 +395,7 @@ fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
             1,
             "{label}: the refusal must be remembered, not recompiled"
         );
+        assert_eq!(ws.plan_cache().stats().refusals, 1, "{label}");
         let dense = StateVector::run_with(&circuit, SimConfig::serial());
         let mut ra = StdRng::seed_from_u64(5);
         let mut rb = StdRng::seed_from_u64(5);
@@ -410,22 +407,48 @@ fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
     }
 }
 
+/// Every Choco-Q shape of the benchmark suite compiles its plan. These
+/// four have the largest feasible fraction of their register (structural
+/// support 141–144 of 1,024 entries for F2, 70–72 of 512 for A2), so
+/// they sit nearest the plan's support cap.
+#[test]
+fn suite_choco_shapes_compile_without_refusals() {
+    use choco_q::core::ChocoQConfig;
+    for (class, seed) in [("F2", 1), ("F2", 3), ("F2", 4), ("A2", 2)] {
+        let problem = choco_q::problems::instance(class, seed);
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        ChocoQSolver::new(ChocoQConfig::fast_test())
+            .solve_with_workspace(&problem, &mut ws)
+            .unwrap();
+        let stats = ws.plan_cache().stats();
+        assert!(stats.compilations > 0, "{class} seed {seed}");
+        assert_eq!(stats.refusals, 0, "{class} seed {seed}: a plan refused");
+        let state = ws.state().expect("the solve leaves its final state");
+        assert!(state.is_compact(), "{class} seed {seed}");
+    }
+}
+
 #[test]
 fn forced_sparse_handles_subspace_breaking_circuits_exactly() {
-    // The sparse representation itself never falls back (registers above
-    // the densify cap keep it whatever their occupancy) — it must still
-    // be correct on a register-filling circuit, merely slower.
+    // The sparse reference walker never changes representation — it must
+    // still be correct on a register-filling circuit, merely slower.
     let circuit = penalty_style_circuit(7, 21);
-    let engine = SimEngine::Sparse(SparseStateVector::run(&circuit));
-    assert_eq!(engine.occupancy(), 1 << 7, "mixers fill the register");
+    let sparse = SparseStateVector::run(&circuit);
+    assert_eq!(sparse.occupancy(), 1 << 7, "mixers fill the register");
     let oracle = ScalarStateVector::run(&circuit);
-    assert!((oracle.fidelity_against_engine(&engine) - 1.0).abs() < 1e-10);
+    for (bits, &expect) in oracle.amplitudes().iter().enumerate() {
+        assert!(
+            sparse.amplitude(bits as u64).approx_eq(expect, 1e-10),
+            "bits={bits}"
+        );
+    }
 }
 
 #[test]
 fn support_profile_consistent_through_the_fallback() {
-    // The fig09b metric on a circuit whose execution densifies mid-way:
-    // the compact profile must equal the dense profile gate for gate.
+    // The fig09b metric on a register-filling circuit: the compact
+    // profile (the sparse walker) must equal the dense profile gate for
+    // gate.
     let circuit = penalty_style_circuit(6, 31);
     let compact = SimConfig::serial().with_engine(EngineKind::Compact);
     assert_eq!(

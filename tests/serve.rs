@@ -319,6 +319,11 @@ fn plan_cache_is_shared_across_requests() {
         let cold_compilations = int_field(&cold, "compilations");
         let cold_hits = int_field(&cold, "hits");
         assert!(cold_compilations > 0, "{cold}");
+        assert_eq!(
+            int_field(&cold, "refusals"),
+            0,
+            "choco-q plans compile: {cold}"
+        );
 
         requests
             .write_all(job("warm").as_bytes())
@@ -723,6 +728,7 @@ fn health_reports_pool_and_state_dir_vitals() {
         "\"mem_high_water\"",
         "\"mem_budget\": null",
         "\"plan_shapes\"",
+        "\"plan_refusals\"",
     ] {
         assert!(health[0].contains(key), "missing {key}: {}", health[0]);
     }
