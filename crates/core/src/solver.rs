@@ -587,8 +587,8 @@ impl ChocoQSolver {
         // compiled-plan cache, so a circuit shape is still compiled once
         // across all restarts × workers. Results land in a slot vector
         // indexed by task position — execution order never leaks. (Same
-        // scatter-into-slots scheme as the runner's cell scheduler in
-        // crates/runner/src/run.rs — a fix to one likely applies to the
+        // scatter-into-slots scheme as the runner's cell pool in
+        // crates/runner/src/serve.rs — a fix to one likely applies to the
         // other.)
         let n_workers = effective_restart_workers(self.config.restart_workers, tasks.len());
         let mut results: Vec<Option<TaskResult>> = if n_workers <= 1 {

@@ -253,19 +253,15 @@ impl CheckpointJournal {
 // Loader
 // ---------------------------------------------------------------------------
 
-/// A validated journal's useful content: completed (`status == "ok"`)
-/// records by cell index.
-#[derive(Debug)]
-pub(crate) struct LoadedJournal {
-    /// Completed cell records, keyed by flat grid index.
-    pub(crate) completed: BTreeMap<usize, Record>,
-}
-
 /// Reads and validates a journal against the header this run would
-/// write. A torn (unparseable) *final* line is dropped with a warning —
+/// write, returning its completed (`status == "ok"`) records by cell
+/// index. A torn (unparseable) *final* line is dropped with a warning —
 /// that is the expected crash artifact; corruption anywhere else is an
 /// error.
-pub(crate) fn load_journal(path: &Path, expected: &JournalHeader) -> Result<LoadedJournal, String> {
+pub(crate) fn load_journal(
+    path: &Path,
+    expected: &JournalHeader,
+) -> Result<BTreeMap<usize, Record>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
     let lines: Vec<&str> = text.lines().collect();
@@ -359,7 +355,7 @@ pub(crate) fn load_journal(path: &Path, expected: &JournalHeader) -> Result<Load
             completed.remove(&index);
         }
     }
-    Ok(LoadedJournal { completed })
+    Ok(completed)
 }
 
 #[cfg(test)]
@@ -493,19 +489,15 @@ mod tests {
         drop(journal);
 
         let loaded = load_journal(&path, &header).unwrap();
-        assert_eq!(
-            loaded.completed.len(),
-            1,
-            "error records are not completions"
-        );
-        assert!(loaded.completed.contains_key(&0));
+        assert_eq!(loaded.len(), 1, "error records are not completions");
+        assert!(loaded.contains_key(&0));
 
         // A torn trailing line is dropped, not fatal.
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"index\": 2, \"duration_us\": 1, \"rec");
         std::fs::write(&path, &text).unwrap();
         let loaded = load_journal(&path, &header).unwrap();
-        assert_eq!(loaded.completed.len(), 1);
+        assert_eq!(loaded.len(), 1);
 
         // The same corruption mid-file is fatal.
         let torn = format!(
@@ -542,7 +534,7 @@ mod tests {
         journal.append_cell(0, Duration::ZERO, &v2).unwrap();
         drop(journal);
         let loaded = load_journal(&path, &header).unwrap();
-        assert_eq!(loaded.completed[&0].get("marker"), Some(&Field::UInt(2)));
+        assert_eq!(loaded[&0].get("marker"), Some(&Field::UInt(2)));
 
         std::fs::remove_dir_all(&dir).ok();
     }

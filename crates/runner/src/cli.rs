@@ -81,6 +81,116 @@ fn secs_to_duration(flag: &str, secs: f64) -> Result<Duration, String> {
     Duration::try_from_secs_f64(secs).map_err(|e| format!("{flag}: {e}"))
 }
 
+/// The next argument as the value of `flag`.
+fn flag_value(args: &mut std::slice::Iter<String>, flag: &str) -> Result<String, String> {
+    args.next()
+        .cloned()
+        .ok_or_else(|| format!("missing value for {flag}"))
+}
+
+/// The next argument parsed as the number `flag` takes.
+fn flag_number<T>(args: &mut std::slice::Iter<String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, flag)?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The eight execution flags `run` and `serve` share, borrowed from the
+/// same-named fields of a [`RunArgs`] or a [`ServeArgs`], so they are
+/// parsed and turned into [`RunOptions`] in one place.
+struct ExecFlags<'a> {
+    workers: &'a mut usize,
+    sim_threads: &'a mut usize,
+    engine: &'a mut Option<EngineKind>,
+    batch: &'a mut Option<usize>,
+    optimizer: &'a mut Option<OptimizerKind>,
+    restart_workers: &'a mut usize,
+    cell_timeout_secs: &'a mut Option<f64>,
+    retries: &'a mut u32,
+}
+
+impl ExecFlags<'_> {
+    /// Parses `flag` and its value from `args` when it is one of the
+    /// shared flags; `Ok(false)` leaves any other flag to the caller.
+    fn parse(&mut self, flag: &str, args: &mut std::slice::Iter<String>) -> Result<bool, String> {
+        match flag {
+            "--workers" => *self.workers = flag_number(args, flag)?,
+            "--sim-threads" => *self.sim_threads = flag_number(args, flag)?,
+            "--engine" => {
+                *self.engine = Some(
+                    EngineKind::parse(&flag_value(args, flag)?)
+                        .map_err(|e| format!("--engine: {e}"))?,
+                )
+            }
+            "--batch" => {
+                let k: usize = flag_number(args, flag)?;
+                if k < 1 {
+                    return Err("--batch: expected a width of at least 1 (1 = serial)".into());
+                }
+                *self.batch = Some(k);
+            }
+            "--optimizer" => {
+                *self.optimizer = Some(
+                    OptimizerKind::parse(&flag_value(args, flag)?)
+                        .map_err(|e| format!("--optimizer: {e}"))?,
+                )
+            }
+            "--restart-workers" => *self.restart_workers = flag_number(args, flag)?,
+            "--cell-timeout" => {
+                *self.cell_timeout_secs = Some(parse_secs(flag, &flag_value(args, flag)?)?);
+            }
+            "--retries" => *self.retries = flag_number(args, flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The run options these flags describe, with the fault plan from
+    /// `CHOCO_FAULT_INJECT`; run-only options keep their defaults.
+    fn run_options(&self) -> Result<RunOptions, String> {
+        Ok(RunOptions {
+            workers: *self.workers,
+            sim: if *self.sim_threads <= 1 {
+                SimConfig::serial()
+            } else {
+                SimConfig::with_threads(*self.sim_threads)
+            },
+            engine: *self.engine,
+            batch: *self.batch,
+            optimizer: *self.optimizer,
+            restart_workers: *self.restart_workers,
+            cell_timeout: self
+                .cell_timeout_secs
+                .map(|s| secs_to_duration("--cell-timeout", s))
+                .transpose()?,
+            retries: *self.retries,
+            faults: FaultPlan::from_env()?.map(Arc::new),
+            ..RunOptions::default()
+        })
+    }
+}
+
+/// Borrows the shared execution flags of a [`RunArgs`] or [`ServeArgs`]
+/// variable.
+macro_rules! exec_flags {
+    ($args:ident) => {
+        ExecFlags {
+            workers: &mut $args.workers,
+            sim_threads: &mut $args.sim_threads,
+            engine: &mut $args.engine,
+            batch: &mut $args.batch,
+            optimizer: &mut $args.optimizer,
+            restart_workers: &mut $args.restart_workers,
+            cell_timeout_secs: &mut $args.cell_timeout_secs,
+            retries: &mut $args.retries,
+        }
+    };
+}
+
 /// Parses `run` subcommand arguments (everything after the literal
 /// `run`).
 ///
@@ -95,62 +205,16 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        if exec_flags!(parsed).parse(arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
-            "--workers" => {
-                parsed.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
             "--quick" => parsed.quick = true,
-            "--out" => parsed.out = Some(value("--out")?),
-            "--csv" => parsed.csv = Some(value("--csv")?),
-            "--sim-threads" => {
-                parsed.sim_threads = value("--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("--sim-threads: {e}"))?
-            }
-            "--engine" => {
-                parsed.engine = Some(
-                    EngineKind::parse(&value("--engine")?).map_err(|e| format!("--engine: {e}"))?,
-                )
-            }
-            "--batch" => {
-                let k: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if k < 1 {
-                    return Err("--batch: expected a width of at least 1 (1 = serial)".into());
-                }
-                parsed.batch = Some(k);
-            }
-            "--optimizer" => {
-                parsed.optimizer = Some(
-                    OptimizerKind::parse(&value("--optimizer")?)
-                        .map_err(|e| format!("--optimizer: {e}"))?,
-                )
-            }
-            "--restart-workers" => {
-                parsed.restart_workers = value("--restart-workers")?
-                    .parse()
-                    .map_err(|e| format!("--restart-workers: {e}"))?
-            }
+            "--out" => parsed.out = Some(flag_value(&mut it, arg)?),
+            "--csv" => parsed.csv = Some(flag_value(&mut it, arg)?),
             "--no-table" => parsed.no_table = true,
-            "--checkpoint" => parsed.checkpoint = Some(value("--checkpoint")?),
+            "--checkpoint" => parsed.checkpoint = Some(flag_value(&mut it, arg)?),
             "--resume" => parsed.resume = true,
-            "--cell-timeout" => {
-                parsed.cell_timeout_secs =
-                    Some(parse_secs("--cell-timeout", &value("--cell-timeout")?)?);
-            }
-            "--retries" => {
-                parsed.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?
-            }
             other if parsed.spec_path.is_empty() && !other.starts_with('-') => {
                 parsed.spec_path = other.to_string();
             }
@@ -170,30 +234,13 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 ///
 /// Returns a user-facing message on spec, execution, or I/O failure.
 pub fn run_command(args: &[String]) -> Result<(), String> {
-    let parsed = parse_run_args(args)?;
+    let mut parsed = parse_run_args(args)?;
     let spec = ExperimentSpec::load(&parsed.spec_path)?;
     let options = RunOptions {
-        workers: parsed.workers,
         quick: parsed.quick,
-        sim: if parsed.sim_threads <= 1 {
-            SimConfig::serial()
-        } else {
-            SimConfig::with_threads(parsed.sim_threads)
-        },
-        engine: parsed.engine,
-        batch: parsed.batch,
-        optimizer: parsed.optimizer,
-        restart_workers: parsed.restart_workers,
         checkpoint: parsed.checkpoint.clone(),
         resume: parsed.resume,
-        cell_timeout: parsed
-            .cell_timeout_secs
-            .map(|s| secs_to_duration("--cell-timeout", s))
-            .transpose()?,
-        retries: parsed.retries,
-        faults: FaultPlan::from_env()?.map(Arc::new),
-        cancel: None,
-        job_deadline: None,
+        ..exec_flags!(parsed).run_options()?
     };
     let report = execute(&spec, &options)?;
 
@@ -321,77 +368,28 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
     let mut parsed = ServeArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        if exec_flags!(parsed).parse(arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
-            "--state-dir" => parsed.state_dir = value("--state-dir")?,
+            "--state-dir" => parsed.state_dir = flag_value(&mut it, arg)?,
             "--queue-cap" => {
-                let cap: usize = value("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?;
+                let cap: usize = flag_number(&mut it, arg)?;
                 if cap == 0 {
                     return Err("--queue-cap: expected a cap of at least 1".into());
                 }
                 parsed.queue_cap = cap;
             }
-            "--socket" => parsed.socket = Some(value("--socket")?),
-            "--workers" => {
-                parsed.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--sim-threads" => {
-                parsed.sim_threads = value("--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("--sim-threads: {e}"))?
-            }
-            "--engine" => {
-                parsed.engine = Some(
-                    EngineKind::parse(&value("--engine")?).map_err(|e| format!("--engine: {e}"))?,
-                )
-            }
-            "--batch" => {
-                let k: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if k < 1 {
-                    return Err("--batch: expected a width of at least 1 (1 = serial)".into());
-                }
-                parsed.batch = Some(k);
-            }
-            "--optimizer" => {
-                parsed.optimizer = Some(
-                    OptimizerKind::parse(&value("--optimizer")?)
-                        .map_err(|e| format!("--optimizer: {e}"))?,
-                )
-            }
-            "--restart-workers" => {
-                parsed.restart_workers = value("--restart-workers")?
-                    .parse()
-                    .map_err(|e| format!("--restart-workers: {e}"))?
-            }
-            "--cell-timeout" => {
-                parsed.cell_timeout_secs =
-                    Some(parse_secs("--cell-timeout", &value("--cell-timeout")?)?);
-            }
-            "--retries" => {
-                parsed.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?
-            }
+            "--socket" => parsed.socket = Some(flag_value(&mut it, arg)?),
             "--mem-budget" => {
                 parsed.mem_budget = Some(
-                    parse_bytes(&value("--mem-budget")?)
+                    parse_bytes(&flag_value(&mut it, arg)?)
                         .map_err(|e| format!("--mem-budget: {e}"))?,
                 )
             }
             "--gc-done" => parsed.gc_done = true,
             "--drain-timeout" => {
-                parsed.drain_timeout_secs =
-                    parse_secs("--drain-timeout", &value("--drain-timeout")?)?;
+                parsed.drain_timeout_secs = parse_secs(arg, &flag_value(&mut it, arg)?)?;
             }
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -409,35 +407,14 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
 /// values (possible when a `ServeArgs` is built programmatically rather
 /// than via [`parse_serve_args`]).
 pub fn serve_options(parsed: &ServeArgs) -> Result<ServeOptions, String> {
+    let mut exec = parsed.clone();
     Ok(ServeOptions {
         state_dir: PathBuf::from(&parsed.state_dir),
         queue_cap: parsed.queue_cap,
         mem_budget: parsed.mem_budget,
         gc_done: parsed.gc_done,
         drain_timeout: secs_to_duration("--drain-timeout", parsed.drain_timeout_secs)?,
-        run: RunOptions {
-            workers: parsed.workers,
-            quick: false,
-            sim: if parsed.sim_threads <= 1 {
-                SimConfig::serial()
-            } else {
-                SimConfig::with_threads(parsed.sim_threads)
-            },
-            engine: parsed.engine,
-            batch: parsed.batch,
-            optimizer: parsed.optimizer,
-            restart_workers: parsed.restart_workers,
-            checkpoint: None,
-            resume: false,
-            cell_timeout: parsed
-                .cell_timeout_secs
-                .map(|s| secs_to_duration("--cell-timeout", s))
-                .transpose()?,
-            retries: parsed.retries,
-            faults: FaultPlan::from_env()?.map(Arc::new),
-            cancel: None,
-            job_deadline: None,
-        },
+        run: exec_flags!(exec).run_options()?,
     })
 }
 

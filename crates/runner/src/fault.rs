@@ -126,10 +126,9 @@ pub enum FaultKind {
     /// failing the cell — determinism stress, not an error path).
     Delay(Duration),
     /// Crash the whole *worker thread* running the cell, outside the
-    /// per-attempt `catch_unwind` envelope. Only the serve pool honors
-    /// this (its supervisor restarts the worker and requeues the cell);
-    /// the batch runner ignores it — there, every panic is already
-    /// caught per attempt, so a worker-level crash cannot be expressed.
+    /// per-attempt `catch_unwind` envelope. The cell pool's supervisor
+    /// replaces the worker's workspaces and requeues the cell, in plain
+    /// runs and daemon jobs alike.
     Kill,
 }
 
@@ -155,7 +154,7 @@ struct Directive {
 /// panic@I[:N]      panic in cell I's first N attempts (default: all)
 /// timeout@I[:N]    expire cell I's deadline immediately
 /// delay@I:MS[:N]   sleep MS milliseconds before cell I's attempt
-/// kill@I[:N]       crash the serve worker running cell I (serve only)
+/// kill@I[:N]       crash the pool worker running cell I
 /// ```
 #[derive(Debug, Default)]
 pub struct FaultPlan {

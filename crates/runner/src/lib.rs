@@ -8,23 +8,21 @@
 //!   layers × eliminate × device}` grid (or a special kind:
 //!   decomposition / ablation / support), parsed from the TOML subset in
 //!   [`minitoml`].
-//! * [`execute`] — a multi-threaded batch scheduler: cells fan out across
-//!   `std::thread::scope` workers, each owning its own
-//!   [`choco_qsim::SimWorkspace`] so the zero-allocation solver path runs
-//!   in parallel. Per-cell seeds derive from cell *coordinates*, so any
-//!   cell is reproducible in isolation and the report is byte-identical
-//!   at any worker count.
+//! * [`execute`] — runs a spec. Grid cells run on the one cell pool in
+//!   [`serve`], each worker owning its own [`choco_qsim::SimWorkspace`]
+//!   so the zero-allocation solver path runs in parallel. Per-cell seeds
+//!   derive from cell *coordinates*, so any cell is reproducible in
+//!   isolation and the report is byte-identical at any worker count.
 //! * [`RunReport`] — deterministic JSON / CSV emission plus a terminal
 //!   table ([`RunReport::to_json`] contains no wall-clock fields).
-//! * Fault tolerance — grid cells run behind `catch_unwind` with a
-//!   structured error taxonomy ([`CellError`]), cooperative per-cell
-//!   deadlines, bounded retries, and an append-only checkpoint journal
-//!   (`--checkpoint` / `--resume`) that makes killed runs resumable with
-//!   byte-identical reports (see `docs/operations.md`).
-//! * [`serve`] — `choco-cli serve`: a long-lived solve-as-a-service
-//!   daemon that queues submitted jobs across a persistent worker pool
-//!   whose workspaces share one plan cache across requests, streams
-//!   records as JSONL, and journals every job for kill-resume.
+//! * Fault tolerance — cells run behind `catch_unwind` with a structured
+//!   error taxonomy ([`CellError`]), a supervisor that replaces crashed
+//!   workers, cooperative deadlines, bounded retries, and an append-only
+//!   checkpoint journal (`--checkpoint` / `--resume`) that makes killed
+//!   runs resumable with byte-identical reports (`docs/operations.md`).
+//! * [`serve`] — `choco-cli serve`: a long-lived daemon that keeps the
+//!   pool running, queues submitted jobs on it with one plan cache across
+//!   requests, streams records as JSONL, and journals every job.
 //! * [`cli::run_command`] — the `choco-cli run <spec>` entry point.
 //!
 //! ```

@@ -1,20 +1,20 @@
-//! The batch scheduler: expands a spec into cells and fans them out
-//! across `std::thread::scope` workers.
+//! What a run executes: [`execute`] dispatches a spec by kind, and this
+//! module holds the grid cell itself — the budget-scaled solver
+//! configurations, the retry policy around one isolated cell attempt,
+//! the record it renders, and the report summary.
 //!
-//! Each worker owns one [`SimWorkspace`], so after its first cell the
-//! zero-allocation solver path is exercised in parallel across the whole
-//! batch. Results land in a slot vector indexed by cell position, which
-//! makes the report — and its JSON — byte-identical at any worker count.
-//!
-//! The scheduler is fault-tolerant end to end: a panicking cell is
-//! caught and becomes a structured error record (its worker continues
-//! on a fresh workspace), cooperative per-cell deadlines turn runaway
-//! solves into `timeout` records, transient failures are retried on a
-//! bounded budget, and an optional append-only checkpoint journal lets
-//! a killed run resume without recomputing finished cells — emitting
-//! byte-identical reports at any kill point and worker count.
+//! Grid cells run on the one cell pool in [`crate::serve`], for
+//! `choco-cli run` and the daemon alike. A run is one job there: workers
+//! each own a [`SimWorkspace`], so after its first cell the
+//! zero-allocation solver path runs in parallel across the grid, and
+//! records land in slots indexed by cell position, which makes the report
+//! byte-identical at any worker count. A panicking attempt is caught and
+//! becomes a structured error record (its worker continues on a fresh
+//! workspace), cooperative per-cell deadlines turn runaway solves into
+//! `timeout` records, transient failures are retried on a bounded budget,
+//! and an optional checkpoint journal lets a killed run resume without
+//! recomputing finished cells.
 
-use crate::checkpoint::{load_journal, CheckpointJournal, JournalHeader};
 use crate::fault::{CellError, CellErrorKind, FaultKind, FaultPlan};
 use crate::report::{Field, Record, RunReport};
 use crate::spec::{Cell, ExperimentSpec, RunKind, SolverKind};
@@ -26,9 +26,8 @@ use choco_qsim::{EngineKind, SimConfig, SimWorkspace};
 use choco_solvers::{CyclicQaoaSolver, HeaSolver, PenaltyQaoaSolver, QaoaConfig};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Execution options orthogonal to the spec (how to run, not what).
@@ -208,6 +207,11 @@ pub struct Instance {
     pub optimum: Result<Optimum, String>,
 }
 
+/// The `(problem, seed)` key of a cell's instance.
+pub(crate) fn instance_key(cell: &Cell) -> (String, u64) {
+    (cell.problem.as_str().to_string(), cell.instance_seed)
+}
+
 /// Resolves every distinct `(problem, seed)` instance a cell list needs.
 ///
 /// # Errors
@@ -216,7 +220,7 @@ pub struct Instance {
 pub fn build_instances(cells: &[Cell]) -> Result<BTreeMap<(String, u64), Instance>, String> {
     let mut instances = BTreeMap::new();
     for cell in cells {
-        let key = (cell.problem.as_str().to_string(), cell.instance_seed);
+        let key = instance_key(cell);
         if instances.contains_key(&key) {
             continue;
         }
@@ -243,7 +247,7 @@ pub fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> Result<RunReport, St
         ));
     }
     match spec.kind {
-        RunKind::Grid => execute_grid(spec, opts),
+        RunKind::Grid => crate::serve::execute_grid(spec, opts),
         RunKind::Decomposition => crate::special::execute_decomposition(spec, opts),
         RunKind::Ablation => crate::special::execute_ablation(spec, opts),
         RunKind::Support => crate::special::execute_support(spec, opts),
@@ -251,9 +255,9 @@ pub fn execute(spec: &ExperimentSpec, opts: &RunOptions) -> Result<RunReport, St
 }
 
 /// Expands a grid spec's cells, applying the `--quick` variable cap
-/// (dropping oversized instances and reindexing) exactly like the grid
-/// executor — shared with `choco-serve`, so a daemon job expands to the
-/// same cell list as a plain `choco-cli run` of the same spec.
+/// (dropping oversized instances and reindexing). Every grid job plans
+/// through it, so a daemon job expands to the same cell list as a plain
+/// `choco-cli run` of the same spec.
 pub(crate) fn expand_grid_cells(spec: &ExperimentSpec, quick: bool) -> Result<Vec<Cell>, String> {
     let mut cells = spec.expand_cells(quick);
 
@@ -264,8 +268,9 @@ pub(crate) fn expand_grid_cells(spec: &ExperimentSpec, quick: bool) -> Result<Ve
     if let (true, Some(cap)) = (quick, spec.quick_max_vars) {
         let mut sizes: BTreeMap<(String, u64), usize> = BTreeMap::new();
         for cell in &cells {
-            let key = (cell.problem.as_str().to_string(), cell.instance_seed);
-            if let std::collections::btree_map::Entry::Vacant(slot) = sizes.entry(key) {
+            if let std::collections::btree_map::Entry::Vacant(slot) =
+                sizes.entry(instance_key(cell))
+            {
                 let n = cell.problem.build(cell.instance_seed)?.n_vars();
                 if n > cap {
                     eprintln!(
@@ -277,131 +282,12 @@ pub(crate) fn expand_grid_cells(spec: &ExperimentSpec, quick: bool) -> Result<Ve
                 slot.insert(n);
             }
         }
-        cells.retain(|cell| sizes[&(cell.problem.as_str().to_string(), cell.instance_seed)] <= cap);
+        cells.retain(|cell| sizes[&instance_key(cell)] <= cap);
         for (index, cell) in cells.iter_mut().enumerate() {
             cell.index = index;
         }
     }
     Ok(cells)
-}
-
-fn execute_grid(spec: &ExperimentSpec, opts: &RunOptions) -> Result<RunReport, String> {
-    let cells = expand_grid_cells(spec, opts.quick)?;
-
-    // Checkpoint setup: load completed cells from an existing journal
-    // (resume) or open a fresh one. The header binds the journal to the
-    // spec and to every report-shaping option, so a stale or mismatched
-    // journal fails loudly instead of producing a franken-report.
-    let header = JournalHeader::for_run(spec, opts, cells.len());
-    let (journal, mut completed) = match (&opts.checkpoint, opts.resume) {
-        (None, false) => (None, BTreeMap::new()),
-        (None, true) => return Err("--resume requires --checkpoint <path>".to_string()),
-        (Some(path), resume) => {
-            let path = Path::new(path);
-            if resume && path.exists() {
-                let loaded = load_journal(path, &header)?;
-                (Some(CheckpointJournal::append_to(path)?), loaded.completed)
-            } else {
-                if resume {
-                    eprintln!(
-                        "checkpoint {}: no journal found; starting fresh",
-                        path.display()
-                    );
-                }
-                (
-                    Some(CheckpointJournal::create(path, &header)?),
-                    BTreeMap::new(),
-                )
-            }
-        }
-    };
-    let n_resumed = completed.len();
-    if n_resumed > 0 {
-        eprintln!(
-            "checkpoint: resuming — {n_resumed}/{} cells already complete",
-            cells.len()
-        );
-    }
-    let pending: Vec<usize> = (0..cells.len())
-        .filter(|i| !completed.contains_key(i))
-        .collect();
-    let pending_cells: Vec<Cell> = pending.iter().map(|&i| cells[i].clone()).collect();
-    let instances = build_instances(&pending_cells)?;
-
-    let n_workers = opts.effective_workers(pending.len());
-    let sim = opts.effective_sim(spec);
-    let done = AtomicUsize::new(0);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Record>>> = Mutex::new(vec![None; cells.len()]);
-    // First journal-append failure; stops all workers (results already
-    // computed stay in their slots, but the run fails — a checkpoint
-    // that silently stopped recording would defeat its purpose).
-    let journal_error: Mutex<Option<String>> = Mutex::new(None);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| {
-                let mut workspace = SimWorkspace::new(sim);
-                loop {
-                    if journal_error
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .is_some()
-                    {
-                        break;
-                    }
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = pending.get(p) else { break };
-                    let cell = &cells[i];
-                    let key = (cell.problem.as_str().to_string(), cell.instance_seed);
-                    let cell_started = Instant::now();
-                    let record =
-                        run_grid_cell(spec, opts, cell, &instances[&key], &mut workspace, sim);
-                    if let Some(journal) = &journal {
-                        if let Err(e) = journal.append_cell(i, cell_started.elapsed(), &record) {
-                            *journal_error.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
-                        }
-                    }
-                    slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(record);
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "[{}/{}] {} seed={} {} ({:.1}s elapsed)",
-                        finished + n_resumed,
-                        cells.len(),
-                        cell.problem.as_str(),
-                        cell.instance_seed,
-                        cell.solver.label(),
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-            });
-        }
-    });
-    if let Some(e) = journal_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-    let mut slot_vec = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let records: Vec<Record> = (0..cells.len())
-        .map(|i| {
-            completed
-                .remove(&i)
-                .or_else(|| slot_vec[i].take())
-                .ok_or_else(|| format!("internal: cell {i} produced no record"))
-        })
-        .collect::<Result<_, String>>()?;
-    let summary = summarize(&records);
-    Ok(RunReport {
-        name: spec.name.clone(),
-        description: spec.description.clone(),
-        kind: spec.kind.label(),
-        spec_seed: spec.seed,
-        quick: opts.quick,
-        records,
-        summary,
-    })
 }
 
 /// A cell attempt that ran to completion, plus what the engine selection
@@ -422,11 +308,10 @@ pub(crate) fn run_grid_cell(
     cell: &Cell,
     instance: &Instance,
     workspace: &mut SimWorkspace,
-    sim: SimConfig,
 ) -> Record {
     let mut retries = 0u32;
     let result = loop {
-        let attempt = run_cell_attempt(spec, opts, cell, instance, workspace, sim);
+        let attempt = run_cell_attempt(spec, opts, cell, instance, workspace);
         // Sampled *after* the attempt: a cancellation mid-solve surfaces
         // as a timeout (it drains through the same deadline hook), so
         // relabel it — and never retry, the flag is sticky.
@@ -476,7 +361,6 @@ fn run_cell_attempt(
     cell: &Cell,
     instance: &Instance,
     workspace: &mut SimWorkspace,
-    sim: SimConfig,
 ) -> Result<CellSuccess, CellError> {
     let fault = opts.faults.as_ref().and_then(|plan| plan.draw(cell.index));
     if let Some(FaultKind::Delay(pause)) = fault {
@@ -524,7 +408,7 @@ fn run_cell_attempt(
             // cache: it heals its own lock poisoning, and dropping it
             // here would silently cut a daemon worker off from the
             // cross-request cache after one panicking cell.
-            *workspace = SimWorkspace::with_plan_cache(sim, workspace.plan_cache());
+            *workspace = SimWorkspace::with_plan_cache(*workspace.config(), workspace.plan_cache());
             Err(CellError::from_panic(payload.as_ref()))
         }
     }
@@ -556,50 +440,41 @@ fn solve_cell(
         (true, Some(device)) => Some(device.model().noise()),
         _ => None,
     };
-    match cell.solver {
+    let overrides = &spec.config;
+    let result = match cell.solver {
         SolverKind::ChocoQ => {
             let base = scaled_choco(problem.n_vars());
-            let config = ChocoQConfig {
+            ChocoQSolver::new(ChocoQConfig {
                 layers: cell.layers.unwrap_or(base.layers),
-                shots: spec.config.shots.unwrap_or(base.shots),
-                max_iters: spec.config.max_iters.unwrap_or(base.max_iters),
-                restarts: spec.config.restarts.unwrap_or(base.restarts),
+                shots: overrides.shots.unwrap_or(base.shots),
+                max_iters: overrides.max_iters.unwrap_or(base.max_iters),
+                restarts: overrides.restarts.unwrap_or(base.restarts),
                 restart_workers: opts.restart_workers,
                 optimizer,
-                noise_trajectories: spec
-                    .config
+                noise_trajectories: overrides
                     .noise_trajectories
                     .unwrap_or(base.noise_trajectories),
-                transpiled_stats: spec
-                    .config
-                    .transpiled_stats
-                    .unwrap_or(base.transpiled_stats),
+                transpiled_stats: overrides.transpiled_stats.unwrap_or(base.transpiled_stats),
                 eliminate: cell.eliminate,
                 seed: cell_seed,
                 noise,
                 deadline,
                 cancel: opts.cancel.clone(),
                 ..base
-            };
-            ChocoQSolver::new(config)
-                .solve_with_workspace(problem, workspace)
-                .map_err(|e| CellError::from_solver(&e))
+            })
+            .solve_with_workspace(problem, workspace)
         }
         baseline => {
             let base = scaled_qaoa(problem.n_vars());
             let config = QaoaConfig {
                 layers: cell.layers.unwrap_or(base.layers),
-                shots: spec.config.shots.unwrap_or(base.shots),
-                max_iters: spec.config.max_iters.unwrap_or(base.max_iters),
+                shots: overrides.shots.unwrap_or(base.shots),
+                max_iters: overrides.max_iters.unwrap_or(base.max_iters),
                 optimizer,
-                noise_trajectories: spec
-                    .config
+                noise_trajectories: overrides
                     .noise_trajectories
                     .unwrap_or(base.noise_trajectories),
-                transpiled_stats: spec
-                    .config
-                    .transpiled_stats
-                    .unwrap_or(base.transpiled_stats),
+                transpiled_stats: overrides.transpiled_stats.unwrap_or(base.transpiled_stats),
                 seed: cell_seed,
                 noise,
                 deadline,
@@ -607,19 +482,18 @@ fn solve_cell(
                 ..base
             };
             match baseline {
-                SolverKind::Penalty => PenaltyQaoaSolver::new(config)
-                    .solve_with_workspace(problem, workspace)
-                    .map_err(|e| CellError::from_solver(&e)),
-                SolverKind::Cyclic => CyclicQaoaSolver::new(config)
-                    .solve_with_workspace(problem, workspace)
-                    .map_err(|e| CellError::from_solver(&e)),
-                SolverKind::Hea => HeaSolver::new(config)
-                    .solve_with_workspace(problem, workspace)
-                    .map_err(|e| CellError::from_solver(&e)),
+                SolverKind::Penalty => {
+                    PenaltyQaoaSolver::new(config).solve_with_workspace(problem, workspace)
+                }
+                SolverKind::Cyclic => {
+                    CyclicQaoaSolver::new(config).solve_with_workspace(problem, workspace)
+                }
+                SolverKind::Hea => HeaSolver::new(config).solve_with_workspace(problem, workspace),
                 SolverKind::ChocoQ => unreachable!("handled above"),
             }
         }
-    }
+    };
+    result.map_err(|e| CellError::from_solver(&e))
 }
 
 /// Renders one cell result — success or structured failure — as a
@@ -819,32 +693,16 @@ pub(crate) fn summarize(records: &[Record]) -> Record {
                 .collect();
             values.iter().sum::<f64>() / values.len().max(1) as f64
         };
-        match solver {
-            SolverKind::Penalty => summary
-                .push("penalty_mean_success", Field::Float(mean("success_rate")))
-                .push(
-                    "penalty_mean_in_constraints",
-                    Field::Float(mean("in_constraints_rate")),
-                ),
-            SolverKind::Cyclic => summary
-                .push("cyclic_mean_success", Field::Float(mean("success_rate")))
-                .push(
-                    "cyclic_mean_in_constraints",
-                    Field::Float(mean("in_constraints_rate")),
-                ),
-            SolverKind::Hea => summary
-                .push("hea_mean_success", Field::Float(mean("success_rate")))
-                .push(
-                    "hea_mean_in_constraints",
-                    Field::Float(mean("in_constraints_rate")),
-                ),
-            SolverKind::ChocoQ => summary
-                .push("choco_q_mean_success", Field::Float(mean("success_rate")))
-                .push(
-                    "choco_q_mean_in_constraints",
-                    Field::Float(mean("in_constraints_rate")),
-                ),
-        };
+        let prefix = solver.label().replace('-', "_");
+        summary
+            .push(
+                format!("{prefix}_mean_success"),
+                Field::Float(mean("success_rate")),
+            )
+            .push(
+                format!("{prefix}_mean_in_constraints"),
+                Field::Float(mean("in_constraints_rate")),
+            );
     }
 
     // Choco-Q vs the best baseline of the *same cell coordinates* —

@@ -1,13 +1,17 @@
-//! `choco-serve`: the solve-as-a-service daemon behind `choco-cli serve`.
+//! The one cell pool, and `choco-serve`, the solve-as-a-service daemon
+//! behind `choco-cli serve` that keeps it running.
 //!
-//! A long-lived process accepts job submissions over a line-oriented JSON
-//! protocol (stdin/stdout or a Unix socket), expands each job into grid
-//! cells with the *same* expansion as `choco-cli run`, and schedules the
-//! cells across a persistent worker pool. Each worker owns long-lived
-//! [`SimWorkspace`]s — one per distinct [`SimConfig`] — and all workspaces
-//! for a given configuration share one [`PlanCache`] **across requests**:
-//! the second job with the same circuit shapes replays compiled plans
-//! instead of recompiling them (observable through the `stats` op).
+//! Every grid cell runs here, whether it belongs to a `choco-cli run` or
+//! to a daemon job. Worker threads pop the cells of admitted jobs from one
+//! shared queue. Each worker owns long-lived [`SimWorkspace`]s, one per
+//! distinct [`SimConfig`], and all workspaces for a configuration share
+//! one [`PlanCache`]. A plain run is a single job on a pool of
+//! [`RunOptions::effective_workers`] workers for its pending cells, which
+//! stops when the job finishes. The daemon keeps its pool for its
+//! lifetime and accepts job submissions over a line-oriented JSON
+//! protocol (stdin/stdout or a Unix socket), so the second job with the
+//! same circuit shapes replays compiled plans **across requests** instead
+//! of recompiling them (observable through the `stats` op).
 //!
 //! # Protocol
 //!
@@ -38,20 +42,21 @@
 //! # Supervision and signals
 //!
 //! Cells already run under per-attempt `catch_unwind` isolation; the
-//! serve pool adds a supervisor above it: a panic that escapes a worker
-//! (the `kill@` chaos directive, or a defect outside the attempt
-//! envelope) replaces that worker's workspaces, counts a restart
-//! (surfaced via `stats`/`health`), and requeues the cell — bounded, so
-//! a cell that keeps crashing workers becomes a structured `panic`
-//! record instead of looping forever. SIGTERM/SIGINT (when the CLI
-//! installed handlers) drain active jobs within a bounded window, then
-//! fall back to abort: cancelled cells drain cooperatively, journals are
-//! kept, and a restart heals the interrupted jobs.
+//! pool adds a supervisor above it, for runs and daemon jobs alike: a
+//! panic that escapes a worker (the `kill@` chaos directive, or a defect
+//! outside the attempt envelope) replaces that worker's workspaces,
+//! counts a restart (surfaced via `stats`/`health`), and requeues the
+//! cell — bounded, so a cell that keeps crashing workers becomes a
+//! structured `panic` record instead of looping forever. SIGTERM/SIGINT
+//! (when the CLI installed handlers) drain active jobs within a bounded
+//! window, then fall back to abort: cancelled cells drain cooperatively,
+//! journals are kept, and a restart heals the interrupted jobs.
 //!
 //! # Durability
 //!
-//! Every job writes an append-only checkpoint journal under the state
-//! directory *before* its record is streamed, one atomic line per cell. A
+//! Every daemon job writes an append-only checkpoint journal under the
+//! state directory *before* its record is streamed, one atomic line per
+//! cell (a plain run journals to `--checkpoint PATH` when given). A
 //! killed daemon loses at most one torn trailing line: on restart the
 //! daemon re-admits every non-`.done` job from its persisted spec, skips
 //! journaled cells, and re-runs the rest. Reports are byte-identical to
@@ -63,7 +68,8 @@ use crate::fault::{CellError, CellErrorKind};
 use crate::json::{Json, JsonParser};
 use crate::report::{write_json_str, Field, Record, RunReport};
 use crate::run::{
-    build_instances, expand_grid_cells, grid_record, run_grid_cell, summarize, Instance,
+    build_instances, expand_grid_cells, grid_record, instance_key, run_grid_cell, summarize,
+    Instance,
 };
 use crate::spec::{Cell, ExperimentSpec, RunKind, SolverKind};
 use crate::RunOptions;
@@ -123,8 +129,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// One admitted job: the spec, its expanded cells, resolved instances,
-/// journal, and the slots its records land in.
+/// One admitted job (a daemon submission or a whole plain run): the
+/// spec, its expanded cells, resolved instances, journal, and the slots
+/// its records land in.
 struct Job {
     id: String,
     spec: ExperimentSpec,
@@ -132,18 +139,18 @@ struct Job {
     sim: SimConfig,
     cells: Vec<Cell>,
     instances: BTreeMap<(String, u64), Instance>,
-    journal: CheckpointJournal,
+    /// `None` for a plain run without `--checkpoint`.
+    journal: Option<CheckpointJournal>,
     /// One slot per cell, indexed by `Cell::index`; resumed cells are
     /// prefilled from the journal.
     slots: Mutex<Vec<Option<Record>>>,
     /// Cells not yet finished; the worker that takes it to zero
     /// finalizes the job.
     remaining: AtomicUsize,
-    /// Set on the first journal-append failure: remaining cells are
-    /// skipped and the job finishes with an `error` event instead of a
-    /// report (a checkpoint that silently stopped recording would
-    /// defeat its purpose).
-    failed: AtomicBool,
+    /// The first journal-append failure: remaining cells are skipped and
+    /// the job fails instead of producing a report (a checkpoint that
+    /// silently stopped recording would defeat its purpose).
+    failure: Mutex<Option<String>>,
     /// Cooperative cancel flag (the same `Arc` stored in `opts.cancel`):
     /// set by the `cancel` op or a shutdown drain timeout. Queued cells
     /// drain as `cancelled` records; in-flight solves exit at their next
@@ -155,8 +162,10 @@ struct Job {
     aborted: AtomicBool,
     /// Cells that landed as error records (per-job `stats` reporting).
     failed_cells: AtomicUsize,
-    report_path: PathBuf,
-    done_path: PathBuf,
+    /// Where the daemon writes the report (`<id>.json`, with the
+    /// `<id>.done` marker beside it). `None` for a plain run, whose
+    /// caller builds the report from the slots once the job finishes.
+    report_path: Option<PathBuf>,
     /// Cells restored from the journal at admission.
     resumed: usize,
 }
@@ -178,7 +187,8 @@ struct ServeState {
     stop: bool,
 }
 
-/// Everything the worker pool and the session loop share.
+/// Everything the worker pool and its caller (the daemon's session loop
+/// or a plain run) share.
 struct Shared<'env> {
     opts: &'env ServeOptions,
     state: Mutex<ServeState>,
@@ -201,6 +211,9 @@ struct Shared<'env> {
     /// because worker workspaces keep their high-water buffers alive for
     /// the daemon's lifetime.
     mem_high_water: AtomicU64,
+    /// A plain run's start: each committed record prints a `[i/n]`
+    /// progress line on stderr instead of a `record` event.
+    progress: Option<Instant>,
 }
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -344,6 +357,48 @@ where
         gc_done_jobs(&opts.state_dir);
     }
     let n_workers = opts.run.effective_workers(usize::MAX);
+    with_pool(opts, n_workers, None, |shared| {
+        let mut resumed: Option<Vec<String>> = None;
+        let mut end = SessionEnd::Eof;
+        while let Some((input, output)) = next_session() {
+            *lock(&shared.sink) = Box::new(output);
+            let ids = match &resumed {
+                Some(ids) => ids.clone(),
+                None => {
+                    let ids = resume_jobs(shared);
+                    resumed = Some(ids.clone());
+                    ids
+                }
+            };
+            emit_ready(shared, &ids);
+            end = session_loop(shared, input);
+            if !matches!(end, SessionEnd::Eof) {
+                break;
+            }
+        }
+        // A stdio daemon whose input ended *because* a signal arrived
+        // (reader thread gone, flag set) drains under signal semantics.
+        if matches!(end, SessionEnd::Eof) && shutdown_requested() {
+            end = SessionEnd::Signal;
+        }
+        let mode = drain(shared, &end);
+        emit_shutdown(shared, mode);
+    });
+    // Consume the flag so a later in-process daemon (tests run several
+    // sequentially) starts with a clean slate.
+    SHUTDOWN_SIGNAL.store(false, Ordering::SeqCst);
+    Ok(())
+}
+
+/// Runs `body` beside a pool of `workers` cell workers, then stops the
+/// pool and joins them. This is the only place cell workers start.
+/// `progress` is a plain run's start time (see [`Shared::progress`]).
+fn with_pool<'env, T>(
+    opts: &'env ServeOptions,
+    workers: usize,
+    progress: Option<Instant>,
+    body: impl FnOnce(&Shared<'env>) -> T,
+) -> T {
     let shared = Shared {
         opts,
         state: Mutex::new(ServeState {
@@ -354,48 +409,67 @@ where
         wake: Condvar::new(),
         caches: Mutex::new(Vec::new()),
         sink: Mutex::new(Box::new(std::io::sink())),
-        restarts: (0..n_workers).map(|_| AtomicUsize::new(0)).collect(),
+        restarts: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
         workers_alive: AtomicUsize::new(0),
         mem_high_water: AtomicU64::new(0),
+        progress,
     };
     std::thread::scope(|scope| {
-        for worker in 0..n_workers {
+        for worker in 0..workers {
             let shared = &shared;
             scope.spawn(move || worker_loop(shared, worker));
         }
-        let mut resumed: Option<Vec<String>> = None;
-        let mut end = SessionEnd::Eof;
-        while let Some((input, output)) = next_session() {
-            *lock(&shared.sink) = Box::new(output);
-            let ids = match &resumed {
-                Some(ids) => ids.clone(),
-                None => {
-                    let ids = resume_jobs(&shared);
-                    resumed = Some(ids.clone());
-                    ids
-                }
-            };
-            emit_ready(&shared, &ids);
-            end = session_loop(&shared, input);
-            if !matches!(end, SessionEnd::Eof) {
-                break;
-            }
-        }
-        // A stdio daemon whose input ended *because* a signal arrived
-        // (reader thread gone, flag set) drains under signal semantics.
-        if matches!(end, SessionEnd::Eof) && shutdown_requested() {
-            end = SessionEnd::Signal;
-        }
-        let mode = drain(&shared, &end);
-        emit_shutdown(&shared, mode);
-    });
-    // Consume the flag so a later in-process daemon (tests run several
-    // sequentially) starts with a clean slate.
-    SHUTDOWN_SIGNAL.store(false, Ordering::SeqCst);
-    Ok(())
+        let out = body(&shared);
+        lock(&shared.state).stop = true;
+        shared.wake.notify_all();
+        out
+    })
 }
 
-/// Winds the pool down according to how the final session ended.
+/// Executes a grid spec as one job on its own pool of
+/// [`RunOptions::effective_workers`] workers for the pending cells, and
+/// assembles the report once the job finishes. The `choco-cli run` path:
+/// `--checkpoint PATH` is the job's journal, and `--resume` restores its
+/// completed cells.
+pub(crate) fn execute_grid(spec: &ExperimentSpec, opts: &RunOptions) -> Result<RunReport, String> {
+    let journal = match (&opts.checkpoint, opts.resume) {
+        (None, true) => return Err("--resume requires --checkpoint <path>".to_string()),
+        (path, _) => path.as_deref().map(Path::new),
+    };
+    let (job, pending) =
+        plan_job(spec.name.clone(), spec.clone(), opts.clone(), journal).map_err(|(_, e)| e)?;
+    if let Some(path) = journal.filter(|path| opts.resume && !path.exists()) {
+        eprintln!(
+            "checkpoint {}: no journal found; starting fresh",
+            path.display()
+        );
+    }
+    if job.resumed > 0 {
+        eprintln!(
+            "checkpoint: resuming — {}/{} cells already complete",
+            job.resumed,
+            job.cells.len()
+        );
+    }
+    let pool_opts = ServeOptions {
+        run: opts.clone(),
+        ..ServeOptions::default()
+    };
+    let workers = opts.effective_workers(pending.len());
+    let job = with_pool(&pool_opts, workers, Some(Instant::now()), |shared| {
+        let job = enqueue(shared, job, &pending, journal).map_err(|(_, e)| e)?;
+        // Wait the job out, as a daemon whose input ended would.
+        drain(shared, &SessionEnd::Eof);
+        Ok::<_, String>(job)
+    })?;
+    if let Some(e) = lock(&job.failure).take() {
+        return Err(e);
+    }
+    job.report()
+}
+
+/// Waits out the active jobs according to how the final session ended
+/// (the pool itself stops when [`with_pool`]'s body returns).
 /// Returns the shutdown mode actually reached: `drain`/`abort` for
 /// protocol-initiated shutdowns, `signal-drain` for a signal drain that
 /// completed in time, `signal-abort` when the drain window expired and
@@ -437,9 +511,7 @@ fn drain(shared: &Shared, end: &SessionEnd) -> &'static str {
                 st = guard;
             }
         }
-        st.stop = true;
     }
-    shared.wake.notify_all();
     mode
 }
 
@@ -494,41 +566,22 @@ fn handle_request(shared: &Shared, line: &str) -> Option<SessionEnd> {
         }
     };
     match request.get("op").and_then(Json::as_str) {
-        Some("submit") => {
-            handle_submit(shared, &request);
-            None
-        }
-        Some("cancel") => {
-            handle_cancel(shared, &request);
-            None
-        }
-        Some("stats") => {
-            emit_stats(shared);
-            None
-        }
-        Some("health") => {
-            emit_health(shared);
-            None
-        }
+        Some("submit") => handle_submit(shared, &request),
+        Some("cancel") => handle_cancel(shared, &request),
+        Some("stats") => emit_stats(shared),
+        Some("health") => emit_health(shared),
         Some("shutdown") => {
             let abort = request.get("mode").and_then(Json::as_str) == Some("abort");
-            Some(SessionEnd::Shutdown { abort })
+            return Some(SessionEnd::Shutdown { abort });
         }
-        Some(other) => {
-            emit_error(
-                shared,
-                None,
-                &format!(
-                    "unknown op `{other}` (expected submit, cancel, stats, health, or shutdown)"
-                ),
-            );
-            None
-        }
-        None => {
-            emit_error(shared, None, "request has no `op` key");
-            None
-        }
+        Some(other) => emit_error(
+            shared,
+            None,
+            &format!("unknown op `{other}` (expected submit, cancel, stats, health, or shutdown)"),
+        ),
+        None => emit_error(shared, None, "request has no `op` key"),
     }
+    None
 }
 
 /// Admission control: validates a submission end to end, then either
@@ -559,16 +612,12 @@ fn handle_cancel(shared: &Shared, request: &Json) {
         emit_error(shared, None, "cancel needs a string `id`");
         return;
     };
-    let active = {
-        let st = lock(&shared.state);
-        match st.active.iter().find(|j| j.id == id) {
-            Some(job) => {
-                job.cancel.store(true, Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    };
+    let active = lock(&shared.state)
+        .active
+        .iter()
+        .find(|j| j.id == id)
+        .inspect(|job| job.cancel.store(true, Ordering::SeqCst))
+        .is_some();
     // A successful finalize writes `.done` strictly before it drops the
     // job from the active set, so probing the marker after releasing the
     // lock cannot miss a completion that raced this cancel. Jobs that
@@ -654,11 +703,8 @@ fn admit(shared: &Shared, request: &Json) -> Admission {
             ),
         ));
     }
-    {
-        let st = lock(&shared.state);
-        if st.active.iter().any(|j| j.id == id) {
-            return Err(("duplicate", format!("job `{id}` is already active")));
-        }
+    if lock(&shared.state).active.iter().any(|j| j.id == id) {
+        return Err(("duplicate", format!("job `{id}` is already active")));
     }
     let spec_path = shared.opts.state_dir.join(format!("{id}.spec.toml"));
     let done_path = shared.opts.state_dir.join(format!("{id}.done"));
@@ -674,11 +720,11 @@ fn admit(shared: &Shared, request: &Json) -> Admission {
     prepare_job(shared, id, spec, Some(&toml), false, &knobs)
 }
 
-/// Builds, validates, persists, and enqueues a job. `persist_toml` is the
-/// spec text to write for a fresh submission (`None` on resume, where it
-/// is already on disk); `resume` additionally restores journaled cells.
-/// All validation happens before anything is written, so a rejected
-/// submission leaves no state behind.
+/// Builds, validates, persists, and enqueues a daemon job. `persist_toml`
+/// is the spec text to write for a fresh submission (`None` on resume,
+/// where it is already on disk); `resume` additionally restores
+/// journaled cells. All validation happens before anything is written,
+/// so a rejected submission leaves no state behind.
 fn prepare_job(
     shared: &Shared,
     id: String,
@@ -689,49 +735,34 @@ fn prepare_job(
 ) -> Admission {
     let mut opts = shared.opts.run.clone();
     opts.checkpoint = None;
-    opts.resume = false;
+    opts.resume = resume;
     if let Some(cell_timeout) = knobs.cell_timeout {
         opts.cell_timeout = Some(cell_timeout);
     }
     if let Some(retries) = knobs.retries {
         opts.retries = retries;
     }
-    let cancel = Arc::new(AtomicBool::new(false));
-    opts.cancel = Some(cancel.clone());
+    opts.cancel = Some(Arc::new(AtomicBool::new(false)));
     // `checked_add` cannot fail for knob-capped durations, but a `None`
     // (no deadline) beats a panic if the platform's `Instant` range is
     // narrower than expected.
     opts.job_deadline = knobs.deadline.and_then(|d| Instant::now().checked_add(d));
-    let sim = opts.effective_sim(&spec);
-    let cells = expand_grid_cells(&spec, opts.quick).map_err(|e| ("spec_error", e))?;
-    if cells.is_empty() {
+    let journal_path = shared.opts.state_dir.join(format!("{id}.journal"));
+    let report_path = shared.opts.state_dir.join(format!("{id}.json"));
+    let (mut job, pending) = plan_job(id, spec, opts, Some(&journal_path))?;
+    if job.cells.is_empty() {
         return Err((
             "spec_error",
             "the spec expands to zero cells (empty grid axes?)".to_string(),
         ));
     }
-    let header = JournalHeader::for_run(&spec, &opts, cells.len());
-    let journal_path = shared.opts.state_dir.join(format!("{id}.journal"));
-    let completed = if resume && journal_path.exists() {
-        load_journal(&journal_path, &header)
-            .map_err(|e| ("journal_error", e))?
-            .completed
-    } else {
-        BTreeMap::new()
-    };
-    let pending_cells: Vec<Cell> = cells
-        .iter()
-        .filter(|c| !completed.contains_key(&c.index))
-        .cloned()
-        .collect();
-    let instances = build_instances(&pending_cells).map_err(|e| ("spec_error", e))?;
     // Size gate at admission: an instance no engine can hold is rejected
     // with the same guidance `check_size_for` gives the CLI, instead of
     // occupying a worker just to fail. Sized on the *encoded* register —
     // native-inequality instances simulate driver-synthesized slack
     // registers on top of their decision variables.
-    for ((family, seed), instance) in &instances {
-        check_size_for(admission_qubits(&instance.problem), sim.engine)
+    for ((family, seed), instance) in &job.instances {
+        check_size_for(admission_qubits(&instance.problem), job.sim.engine)
             .map_err(|e| ("too_large", format!("{family} seed={seed}: {e}")))?;
     }
     // Memory-aware admission (`--mem-budget`): every worker can end up
@@ -742,15 +773,14 @@ fn prepare_job(
     let mut job_peak = 0u64;
     if let Some(budget) = shared.opts.mem_budget {
         let mut worst = String::new();
-        for cell in &pending_cells {
-            let key = (cell.problem.as_str().to_string(), cell.instance_seed);
-            let bytes = cell_sim_bytes(cell, &instances[&key], sim.engine);
+        for cell in pending.iter().map(|&i| &job.cells[i]) {
+            let bytes = cell_sim_bytes(cell, &job.instances[&instance_key(cell)], job.sim.engine);
             if bytes > job_peak {
                 job_peak = bytes;
                 worst = format!("{} seed={}", cell.problem.as_str(), cell.instance_seed);
             }
         }
-        if !pending_cells.is_empty() {
+        if !pending.is_empty() {
             let floor = shared.mem_high_water.load(Ordering::SeqCst).max(job_peak);
             let n_workers = shared.opts.run.effective_workers(usize::MAX);
             let required = floor.saturating_mul(n_workers as u64);
@@ -772,24 +802,21 @@ fn prepare_job(
             }
         }
     }
-    {
-        let st = lock(&shared.state);
-        if st.tasks.len() + pending_cells.len() > shared.opts.queue_cap {
-            return Err((
-                "queue_full",
-                format!(
-                    "queue is full: {} queued + {} new cells exceeds the cap of {}",
-                    st.tasks.len(),
-                    pending_cells.len(),
-                    shared.opts.queue_cap
-                ),
-            ));
-        }
+    let queued = lock(&shared.state).tasks.len();
+    if queued + pending.len() > shared.opts.queue_cap {
+        return Err((
+            "queue_full",
+            format!(
+                "queue is full: {queued} queued + {} new cells exceeds the cap of {}",
+                pending.len(),
+                shared.opts.queue_cap
+            ),
+        ));
     }
     shared.mem_high_water.fetch_max(job_peak, Ordering::SeqCst);
     // Commit point: everything below writes state.
     if let Some(toml) = persist_toml {
-        let spec_path = shared.opts.state_dir.join(format!("{id}.spec.toml"));
+        let spec_path = shared.opts.state_dir.join(format!("{}.spec.toml", job.id));
         std::fs::write(&spec_path, toml).map_err(|e| {
             (
                 "io_error",
@@ -797,43 +824,83 @@ fn prepare_job(
             )
         })?;
     }
-    let journal = if resume && journal_path.exists() {
-        CheckpointJournal::append_to(&journal_path).map_err(|e| ("journal_error", e))?
-    } else {
-        CheckpointJournal::create(&journal_path, &header).map_err(|e| ("journal_error", e))?
+    job.report_path = Some(report_path);
+    enqueue(shared, job, &pending, Some(&journal_path))
+}
+
+/// The preparation every job shares, before anything is written: expand
+/// the spec's cells, restore those a resumed `journal` already completed
+/// (checked against the job's header), and build the instances of the
+/// rest. Returns the unregistered job and its pending cells; errors carry
+/// a rejection kind.
+fn plan_job(
+    id: String,
+    spec: ExperimentSpec,
+    opts: RunOptions,
+    journal: Option<&Path>,
+) -> Result<(Job, Vec<usize>), (&'static str, String)> {
+    let cells = expand_grid_cells(&spec, opts.quick).map_err(|e| ("spec_error", e))?;
+    let completed = match journal {
+        Some(path) if opts.resume && path.exists() => {
+            // The header binds the journal to the spec and to every
+            // report-shaping option, so a stale or mismatched journal
+            // fails loudly instead of producing a franken-report.
+            let header = JournalHeader::for_run(&spec, &opts, cells.len());
+            load_journal(path, &header).map_err(|e| ("journal_error", e))?
+        }
+        _ => BTreeMap::new(),
     };
-    let mut slots: Vec<Option<Record>> = vec![None; cells.len()];
-    let mut resumed_count = 0usize;
+    let pending: Vec<usize> = (0..cells.len())
+        .filter(|i| !completed.contains_key(i))
+        .collect();
+    let pending_cells: Vec<Cell> = pending.iter().map(|&i| cells[i].clone()).collect();
+    let instances = build_instances(&pending_cells).map_err(|e| ("spec_error", e))?;
+    let resumed = completed.len();
+    let mut slots = vec![None; cells.len()];
     for (index, record) in completed {
         slots[index] = Some(record);
-        resumed_count += 1;
     }
-    let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
-    let job = Arc::new(Job {
-        report_path: shared.opts.state_dir.join(format!("{id}.json")),
-        done_path: shared.opts.state_dir.join(format!("{id}.done")),
+    let job = Job {
         id,
+        sim: opts.effective_sim(&spec),
+        cancel: opts.cancel.clone().unwrap_or_default(),
         spec,
         opts,
-        sim,
         cells,
         instances,
-        journal,
+        journal: None,
         slots: Mutex::new(slots),
         remaining: AtomicUsize::new(pending.len()),
-        failed: AtomicBool::new(false),
-        cancel,
+        failure: Mutex::new(None),
         aborted: AtomicBool::new(false),
         failed_cells: AtomicUsize::new(0),
-        resumed: resumed_count,
-    });
+        report_path: None,
+        resumed,
+    };
+    Ok((job, pending))
+}
+
+/// Opens a planned job's journal (appending on resume, fresh otherwise),
+/// registers the job, and queues its pending cells. A job with nothing
+/// pending finalizes at once.
+fn enqueue(shared: &Shared, mut job: Job, pending: &[usize], journal: Option<&Path>) -> Admission {
+    if let Some(path) = journal {
+        let opened = if job.opts.resume && path.exists() {
+            CheckpointJournal::append_to(path)
+        } else {
+            let header = JournalHeader::for_run(&job.spec, &job.opts, job.cells.len());
+            CheckpointJournal::create(path, &header)
+        };
+        job.journal = Some(opened.map_err(|e| ("journal_error", e))?);
+    }
+    let job = Arc::new(job);
     {
         let mut st = lock(&shared.state);
         st.active.push(job.clone());
-        for &i in &pending {
+        for &cell in pending {
             st.tasks.push_back(Task {
                 job: job.clone(),
-                cell: i,
+                cell,
                 crashes: 0,
             });
         }
@@ -867,33 +934,17 @@ fn resume_jobs(shared: &Shared) -> Vec<String> {
             continue;
         }
         let spec_path = shared.opts.state_dir.join(format!("{id}.spec.toml"));
-        let text = match std::fs::read_to_string(&spec_path) {
-            Ok(text) => text,
-            Err(e) => {
-                emit_error(
-                    shared,
-                    Some(&id),
-                    &format!("resume failed: cannot read {}: {e}", spec_path.display()),
-                );
-                continue;
-            }
-        };
-        let spec = match ExperimentSpec::parse_str(&text) {
-            Ok(spec) => spec,
-            Err(e) => {
-                emit_error(shared, Some(&id), &format!("resume failed: {e}"));
-                continue;
-            }
-        };
-        match prepare_job(shared, id.clone(), spec, None, true, &JobKnobs::default()) {
+        let resumed = std::fs::read_to_string(&spec_path)
+            .map_err(|e| format!("cannot read {}: {e}", spec_path.display()))
+            .and_then(|text| ExperimentSpec::parse_str(&text))
+            .map_err(|e| format!("resume failed: {e}"))
+            .and_then(|spec| {
+                prepare_job(shared, id.clone(), spec, None, true, &JobKnobs::default())
+                    .map_err(|(kind, reason)| format!("resume failed ({kind}): {reason}"))
+            });
+        match resumed {
             Ok(_) => ids.push(id),
-            Err((kind, reason)) => {
-                emit_error(
-                    shared,
-                    Some(&id),
-                    &format!("resume failed ({kind}): {reason}"),
-                );
-            }
+            Err(e) => emit_error(shared, Some(&id), &e),
         }
     }
     ids
@@ -961,7 +1012,7 @@ fn finish_cell(shared: &Shared, job: &Arc<Job>) {
 /// cooperatively rather than executing after the job gave up.
 fn run_task(shared: &Shared, workspaces: &mut Vec<(SimConfig, SimWorkspace)>, task: &Task) {
     let job = &task.job;
-    if job.failed.load(Ordering::SeqCst) {
+    if lock(&job.failure).is_some() {
         return;
     }
     let cell = &job.cells[task.cell];
@@ -973,59 +1024,55 @@ fn run_task(shared: &Shared, workspaces: &mut Vec<(SimConfig, SimWorkspace)>, ta
             panic!("injected fault: worker kill (CHOCO_FAULT_INJECT)");
         }
     }
-    let key = (cell.problem.as_str().to_string(), cell.instance_seed);
     let started = Instant::now();
     let record = if job.cancel.load(Ordering::SeqCst) {
         // Same detail as the mid-solve relabel in `run_grid_cell`, so the
         // record is independent of *where* the cancel caught the cell.
-        grid_record(
-            &job.spec,
-            &job.opts,
-            cell,
-            &job.instances[&key],
-            Err(CellError::new(CellErrorKind::Cancelled, "job cancelled")),
-            0,
-        )
+        job.error_record(cell, CellErrorKind::Cancelled, "job cancelled".into())
     } else if job.opts.job_deadline.is_some_and(|d| Instant::now() >= d) {
-        grid_record(
-            &job.spec,
-            &job.opts,
-            cell,
-            &job.instances[&key],
-            Err(CellError::new(
-                CellErrorKind::Timeout,
-                "job deadline exceeded",
-            )),
-            0,
-        )
+        job.error_record(cell, CellErrorKind::Timeout, "job deadline exceeded".into())
     } else {
         let workspace = workspace_for(workspaces, &shared.caches, job.sim);
-        run_grid_cell(
-            &job.spec,
-            &job.opts,
-            cell,
-            &job.instances[&key],
-            workspace,
-            job.sim,
-        )
+        let instance = &job.instances[&instance_key(cell)];
+        run_grid_cell(&job.spec, &job.opts, cell, instance, workspace)
     };
     commit_record(shared, job, task.cell, started.elapsed(), record);
 }
 
-/// Journals and streams one finished record. The journal append happens
-/// *before* the record event, so a client that saw the record can rely
-/// on it surviving a crash.
+/// Journals one finished record and hands it to its caller: a `record`
+/// event for the daemon, a `[i/n]` progress line for a plain run. The
+/// journal append happens first, so a client that saw the record can
+/// rely on it surviving a crash.
 fn commit_record(shared: &Shared, job: &Arc<Job>, index: usize, elapsed: Duration, record: Record) {
     if matches!(record.get("status"), Some(Field::Str(s)) if s.as_str() == "error") {
         job.failed_cells.fetch_add(1, Ordering::SeqCst);
     }
-    if let Err(e) = job.journal.append_cell(index, elapsed, &record) {
-        job.failed.store(true, Ordering::SeqCst);
+    if let Some(Err(e)) = job
+        .journal
+        .as_ref()
+        .map(|journal| journal.append_cell(index, elapsed, &record))
+    {
         emit_error(shared, Some(&job.id), &e);
-    } else {
+        lock(&job.failure).get_or_insert(e);
+        return;
+    }
+    let Some(started) = shared.progress else {
         emit_record(shared, &job.id, index, &record);
         lock(&job.slots)[index] = Some(record);
-    }
+        return;
+    };
+    let cell = &job.cells[index];
+    let mut slots = lock(&job.slots);
+    slots[index] = Some(record);
+    eprintln!(
+        "[{}/{}] {} seed={} {} ({:.1}s elapsed)",
+        slots.iter().flatten().count(),
+        slots.len(),
+        cell.problem.as_str(),
+        cell.instance_seed,
+        cell.solver.label(),
+        started.elapsed().as_secs_f64()
+    );
 }
 
 /// Crashes a cell may cause before the supervisor stops requeueing it
@@ -1040,7 +1087,7 @@ fn supervise_crash(shared: &Shared, task: Task, payload: &(dyn std::any::Any + S
     let job = task.job.clone();
     if task.crashes + 1 < CELL_CRASH_LIMIT && !job.cancel.load(Ordering::SeqCst) {
         eprintln!(
-            "choco-serve: job {} cell {} crashed its worker ({}); requeueing (crash {}/{})",
+            "job {} cell {} crashed its worker ({}); requeueing (crash {}/{})",
             job.id,
             task.cell,
             error.detail,
@@ -1057,22 +1104,14 @@ fn supervise_crash(shared: &Shared, task: Task, payload: &(dyn std::any::Any + S
         shared.wake.notify_all();
         return;
     }
-    let cell = &job.cells[task.cell];
-    let key = (cell.problem.as_str().to_string(), cell.instance_seed);
-    let record = grid_record(
-        &job.spec,
-        &job.opts,
-        cell,
-        &job.instances[&key],
-        Err(CellError::new(
-            CellErrorKind::Panic,
-            format!(
-                "cell crashed its worker {} times; last panic: {}",
-                task.crashes + 1,
-                error.detail
-            ),
-        )),
-        0,
+    let record = job.error_record(
+        &job.cells[task.cell],
+        CellErrorKind::Panic,
+        format!(
+            "cell crashed its worker {} times; last panic: {}",
+            task.crashes + 1,
+            error.detail
+        ),
     );
     commit_record(shared, &job, task.cell, Duration::ZERO, record);
     finish_cell(shared, &job);
@@ -1104,221 +1143,227 @@ fn workspace_for<'w>(
     &mut workspaces[idx].1
 }
 
-/// Assembles and writes the job's report (byte-identical to
-/// `choco-cli run` of the same spec), marks it `.done`, removes it from
-/// the active set, and emits `done` — or `error` if the job failed.
+/// Ends a finished job: removes it from the active set and, for a daemon
+/// job, writes its report (byte-identical to `choco-cli run` of the same
+/// spec), marks it `.done`, and emits `done` — or `error` if the job
+/// failed. A plain run's caller builds its report from the slots.
 fn finalize_job(shared: &Shared, job: &Arc<Job>) {
-    if job.aborted.load(Ordering::SeqCst) {
-        // A shutdown abort dropped some of this job's cells; writing a
-        // report now would publish a hole-ridden result. Keep the journal
-        // and let a restart heal the job instead.
-        {
-            let mut st = lock(&shared.state);
-            st.active.retain(|active| !Arc::ptr_eq(active, job));
+    let result = job.report_path.as_ref().map(|path| {
+        if job.aborted.load(Ordering::SeqCst) {
+            // A shutdown abort dropped some of this job's cells; writing
+            // a report now would publish a hole-ridden result. Keep the
+            // journal and let a restart heal the job instead.
+            return Err(
+                "job aborted by shutdown before completing; journal retained — \
+                        restart the daemon to resume"
+                    .to_string(),
+            );
         }
-        shared.wake.notify_all();
-        emit_error(
-            shared,
-            Some(&job.id),
-            "job aborted by shutdown before completing; journal retained — restart the daemon to resume",
-        );
-        return;
-    }
-    let result: Result<(usize, u64), String> = if job.failed.load(Ordering::SeqCst) {
-        Err("job failed: checkpoint journal append error (see earlier error event)".to_string())
-    } else {
-        let records: Result<Vec<Record>, String> = {
-            let mut slot_vec = lock(&job.slots);
-            (0..job.cells.len())
-                .map(|i| {
-                    slot_vec[i]
-                        .take()
-                        .ok_or_else(|| format!("internal: cell {i} produced no record"))
-                })
-                .collect()
-        };
-        records.and_then(|records| {
-            let summary = summarize(&records);
-            let errors = match summary.get("errors") {
-                Some(Field::UInt(n)) => *n,
-                _ => 0,
-            };
-            let report = RunReport {
-                name: job.spec.name.clone(),
-                description: job.spec.description.clone(),
-                kind: job.spec.kind.label(),
-                spec_seed: job.spec.seed,
-                quick: job.opts.quick,
-                records,
-                summary,
-            };
-            std::fs::write(&job.report_path, report.to_json())
-                .and_then(|()| std::fs::write(&job.done_path, b""))
-                .map_err(|e| format!("cannot write {}: {e}", job.report_path.display()))
-                .map(|()| (job.cells.len(), errors))
-        })
-    };
-    if result.is_ok() && shared.opts.gc_done {
-        let _ = std::fs::remove_file(shared.opts.state_dir.join(format!("{}.spec.toml", job.id)));
-        let _ = std::fs::remove_file(shared.opts.state_dir.join(format!("{}.journal", job.id)));
-    }
+        if lock(&job.failure).is_some() {
+            return Err(
+                "job failed: checkpoint journal append error (see earlier error event)".to_string(),
+            );
+        }
+        let report = job.report()?;
+        std::fs::write(path, report.to_json())
+            .and_then(|()| std::fs::write(path.with_extension("done"), b""))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        if shared.opts.gc_done {
+            let _ =
+                std::fs::remove_file(shared.opts.state_dir.join(format!("{}.spec.toml", job.id)));
+            let _ = std::fs::remove_file(shared.opts.state_dir.join(format!("{}.journal", job.id)));
+        }
+        Ok((path, report))
+    });
     {
         let mut st = lock(&shared.state);
         st.active.retain(|active| !Arc::ptr_eq(active, job));
     }
     shared.wake.notify_all();
     match result {
-        Ok((cells, errors)) => emit_done(shared, job, cells, errors),
-        Err(e) => emit_error(shared, Some(&job.id), &e),
+        Some(Ok((path, report))) => emit_done(shared, &job.id, path, &report),
+        Some(Err(e)) => emit_error(shared, Some(&job.id), &e),
+        None => {}
+    }
+}
+
+impl Job {
+    /// The record of a cell that failed without a solve attempt.
+    fn error_record(&self, cell: &Cell, kind: CellErrorKind, detail: String) -> Record {
+        let instance = &self.instances[&instance_key(cell)];
+        let error = CellError::new(kind, detail);
+        grid_record(&self.spec, &self.opts, cell, instance, Err(error), 0)
+    }
+
+    /// The job's report, from its filled slots.
+    fn report(&self) -> Result<RunReport, String> {
+        let records = lock(&self.slots)
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.take()
+                    .ok_or_else(|| format!("internal: cell {i} produced no record"))
+            })
+            .collect::<Result<Vec<Record>, String>>()?;
+        Ok(RunReport {
+            name: self.spec.name.clone(),
+            description: self.spec.description.clone(),
+            kind: self.spec.kind.label(),
+            spec_seed: self.spec.seed,
+            quick: self.opts.quick,
+            summary: summarize(&records),
+            records,
+        })
     }
 }
 
 // ---------------------------------------------------------------- events
 
-/// Writes one event line to the current session sink. Write failures are
-/// ignored: a disconnected client must not take down jobs that are
-/// already journaling to disk.
-fn emit(shared: &Shared, line: &str) {
-    let mut sink = lock(&shared.sink);
-    let _ = sink
-        .write_all(line.as_bytes())
-        .and_then(|()| sink.write_all(b"\n"))
-        .and_then(|()| sink.flush());
+/// One event line: `{"event": "<name>"` and then `, "key": value` pairs,
+/// closed and written by [`Event::emit`].
+struct Event(String);
+
+impl Event {
+    fn new(name: &str) -> Event {
+        Event(format!("{{\"event\": \"{name}\""))
+    }
+
+    /// Adds a value rendered as is: a number, a bool, `null`, or JSON.
+    fn raw(mut self, key: &str, value: impl std::fmt::Display) -> Event {
+        let _ = write!(self.0, ", \"{key}\": {value}");
+        self
+    }
+
+    /// Adds a JSON string.
+    fn str(self, key: &str, value: &str) -> Event {
+        self.raw(key, json_str(value))
+    }
+
+    /// Writes the line to the current session sink. Write failures are
+    /// ignored: a disconnected client must not take down jobs that are
+    /// already journaling to disk.
+    fn emit(mut self, shared: &Shared) {
+        self.0.push_str("}\n");
+        let mut sink = lock(&shared.sink);
+        let _ = sink
+            .write_all(self.0.as_bytes())
+            .and_then(|()| sink.flush());
+    }
+}
+
+fn json_str(value: &str) -> String {
+    let mut out = String::new();
+    write_json_str(&mut out, value);
+    out
+}
+
+fn json_list(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(", "))
 }
 
 fn emit_ready(shared: &Shared, resumed: &[String]) {
-    let mut line = String::from("{\"event\": \"ready\", \"resumed\": [");
-    for (i, id) in resumed.iter().enumerate() {
-        if i > 0 {
-            line.push_str(", ");
-        }
-        write_json_str(&mut line, id);
-    }
-    line.push_str("]}");
-    emit(shared, &line);
+    let ids = json_list(resumed.iter().map(|id| json_str(id)));
+    Event::new("ready").raw("resumed", ids).emit(shared);
 }
 
 fn emit_accepted(shared: &Shared, job: &Job) {
-    let mut line = String::from("{\"event\": \"accepted\", \"job\": ");
-    write_json_str(&mut line, &job.id);
-    let _ = write!(
-        line,
-        ", \"cells\": {}, \"resumed\": {}}}",
-        job.cells.len(),
-        job.resumed
-    );
-    emit(shared, &line);
+    Event::new("accepted")
+        .str("job", &job.id)
+        .raw("cells", job.cells.len())
+        .raw("resumed", job.resumed)
+        .emit(shared);
 }
 
 fn emit_rejected(shared: &Shared, id: &str, kind: &str, reason: &str) {
-    let mut line = String::from("{\"event\": \"rejected\", \"job\": ");
-    write_json_str(&mut line, id);
-    line.push_str(", \"kind\": \"");
-    line.push_str(kind);
-    line.push_str("\", \"reason\": ");
-    write_json_str(&mut line, reason);
-    line.push('}');
-    emit(shared, &line);
+    Event::new("rejected")
+        .str("job", id)
+        .str("kind", kind)
+        .str("reason", reason)
+        .emit(shared);
 }
 
 fn emit_record(shared: &Shared, id: &str, index: usize, record: &Record) {
-    let mut line = String::from("{\"event\": \"record\", \"job\": ");
-    write_json_str(&mut line, id);
-    let _ = write!(line, ", \"index\": {index}, \"record\": ");
+    let mut line = String::new();
     record.write_json_line(&mut line);
-    line.push('}');
-    emit(shared, &line);
+    Event::new("record")
+        .str("job", id)
+        .raw("index", index)
+        .raw("record", line)
+        .emit(shared);
 }
 
-fn emit_done(shared: &Shared, job: &Job, cells: usize, errors: u64) {
-    let mut line = String::from("{\"event\": \"done\", \"job\": ");
-    write_json_str(&mut line, &job.id);
-    let _ = write!(
-        line,
-        ", \"cells\": {cells}, \"errors\": {errors}, \"report\": "
-    );
-    write_json_str(&mut line, &job.report_path.display().to_string());
-    line.push('}');
-    emit(shared, &line);
+fn emit_done(shared: &Shared, id: &str, path: &Path, report: &RunReport) {
+    let errors = match report.summary.get("errors") {
+        Some(Field::UInt(n)) => *n,
+        _ => 0,
+    };
+    Event::new("done")
+        .str("job", id)
+        .raw("cells", report.records.len())
+        .raw("errors", errors)
+        .str("report", &path.display().to_string())
+        .emit(shared);
 }
 
 fn emit_stats(shared: &Shared) {
-    // Snapshot under the lock, render after: per-job progress is
-    // (total, completed-including-resumed, failed, resumed), sorted by
-    // id so the event is deterministic.
-    let (active, queued, jobs) = {
+    // Per-job progress is (total, completed-including-resumed, failed,
+    // resumed), sorted by id so the event is deterministic.
+    let (active, queued, mut jobs) = {
         let st = lock(&shared.state);
-        let mut jobs: Vec<(String, usize, usize, usize, usize)> = st
+        let jobs: Vec<(String, String)> = st
             .active
             .iter()
             .map(|job| {
                 let total = job.cells.len();
-                let remaining = job.remaining.load(Ordering::SeqCst);
-                (
-                    job.id.clone(),
-                    total,
-                    total.saturating_sub(remaining),
-                    job.failed_cells.load(Ordering::SeqCst),
-                    job.resumed,
-                )
+                let completed = total.saturating_sub(job.remaining.load(Ordering::SeqCst));
+                let failed = job.failed_cells.load(Ordering::SeqCst);
+                let line = format!(
+                    "{{\"id\": {}, \"cells\": {total}, \"completed\": {completed}, \
+                     \"failed\": {failed}, \"resumed\": {}}}",
+                    json_str(&job.id),
+                    job.resumed
+                );
+                (job.id.clone(), line)
             })
             .collect();
-        jobs.sort();
         (st.active.len(), st.tasks.len(), jobs)
     };
-    let mut line = format!(
-        "{{\"event\": \"stats\", \"jobs_active\": {active}, \"cells_queued\": {queued}, \"worker_restarts\": ["
+    jobs.sort();
+    let restarts = json_list(
+        shared
+            .restarts
+            .iter()
+            .map(|r| r.load(Ordering::SeqCst).to_string()),
     );
-    for (i, restarts) in shared.restarts.iter().enumerate() {
-        if i > 0 {
-            line.push_str(", ");
-        }
-        let _ = write!(line, "{}", restarts.load(Ordering::SeqCst));
-    }
-    line.push_str("], \"jobs\": [");
-    for (i, (id, total, completed, failed, resumed)) in jobs.iter().enumerate() {
-        if i > 0 {
-            line.push_str(", ");
-        }
-        line.push_str("{\"id\": ");
-        write_json_str(&mut line, id);
-        let _ = write!(
-            line,
-            ", \"cells\": {total}, \"completed\": {completed}, \"failed\": {failed}, \"resumed\": {resumed}}}"
-        );
-    }
-    line.push_str("], \"caches\": [");
-    {
-        let caches = lock(&shared.caches);
-        for (i, (sim, cache)) in caches.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            let stats = cache.stats();
-            let _ = write!(
-                line,
-                "{{\"engine\": \"{}\", \"batch\": {}, \"shapes\": {}, \"compilations\": {}, \"refusals\": {}, \"hits\": {}}}",
-                sim.engine.label(),
-                sim.batch_size,
-                stats.shapes,
-                stats.compilations,
-                stats.refusals,
-                stats.hits
-            );
-        }
-    }
-    line.push_str("]}");
-    emit(shared, &line);
+    let caches = json_list(lock(&shared.caches).iter().map(|(sim, cache)| {
+        let stats = cache.stats();
+        format!(
+            "{{\"engine\": \"{}\", \"batch\": {}, \"shapes\": {}, \"compilations\": {}, \
+             \"refusals\": {}, \"hits\": {}}}",
+            sim.engine.label(),
+            sim.batch_size,
+            stats.shapes,
+            stats.compilations,
+            stats.refusals,
+            stats.hits
+        )
+    }));
+    Event::new("stats")
+        .raw("jobs_active", active)
+        .raw("cells_queued", queued)
+        .raw("worker_restarts", restarts)
+        .raw("jobs", json_list(jobs.into_iter().map(|(_, line)| line)))
+        .raw("caches", caches)
+        .emit(shared);
 }
 
 fn emit_cancelled(shared: &Shared, id: &str, active: bool, done: bool, known: bool) {
-    let mut line = String::from("{\"event\": \"cancelled\", \"job\": ");
-    write_json_str(&mut line, id);
-    let _ = write!(
-        line,
-        ", \"active\": {active}, \"done\": {done}, \"known\": {known}}}"
-    );
-    emit(shared, &line);
+    Event::new("cancelled")
+        .str("job", id)
+        .raw("active", active)
+        .raw("done", done)
+        .raw("known", known)
+        .emit(shared);
 }
 
 fn emit_health(shared: &Shared) {
@@ -1331,60 +1376,46 @@ fn emit_health(shared: &Shared) {
         .iter()
         .map(|r| r.load(Ordering::SeqCst))
         .sum();
-    let (shapes, compilations, refusals, hits) = {
-        let caches = lock(&shared.caches);
-        caches
-            .iter()
-            .fold((0u64, 0u64, 0u64, 0u64), |acc, (_, cache)| {
-                let s = cache.stats();
-                (
-                    acc.0 + s.shapes as u64,
-                    acc.1 + s.compilations,
-                    acc.2 + s.refusals,
-                    acc.3 + s.hits,
-                )
-            })
-    };
-    let mut line = format!(
-        "{{\"event\": \"health\", \"jobs_active\": {active}, \"cells_queued\": {queued}, \
-         \"workers\": {}, \"workers_alive\": {}, \"worker_restarts\": {restarts}, \
-         \"journal_bytes\": {}, \"mem_high_water\": {}",
-        shared.restarts.len(),
-        shared.workers_alive.load(Ordering::SeqCst),
-        journal_bytes(&shared.opts.state_dir),
-        shared.mem_high_water.load(Ordering::SeqCst),
-    );
-    match shared.opts.mem_budget {
-        Some(budget) => {
-            let _ = write!(line, ", \"mem_budget\": {budget}");
-        }
-        None => line.push_str(", \"mem_budget\": null"),
+    let (mut shapes, mut compilations, mut refusals, mut hits) = (0u64, 0, 0, 0);
+    for (_, cache) in lock(&shared.caches).iter() {
+        let s = cache.stats();
+        shapes += s.shapes as u64;
+        compilations += s.compilations;
+        refusals += s.refusals;
+        hits += s.hits;
     }
-    let _ = write!(
-        line,
-        ", \"plan_shapes\": {shapes}, \"plan_compilations\": {compilations}, \
-         \"plan_refusals\": {refusals}, \"plan_hits\": {hits}}}"
-    );
-    emit(shared, &line);
+    let budget = shared
+        .opts
+        .mem_budget
+        .map_or("null".into(), |b| b.to_string());
+    Event::new("health")
+        .raw("jobs_active", active)
+        .raw("cells_queued", queued)
+        .raw("workers", shared.restarts.len())
+        .raw("workers_alive", shared.workers_alive.load(Ordering::SeqCst))
+        .raw("worker_restarts", restarts)
+        .raw("journal_bytes", journal_bytes(&shared.opts.state_dir))
+        .raw(
+            "mem_high_water",
+            shared.mem_high_water.load(Ordering::SeqCst),
+        )
+        .raw("mem_budget", budget)
+        .raw("plan_shapes", shapes)
+        .raw("plan_compilations", compilations)
+        .raw("plan_refusals", refusals)
+        .raw("plan_hits", hits)
+        .emit(shared);
 }
 
 fn emit_shutdown(shared: &Shared, mode: &str) {
-    emit(
-        shared,
-        &format!("{{\"event\": \"shutdown\", \"mode\": \"{mode}\"}}"),
-    );
+    Event::new("shutdown").str("mode", mode).emit(shared);
 }
 
 fn emit_error(shared: &Shared, id: Option<&str>, reason: &str) {
-    let mut line = String::from("{\"event\": \"error\", \"job\": ");
-    match id {
-        Some(id) => write_json_str(&mut line, id),
-        None => line.push_str("null"),
-    }
-    line.push_str(", \"reason\": ");
-    write_json_str(&mut line, reason);
-    line.push('}');
-    emit(shared, &line);
+    Event::new("error")
+        .raw("job", id.map_or("null".into(), json_str))
+        .str("reason", reason)
+        .emit(shared);
 }
 
 // ------------------------------------------------------------- admission

@@ -646,20 +646,52 @@ fn repeatedly_killed_cell_becomes_a_structured_record() {
     }
 }
 
-/// `kill@` directives are serve-pool chaos: the batch runner's cells run
-/// under per-attempt isolation with no supervisor above it, so the
-/// directive is inert there and the report is byte-identical to clean.
+/// `kill@` directives reach plain runs too: `execute` schedules its
+/// cells on the supervised pool, so a cell killed twice heals to its
+/// clean record, and a cell that keeps killing its worker becomes the
+/// structured `panic` record the daemon commits at the crash limit. The
+/// run's report equals the daemon's for the same spec and directives.
 #[test]
-fn kill_directives_are_inert_in_batch_runs() {
+fn run_supervisor_heals_kills_like_serve() {
+    let faults = "kill@0:2,kill@2:5";
     let spec = spec();
     let clean = execute(&spec, &opts()).expect("clean");
-    let with_kills = execute(
+    let run = execute(
         &spec,
         &RunOptions {
-            faults: Some(Arc::new(FaultPlan::parse("kill@0,kill@2:5").unwrap())),
+            faults: Some(Arc::new(FaultPlan::parse(faults).unwrap())),
             ..opts()
         },
     )
-    .expect("kill directives must be inert in batch mode");
-    assert_eq!(clean.to_json(), with_kills.to_json());
+    .expect("a supervised run survives worker kills");
+    for i in [0, 1, 3] {
+        assert_eq!(
+            run.records[i].fields(),
+            clean.records[i].fields(),
+            "cell {i}"
+        );
+    }
+    assert_eq!(error_kind_of(&run, 2), Some("panic"));
+    match run.records[2].get("error") {
+        Some(Field::Str(detail)) => {
+            assert!(detail.contains("crashed its worker 3 times"), "{detail}")
+        }
+        other => panic!("cell 2 has no error detail: {other:?}"),
+    }
+
+    let serve_opts = serve_opts(scratch("run_kill").join("state"), 1, faults);
+    let spec_file = serve_opts.state_dir.parent().unwrap().join("spec.toml");
+    std::fs::write(&spec_file, SPEC).expect("write spec");
+    serve(
+        &serve_opts,
+        std::io::Cursor::new(format!(
+            "{{\"op\": \"submit\", \"spec_path\": \"{}\"}}\n",
+            spec_file.display()
+        )),
+        SharedBuf::default(),
+    )
+    .expect("serve session");
+    let served =
+        std::fs::read_to_string(serve_opts.state_dir.join("ft.json")).expect("serve report");
+    assert_eq!(run.to_json(), served);
 }
