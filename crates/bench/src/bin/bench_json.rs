@@ -9,8 +9,9 @@
 //! multi-one-hot Choco-Q stack on the dense, sparse, and compact
 //! engines — the `ns_per_iteration` behind `compact_speedup_vs_sparse`),
 //! full compact solves at F3/G2/F4/G4 (`choco_solve_compact`, n = 15,
-//! 18, 21, 24), and writes `BENCH_simulation.json` so the perf
-//! trajectory stays comparable across PRs.
+//! 18, 21, 24), M2's Lemma-2 lowering materialized vs streamed into a
+//! `StatsSink` (`transpile_stats_*`), and writes `BENCH_simulation.json`
+//! so the perf trajectory stays comparable across PRs.
 //!
 //! ```text
 //! cargo run --release -p choco-bench --bin bench_json [-- --out PATH] [--quick]
@@ -23,7 +24,10 @@ use choco_bench::{
 };
 use choco_core::{ChocoQConfig, ChocoQSolver, CommuteDriver};
 use choco_qsim::oracle::ScalarStateVector;
-use choco_qsim::{EngineKind, SimConfig, SimWorkspace, SparseStateVector, StateVector, UBlock};
+use choco_qsim::{
+    transpile, transpile_into, EngineKind, SimConfig, SimWorkspace, SparseStateVector, StateVector,
+    StatsSink, TranspileOptions, UBlock,
+};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -35,7 +39,12 @@ struct Entry {
 }
 
 /// Median ns/op over `samples` timed samples, each sized to ~`budget_ms`.
-fn measure<F: FnMut()>(mut op: F, samples: usize, budget_ms: f64) -> f64 {
+fn measure<F: FnMut()>(op: F, samples: usize, budget_ms: f64) -> f64 {
+    measure_quartiles(op, samples, budget_ms)[1]
+}
+
+/// First quartile, median and third quartile of ns/op, as [`measure`].
+fn measure_quartiles<F: FnMut()>(mut op: F, samples: usize, budget_ms: f64) -> [f64; 3] {
     // Calibrate.
     let t0 = Instant::now();
     op();
@@ -50,7 +59,8 @@ fn measure<F: FnMut()>(mut op: F, samples: usize, budget_ms: f64) -> f64 {
         timings.push(t0.elapsed().as_nanos() as f64 / iters as f64);
     }
     timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    timings[timings.len() / 2]
+    let at = |q: usize| timings[(timings.len() - 1) * q / 4];
+    [at(1), at(2), at(3)]
 }
 
 fn main() {
@@ -489,6 +499,85 @@ fn main() {
         });
     }
 
+    // Transpiled statistics on the suite's largest lowering: M2 seed 1
+    // (native multi-dimensional knapsack), the solver's first driver at
+    // the initial angles, widened by the paper's two clean ancillas. The
+    // lowered gate count does not depend on the angles, so it is the
+    // final circuit's. One op = one full Lemma-2 lowering, either
+    // materialized (`transpile` then `depth`/`len`/2-qubit reads) or
+    // streamed into a `StatsSink`.
+    let transpile_stats = {
+        let problem = choco_problems::instance("M2", 1);
+        let cfg = ChocoQConfig::default();
+        let basis = CommuteDriver::build(problem.constraints()).expect("driver");
+        let extended = CommuteDriver::build_extended(
+            problem.constraints(),
+            cfg.delta_max_support,
+            cfg.delta_cap,
+        )
+        .expect("extended driver");
+        let driver = if extended.len() > basis.len() {
+            extended
+        } else {
+            basis
+        };
+        let initial = driver.encode_state(problem.first_feasible().expect("feasible"));
+        let terms = driver.ordered_terms(initial);
+        let poly = std::sync::Arc::new(problem.cost_poly());
+        let params = ChocoQSolver::initial_params(cfg.layers, terms.len());
+        let n = driver.encoded_qubits();
+        let circuit =
+            ChocoQSolver::build_circuit(&driver, &poly, &terms, initial, cfg.layers, &params)
+                .widened(n + 2);
+        let opts = TranspileOptions::with_ancillas(vec![n, n + 1]);
+        eprintln!(
+            "measuring transpiled statistics on M2 seed 1 ({} qubits) …",
+            n + 2
+        );
+        let materialized = || {
+            let lowered = transpile(&circuit, &opts).expect("lowering");
+            (
+                lowered.depth(),
+                lowered.len(),
+                lowered.multi_qubit_gate_count(),
+            )
+        };
+        let streamed = || {
+            let mut sink = StatsSink::new(circuit.n_qubits());
+            transpile_into(&circuit, &opts, &mut sink).expect("lowering");
+            (sink.depth(), sink.gates(), sink.two_qubit_gates())
+        };
+        let stats = streamed();
+        assert_eq!(
+            stats,
+            materialized(),
+            "streamed stats must equal materialized"
+        );
+        let mut quartiles = Vec::new();
+        for (group, op) in [
+            (
+                "transpile_stats_materialized",
+                &materialized as &dyn Fn() -> _,
+            ),
+            ("transpile_stats_streamed", &streamed),
+        ] {
+            let q = measure_quartiles(
+                || {
+                    std::hint::black_box(op());
+                },
+                samples,
+                budget_ms,
+            );
+            entries.push(Entry {
+                group,
+                n: n + 2,
+                ns_per_op: q[1],
+            });
+            quartiles.push(q);
+        }
+        (n + 2, stats, quartiles)
+    };
+
     // Solve-as-a-service latency: one in-process `choco-serve` session
     // over OS pipes. The first job pays plan compilation (cold cache);
     // an identically-shaped second job replays the daemon-global plan
@@ -779,6 +868,27 @@ fn main() {
             cold_total / cells as f64 / 1e6,
             warm_total / cells as f64 / 1e6,
             cold_first / warm_first
+        );
+    }
+    json.push_str("  },\n  \"transpile_stats\": {\n");
+    {
+        let (qubits, (depth, gates, two_qubit), quartiles) = &transpile_stats;
+        let spread = |q: &[f64; 3]| {
+            format!(
+                "{{\"q1\": {:.1}, \"median\": {:.1}, \"q3\": {:.1}}}",
+                q[0], q[1], q[2]
+            )
+        };
+        let _ = writeln!(
+            json,
+            "    \"problem\": \"M2\",\n    \"seed\": 1,\n    \"qubits\": {qubits},\n    \
+             \"lowered_gates\": {gates},\n    \"lowered_depth\": {depth},\n    \
+             \"two_qubit_gates\": {two_qubit},\n    \
+             \"materialized_ns\": {},\n    \"streamed_ns\": {},\n    \
+             \"streamed_speedup\": {:.2}",
+            spread(&quartiles[0]),
+            spread(&quartiles[1]),
+            quartiles[0][1] / quartiles[1][1]
         );
     }
     json.push_str("  }\n}\n");

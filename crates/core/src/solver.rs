@@ -684,10 +684,7 @@ impl ChocoQSolver {
         // the caller's engine would otherwise be stale or empty).
         workspace.run(&final_circuit);
         let circuit = if self.config.transpiled_stats && n_reduced > 0 {
-            let mut wide = Circuit::new(n_reduced + 2);
-            for g in final_circuit.gates() {
-                wide.push(g.clone());
-            }
+            let wide = final_circuit.widened(n_reduced + 2);
             circuit_stats(&wide, vec![n_reduced, n_reduced + 1], true)?
         } else {
             circuit_stats(&final_circuit, vec![], false)?

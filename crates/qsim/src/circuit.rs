@@ -74,14 +74,27 @@ impl Circuit {
     ///
     /// Panics if the gate references a qubit `>= n_qubits`.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        for q in gate.qubits() {
+        gate.for_each_qubit(|q| {
             assert!(
                 q < self.n_qubits,
                 "gate {gate} references qubit q{q} outside the {}-qubit circuit",
                 self.n_qubits
             );
-        }
+        });
         self.gates.push(gate);
+        self
+    }
+
+    /// The same gates over `n_qubits` qubits; the added qubits start idle
+    /// (as the clean ancillas of [`crate::TranspileOptions`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_qubits` is below the current width or above 30.
+    pub fn widened(mut self, n_qubits: usize) -> Circuit {
+        assert!(n_qubits >= self.n_qubits, "cannot narrow a circuit");
+        assert!(n_qubits <= 30, "simulator practical limit is 30 qubits");
+        self.n_qubits = n_qubits;
         self
     }
 
@@ -115,16 +128,11 @@ impl Circuit {
     /// for deployable-depth numbers).
     pub fn depth(&self) -> usize {
         let mut level = vec![0usize; self.n_qubits];
-        let mut depth = 0;
-        for g in &self.gates {
-            let qs = g.qubits();
-            let start = qs.iter().map(|&q| level[q]).max().unwrap_or(0);
-            for &q in &qs {
-                level[q] = start + 1;
-            }
-            depth = depth.max(start + 1);
-        }
-        depth
+        self.gates
+            .iter()
+            .map(|g| asap_layer(&mut level, g))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Gate histogram keyed by mnemonic.
@@ -253,6 +261,16 @@ impl Circuit {
         }
         self
     }
+}
+
+/// The ASAP step behind [`Circuit::depth`]: `g` starts once all its qubits
+/// are free, i.e. on the layer after the latest `level` among them, and
+/// occupies that layer. Returns the layer (1-based).
+pub(crate) fn asap_layer(level: &mut [usize], g: &Gate) -> usize {
+    let mut start = 0;
+    g.for_each_qubit(|q| start = start.max(level[q]));
+    g.for_each_qubit(|q| level[q] = start + 1);
+    start + 1
 }
 
 impl fmt::Display for Circuit {

@@ -296,6 +296,14 @@ pub enum Gate {
 impl Gate {
     /// The qubits this gate touches, in an unspecified order.
     pub fn qubits(&self) -> Vec<usize> {
+        let mut qs = Vec::new();
+        self.for_each_qubit(|q| qs.push(q));
+        qs
+    }
+
+    /// Calls `f` on each qubit of [`Gate::qubits`], in the same order,
+    /// without building the list (only `DiagPhase` computes its support).
+    pub(crate) fn for_each_qubit(&self, mut f: impl FnMut(usize)) {
         match self {
             Gate::H(q)
             | Gate::X(q)
@@ -308,40 +316,42 @@ impl Gate {
             | Gate::Rx(q, _)
             | Gate::Ry(q, _)
             | Gate::Rz(q, _)
-            | Gate::Phase(q, _) => vec![*q],
-            Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Cp(a, b, _) | Gate::Swap(a, b) => {
-                vec![*a, *b]
+            | Gate::Phase(q, _) => f(*q),
+            Gate::Cx(a, b)
+            | Gate::Cz(a, b)
+            | Gate::Cp(a, b, _)
+            | Gate::Swap(a, b)
+            | Gate::XyMix(a, b, _) => {
+                f(*a);
+                f(*b);
             }
-            Gate::Ccx(a, b, c) => vec![*a, *b, *c],
-            Gate::Mcx { controls, target } => {
-                let mut qs = controls.clone();
-                qs.push(*target);
-                qs
+            Gate::Ccx(a, b, c) => {
+                f(*a);
+                f(*b);
+                f(*c);
             }
-            Gate::McPhase { qubits, .. } => qubits.clone(),
-            Gate::ControlledU {
+            Gate::Mcx { controls, target }
+            | Gate::ControlledU {
                 controls, target, ..
             } => {
-                let mut qs = controls.clone();
-                qs.push(*target);
-                qs
+                controls.iter().for_each(|&q| f(q));
+                f(*target);
             }
-            Gate::UBlock(b) => b.support.clone(),
+            Gate::McPhase { qubits, .. } => qubits.iter().for_each(|&q| f(q)),
+            Gate::UBlock(b) => b.support.iter().for_each(|&q| f(q)),
             Gate::ShiftBlock(b) => {
-                let mut qs = b.support.clone();
-                for s in &b.shifts {
-                    qs.extend_from_slice(&s.qubits);
-                }
-                qs
+                b.support.iter().for_each(|&q| f(q));
+                b.shifts.iter().flat_map(|s| &s.qubits).for_each(|&q| f(q));
             }
-            Gate::XyMix(a, b, _) => vec![*a, *b],
-            Gate::DiagPhase(poly, _) => poly.support(),
+            Gate::DiagPhase(poly, _) => poly.support().into_iter().for_each(f),
         }
     }
 
     /// Number of qubits touched.
     pub fn arity(&self) -> usize {
-        self.qubits().len()
+        let mut n = 0;
+        self.for_each_qubit(|_| n += 1);
+        n
     }
 
     /// `true` for gates in the deployable basic set

@@ -70,5 +70,8 @@ pub use state::StateVector;
 pub use synth::{
     circuit_unitary, two_level_decompose, SynthCost, TwoLevelDecomposition, TwoLevelOp,
 };
-pub use transpile::{transpile, zyz_decompose, TranspileError, TranspileOptions, TwoQubitBasis};
+pub use transpile::{
+    transpile, transpile_into, zyz_decompose, GateSink, StatsSink, TranspileError,
+    TranspileOptions, TwoQubitBasis,
+};
 pub use workspace::{PlanCache, PlanCacheStats, SimWorkspace};

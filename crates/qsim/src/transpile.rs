@@ -20,8 +20,8 @@
 //! Every lowering is exact (no Trotter error); equivalence against the
 //! structured simulator path is enforced by tests.
 
-use crate::circuit::Circuit;
-use crate::gate::{Gate, ShiftBlock, UBlock};
+use crate::circuit::{asap_layer, Circuit};
+use crate::gate::{Gate, ShiftBlock};
 use choco_mathkit::{c64, Complex64};
 use std::fmt;
 
@@ -97,471 +97,530 @@ impl std::error::Error for TranspileError {}
 /// assert!(lowered.is_basic());
 /// ```
 pub fn transpile(circuit: &Circuit, opts: &TranspileOptions) -> Result<Circuit, TranspileError> {
-    let n = circuit.n_qubits();
-    let mut out = Circuit::new(n);
-    let mut stack: Vec<Gate> = circuit.gates().iter().rev().cloned().collect();
-    while let Some(g) = stack.pop() {
-        if is_target_basic(&g, opts.two_qubit) {
-            out.push(g);
-            continue;
-        }
-        let expansion = expand_one(&g, n, opts)?;
-        stack.extend(expansion.into_iter().rev());
-    }
+    let mut out = Circuit::new(circuit.n_qubits());
+    transpile_into(circuit, opts, &mut out)?;
     Ok(out)
 }
 
-fn is_target_basic(g: &Gate, basis: TwoQubitBasis) -> bool {
-    match g {
-        Gate::Cx(..) => basis == TwoQubitBasis::Cx,
-        Gate::Cz(..) => basis == TwoQubitBasis::Cz,
-        other => other.is_basic(),
-    }
-}
-
-/// Expands one non-basic gate into (possibly still non-basic) gates.
-fn expand_one(
-    g: &Gate,
-    n_qubits: usize,
+/// Lowers a circuit to the deployable basis gate by gate into `sink`, in
+/// the order [`transpile`] returns them, without building the circuit.
+///
+/// # Errors
+///
+/// As [`transpile`]; the sink then holds the gates lowered before the
+/// failing one.
+///
+/// # Examples
+///
+/// ```
+/// use choco_qsim::{transpile, transpile_into, Circuit, StatsSink, TranspileOptions, UBlock};
+///
+/// let mut c = Circuit::new(5);
+/// c.ublock(UBlock::from_u_with_angle(&[-1, 1, -1], 0.8));
+/// let opts = TranspileOptions::with_ancillas(vec![3, 4]);
+/// let mut stats = StatsSink::new(c.n_qubits());
+/// transpile_into(&c, &opts, &mut stats).unwrap();
+/// let lowered = transpile(&c, &opts).unwrap();
+/// assert_eq!((stats.depth(), stats.gates()), (lowered.depth(), lowered.len()));
+/// ```
+pub fn transpile_into<S: GateSink>(
+    circuit: &Circuit,
     opts: &TranspileOptions,
-) -> Result<Vec<Gate>, TranspileError> {
-    let mut out = Vec::new();
-    match g {
-        Gate::Cx(c, t) => {
-            // CZ basis: CX = H(t) · CZ · H(t)
-            out.push(Gate::H(*t));
-            out.push(Gate::Cz(*c, *t));
-            out.push(Gate::H(*t));
-        }
-        Gate::Cz(a, b) => {
-            out.push(Gate::H(*b));
-            out.push(Gate::Cx(*a, *b));
-            out.push(Gate::H(*b));
-        }
-        Gate::Cp(a, b, theta) => {
-            out.push(Gate::Phase(*a, theta / 2.0));
-            out.push(Gate::Cx(*a, *b));
-            out.push(Gate::Phase(*b, -theta / 2.0));
-            out.push(Gate::Cx(*a, *b));
-            out.push(Gate::Phase(*b, theta / 2.0));
-        }
-        Gate::Swap(a, b) => {
-            out.push(Gate::Cx(*a, *b));
-            out.push(Gate::Cx(*b, *a));
-            out.push(Gate::Cx(*a, *b));
-        }
-        Gate::Ccx(c1, c2, t) => emit_ccx(&mut out, *c1, *c2, *t),
-        Gate::Mcx { controls, target } => {
-            emit_mcx(&mut out, controls, *target, n_qubits, opts)?;
-        }
-        Gate::McPhase { qubits, angle } => {
-            emit_mcphase(&mut out, qubits, *angle, n_qubits, opts)?;
-        }
-        Gate::ControlledU {
-            controls,
-            target,
-            matrix,
-        } => emit_controlled_u(&mut out, controls, *target, *matrix, n_qubits, opts)?,
-        Gate::UBlock(b) => emit_ublock(&mut out, b),
-        Gate::ShiftBlock(b) => emit_shiftblock(&mut out, b),
-        Gate::XyMix(a, b, theta) => {
-            // XX+YY pair term = UBlock on {|01⟩,|10⟩} with doubled angle.
-            let (lo, hi) = if a < b { (*a, *b) } else { (*b, *a) };
-            out.push(Gate::UBlock(UBlock {
-                support: vec![lo, hi],
-                pattern: 0b01,
-                angle: 2.0 * theta,
-            }));
-        }
-        Gate::DiagPhase(poly, theta) => {
-            for (i, &w) in poly.linear().iter().enumerate() {
-                if w != 0.0 {
-                    out.push(Gate::Phase(i, -theta * w));
-                }
-            }
-            for &(i, j, w) in poly.quadratic() {
-                if w != 0.0 {
-                    out.push(Gate::Cp(i, j, -theta * w));
-                }
-            }
-            // The constant term is a global phase: dropped.
-        }
-        basic => out.push(basic.clone()),
-    }
-    Ok(out)
-}
-
-/// Lemma 2: `e^{-iβHc(u)} = G† P(β) X₁ P(−β) X₁ G` with `G` from
-/// Algorithm 1. Single-qubit blocks reduce to `Rx(2β)` since `Hc = X`.
-fn emit_ublock(out: &mut Vec<Gate>, b: &UBlock) {
-    let k = b.support.len();
-    if k == 1 {
-        out.push(Gate::Rx(b.support[0], 2.0 * b.angle));
-        return;
-    }
-    let v = |idx: usize| (b.pattern >> idx) & 1;
-    // --- G (Algorithm 1): walk i = k-1 .. 1, CX(s[i-1] → s[i]), X fix-up
-    // when v_i == v_{i-1}; finish with H on the first support qubit.
-    let mut g_gates: Vec<Gate> = Vec::new();
-    for i in (1..k).rev() {
-        g_gates.push(Gate::Cx(b.support[i - 1], b.support[i]));
-        if v(i) == v(i - 1) {
-            g_gates.push(Gate::X(b.support[i]));
-        }
-    }
-    g_gates.push(Gate::H(b.support[0]));
-
-    out.extend(g_gates.iter().cloned());
-    // --- core: X₁ P(−β) X₁ P(β)  (applied left-to-right).
-    out.push(Gate::X(b.support[0]));
-    out.push(Gate::McPhase {
-        qubits: b.support.clone(),
-        angle: -b.angle,
-    });
-    out.push(Gate::X(b.support[0]));
-    out.push(Gate::McPhase {
-        qubits: b.support.clone(),
-        angle: b.angle,
-    });
-    // --- G†: reversed inverses.
-    for g in g_gates.iter().rev() {
-        out.push(g.inverse());
-    }
-}
-
-/// Generalized commute block with slack registers: one exact two-level
-/// rotation per eligible register source-value combination. The coupled
-/// `{|p⟩, |q⟩}` pairs are disjoint across combinations, so the two-level
-/// rotations commute and their sequential product equals `e^{-iθHc}`
-/// exactly (no Trotter error).
-fn emit_shiftblock(out: &mut Vec<Gate>, b: &ShiftBlock) {
-    if b.shifts.is_empty() {
-        emit_ublock(
-            out,
-            &UBlock {
-                support: b.support.clone(),
-                pattern: b.pattern,
-                angle: b.angle,
-            },
-        );
-        return;
-    }
-    let mut footprint: Vec<usize> = b.support.clone();
-    for s in &b.shifts {
-        footprint.extend_from_slice(&s.qubits);
-    }
-    footprint.sort_unstable();
-    let full = b.full_mask();
-    let v_abs = b.pattern_abs();
-    // Expand the (source, target) pattern per register value combination.
-    let mut combos: Vec<(u64, u64)> = vec![(v_abs, v_abs ^ full)];
-    for s in &b.shifts {
-        let mut next = Vec::new();
-        for &(p, q) in &combos {
-            for r in 0..=s.max_value {
-                let shifted = r as i64 + s.delta;
-                if shifted < 0 || shifted as u64 > s.max_value {
-                    continue;
-                }
-                next.push((s.write(p, r), s.write(q, shifted as u64)));
-            }
-        }
-        combos = next;
-    }
-    let (sin, cos) = b.angle.sin_cos();
-    let matrix = [
-        [c64(cos, 0.0), c64(0.0, -sin)],
-        [c64(0.0, -sin), c64(cos, 0.0)],
-    ];
-    for (p, q) in combos {
-        emit_two_level(out, &footprint, p, q, matrix);
-    }
-}
-
-/// An exact two-level unitary acting as `matrix` on `span{|p⟩, |q⟩}` over
-/// the `footprint` qubits (absolute bit patterns, `p ≠ q`) and as identity
-/// on every other footprint pattern: a CX-conjugation aligns the pair onto
-/// a single differing qubit, X-conjugation fixes zero-valued controls, and
-/// one [`Gate::ControlledU`] applies the 2×2. Requires a symmetric
-/// `matrix` (the rotation used here), since the conjugation does not track
-/// the pair's orientation.
-fn emit_two_level(
-    out: &mut Vec<Gate>,
-    footprint: &[usize],
-    p: u64,
-    q: u64,
-    matrix: [[Complex64; 2]; 2],
-) {
-    let diff = p ^ q;
-    debug_assert_ne!(diff, 0, "two-level states must differ");
-    let t = diff.trailing_zeros() as usize;
-    let p_t = (p >> t) & 1;
-    // After CX(t → d) on every other differing bit d, the images of p and
-    // q agree everywhere except on t; differing bits then carry
-    // `p_d ^ p_t`, common bits keep `p_d`.
-    let mut pre: Vec<Gate> = Vec::new();
-    for &d in footprint {
-        if d != t && (diff >> d) & 1 == 1 {
-            pre.push(Gate::Cx(t, d));
-        }
-    }
-    let mut controls: Vec<usize> = Vec::new();
-    for &d in footprint {
-        if d == t {
-            continue;
-        }
-        let val = if (diff >> d) & 1 == 1 {
-            ((p >> d) & 1) ^ p_t
-        } else {
-            (p >> d) & 1
-        };
-        if val == 0 {
-            pre.push(Gate::X(d));
-        }
-        controls.push(d);
-    }
-    out.extend(pre.iter().cloned());
-    out.push(Gate::ControlledU {
-        controls,
-        target: t,
-        matrix,
-    });
-    for g in pre.iter().rev() {
-        out.push(g.inverse());
-    }
-}
-
-/// Standard exact Toffoli: 6 CX + 9 single-qubit T/H gates.
-fn emit_ccx(out: &mut Vec<Gate>, c1: usize, c2: usize, t: usize) {
-    out.push(Gate::H(t));
-    out.push(Gate::Cx(c2, t));
-    out.push(Gate::Tdg(t));
-    out.push(Gate::Cx(c1, t));
-    out.push(Gate::T(t));
-    out.push(Gate::Cx(c2, t));
-    out.push(Gate::Tdg(t));
-    out.push(Gate::Cx(c1, t));
-    out.push(Gate::T(c2));
-    out.push(Gate::T(t));
-    out.push(Gate::H(t));
-    out.push(Gate::Cx(c1, c2));
-    out.push(Gate::T(c1));
-    out.push(Gate::Tdg(c2));
-    out.push(Gate::Cx(c1, c2));
-}
-
-/// Qubits not mentioned in `used`, split into (clean ancillas, borrowable).
-fn spare_qubits(
-    used: &[usize],
-    n_qubits: usize,
-    opts: &TranspileOptions,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut is_used = vec![false; n_qubits];
-    for &q in used {
-        is_used[q] = true;
-    }
-    let clean: Vec<usize> = opts
-        .ancillas
-        .iter()
-        .copied()
-        .filter(|&a| a < n_qubits && !is_used[a])
-        .collect();
-    let mut is_clean = vec![false; n_qubits];
-    for &a in &clean {
-        is_clean[a] = true;
-    }
-    let dirty: Vec<usize> = (0..n_qubits)
-        .filter(|&q| !is_used[q] && !is_clean[q])
-        .collect();
-    (clean, dirty)
-}
-
-/// Multi-controlled X. Chooses between the clean-ancilla Toffoli chain
-/// (`2(m−2)+1` CCX) and the Barenco borrowed-qubit split (recursive,
-/// correct for arbitrary borrowed-qubit state).
-fn emit_mcx(
-    out: &mut Vec<Gate>,
-    controls: &[usize],
-    target: usize,
-    n_qubits: usize,
-    opts: &TranspileOptions,
+    sink: &mut S,
 ) -> Result<(), TranspileError> {
-    let m = controls.len();
-    match m {
-        0 => {
-            out.push(Gate::X(target));
-            return Ok(());
-        }
-        1 => {
-            out.push(Gate::Cx(controls[0], target));
-            return Ok(());
-        }
-        2 => {
-            out.push(Gate::Ccx(controls[0], controls[1], target));
-            return Ok(());
-        }
-        _ => {}
-    }
-    let mut used = controls.to_vec();
-    used.push(target);
-    let (clean, dirty) = spare_qubits(&used, n_qubits, opts);
+    let mut lowering = Lowering {
+        n_qubits: circuit.n_qubits(),
+        opts,
+        sink,
+    };
+    circuit.iter().try_for_each(|g| lowering.gate(g))
+}
 
-    if clean.len() >= m - 2 {
-        // Toffoli chain with clean ancillas: compute the AND cascade,
-        // flip the target, uncompute. 2(m−2)+1 CCX.
-        let anc = &clean[..m - 2];
-        let mut compute: Vec<Gate> = Vec::new();
-        compute.push(Gate::Ccx(controls[0], controls[1], anc[0]));
-        for i in 2..m - 1 {
-            compute.push(Gate::Ccx(controls[i], anc[i - 2], anc[i - 1]));
-        }
-        out.extend(compute.iter().cloned());
-        out.push(Gate::Ccx(controls[m - 1], anc[m - 3], target));
-        for g in compute.iter().rev() {
-            out.push(g.inverse());
-        }
-        Ok(())
-    } else if clean.len() + dirty.len() >= m - 2 {
-        // V-chain with *borrowed* ancillas (arbitrary state, restored):
-        // the doubled-wedge network, 4(m−2) CCX — this is what keeps the
-        // commute-block decomposition linear even with only the paper's two
-        // clean ancillas, by borrowing idle problem qubits.
-        let mut anc: Vec<usize> = clean.iter().copied().chain(dirty.iter().copied()).collect();
-        anc.truncate(m - 2);
-        emit_mcx_dirty_vchain(out, controls, target, &anc);
-        Ok(())
-    } else if let Some(&borrow) = clean.first().or(dirty.first()) {
-        // Barenco split: C^m X = A·B·A·B with A = C^{m1}X(first half → borrow)
-        // and B = C^{m2+1}X(second half + borrow → target). Works for any
-        // state of `borrow` and restores it.
-        let m1 = m.div_ceil(2);
-        let first: Vec<usize> = controls[..m1].to_vec();
-        let mut second: Vec<usize> = controls[m1..].to_vec();
-        second.push(borrow);
-        for _ in 0..2 {
-            out.push(Gate::Mcx {
-                controls: first.clone(),
-                target: borrow,
-            });
-            out.push(Gate::Mcx {
-                controls: second.clone(),
-                target,
-            });
-        }
-        Ok(())
-    } else {
-        Err(TranspileError::NeedsAncilla {
-            gate: format!("mcx {controls:?} -> q{target}"),
-        })
+/// Receives the basic gates of a lowering, in circuit order.
+pub trait GateSink {
+    /// Takes the next basic gate.
+    fn push(&mut self, g: Gate);
+}
+
+impl GateSink for Circuit {
+    fn push(&mut self, g: Gate) {
+        Circuit::push(self, g);
     }
 }
 
-/// The borrowed-ancilla V-chain (`m ≥ 3` controls, `m−2` ancillas in
-/// arbitrary states, all restored): a doubled wedge of `4(m−2)` Toffolis.
-fn emit_mcx_dirty_vchain(out: &mut Vec<Gate>, controls: &[usize], target: usize, anc: &[usize]) {
-    let m = controls.len();
-    debug_assert!(m >= 3 && anc.len() == m - 2);
-    let top = |out: &mut Vec<Gate>| {
-        out.push(Gate::Ccx(controls[m - 1], anc[m - 3], target));
-    };
-    let down = |out: &mut Vec<Gate>| {
-        for i in (2..m - 1).rev() {
-            out.push(Gate::Ccx(controls[i], anc[i - 2], anc[i - 1]));
+/// Counts a lowering instead of storing it: the `depth()`, `len()` and
+/// `multi_qubit_gate_count()` of the circuit [`transpile`] would return,
+/// from one level per qubit and no work on the heap per gate.
+#[derive(Clone, Debug)]
+pub struct StatsSink {
+    level: Vec<usize>,
+    depth: usize,
+    gates: usize,
+    two_qubit_gates: usize,
+}
+
+impl StatsSink {
+    /// An empty count over `n_qubits` qubits.
+    pub fn new(n_qubits: usize) -> Self {
+        StatsSink {
+            level: vec![0; n_qubits],
+            depth: 0,
+            gates: 0,
+            two_qubit_gates: 0,
         }
-    };
-    let bottom = |out: &mut Vec<Gate>| {
-        out.push(Gate::Ccx(controls[0], controls[1], anc[0]));
-    };
-    let up = |out: &mut Vec<Gate>| {
-        for i in 2..m - 1 {
-            out.push(Gate::Ccx(controls[i], anc[i - 2], anc[i - 1]));
+    }
+
+    /// ASAP depth of the gates pushed so far.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Number of gates pushed so far.
+    pub fn gates(&self) -> usize {
+        self.gates
+    }
+
+    /// Number of CX and CZ gates pushed so far: the only multi-qubit
+    /// gates a lowering emits.
+    pub fn two_qubit_gates(&self) -> usize {
+        self.two_qubit_gates
+    }
+}
+
+impl GateSink for StatsSink {
+    fn push(&mut self, g: Gate) {
+        self.gates += 1;
+        self.two_qubit_gates += usize::from(matches!(g, Gate::Cx(..) | Gate::Cz(..)));
+        self.depth = self.depth.max(asap_layer(&mut self.level, &g));
+    }
+}
+
+/// One lowering pass. Every method writes its gates straight into the
+/// sink and lowers the non-basic gates it produces on the spot, so the
+/// output is the depth-first expansion of the input, in order.
+struct Lowering<'a, S> {
+    n_qubits: usize,
+    opts: &'a TranspileOptions,
+    sink: &'a mut S,
+}
+
+/// The qubits of `qs` as a bit mask (circuits have at most 30 qubits).
+fn mask(qs: &[usize]) -> u64 {
+    qs.iter().fold(0, |m, &q| m | 1 << q)
+}
+
+impl<S: GateSink> Lowering<'_, S> {
+    fn emit(&mut self, g: Gate) {
+        self.sink.push(g);
+    }
+
+    fn gate(&mut self, g: &Gate) -> Result<(), TranspileError> {
+        match g {
+            Gate::Cx(c, t) => self.cx(*c, *t),
+            Gate::Cz(a, b) => self.cz(*a, *b),
+            Gate::Cp(a, b, theta) => self.cp(*a, *b, *theta),
+            Gate::Swap(a, b) => {
+                self.cx(*a, *b);
+                self.cx(*b, *a);
+                self.cx(*a, *b);
+            }
+            Gate::Ccx(c1, c2, t) => self.ccx(*c1, *c2, *t),
+            Gate::Mcx { controls, target } => self.mcx(controls, *target)?,
+            Gate::McPhase { qubits, angle } => self.mcphase(qubits, *angle)?,
+            Gate::ControlledU {
+                controls,
+                target,
+                matrix,
+            } => self.controlled_u(controls, *target, *matrix)?,
+            Gate::UBlock(b) => self.ublock(&b.support, b.pattern, b.angle)?,
+            Gate::ShiftBlock(b) => self.shiftblock(b)?,
+            Gate::XyMix(a, b, theta) => {
+                // XX+YY pair term = UBlock on {|01⟩,|10⟩} with doubled angle.
+                let (lo, hi) = if a < b { (*a, *b) } else { (*b, *a) };
+                self.ublock(&[lo, hi], 0b01, 2.0 * theta)?;
+            }
+            Gate::DiagPhase(poly, theta) => {
+                for (i, &w) in poly.linear().iter().enumerate() {
+                    if w != 0.0 {
+                        self.emit(Gate::Phase(i, -theta * w));
+                    }
+                }
+                for &(i, j, w) in poly.quadratic() {
+                    if w != 0.0 {
+                        self.cp(i, j, -theta * w);
+                    }
+                }
+                // The constant term is a global phase: dropped.
+            }
+            basic => self.emit(basic.clone()),
         }
-    };
-    // wedge = down · bottom · up ; network = top wedge top wedge.
-    top(out);
-    down(out);
-    bottom(out);
-    up(out);
-    top(out);
-    down(out);
-    bottom(out);
-    up(out);
+        Ok(())
+    }
+
+    /// CX in the device basis (CZ basis: `CX = H(t) · CZ · H(t)`).
+    fn cx(&mut self, c: usize, t: usize) {
+        if self.opts.two_qubit == TwoQubitBasis::Cz {
+            self.emit(Gate::H(t));
+            self.emit(Gate::Cz(c, t));
+            self.emit(Gate::H(t));
+        } else {
+            self.emit(Gate::Cx(c, t));
+        }
+    }
+
+    /// CZ in the device basis (CX basis: `CZ = H(b) · CX · H(b)`).
+    fn cz(&mut self, a: usize, b: usize) {
+        if self.opts.two_qubit == TwoQubitBasis::Cx {
+            self.emit(Gate::H(b));
+            self.emit(Gate::Cx(a, b));
+            self.emit(Gate::H(b));
+        } else {
+            self.emit(Gate::Cz(a, b));
+        }
+    }
+
+    fn cp(&mut self, a: usize, b: usize, theta: f64) {
+        self.emit(Gate::Phase(a, theta / 2.0));
+        self.cx(a, b);
+        self.emit(Gate::Phase(b, -theta / 2.0));
+        self.cx(a, b);
+        self.emit(Gate::Phase(b, theta / 2.0));
+    }
+
+    /// Lemma 2: `e^{-iβHc(u)} = G† P(β) X₁ P(−β) X₁ G` with `G` from
+    /// Algorithm 1. Single-qubit blocks reduce to `Rx(2β)` since `Hc = X`.
+    fn ublock(
+        &mut self,
+        support: &[usize],
+        pattern: u64,
+        angle: f64,
+    ) -> Result<(), TranspileError> {
+        let k = support.len();
+        if k == 1 {
+            self.emit(Gate::Rx(support[0], 2.0 * angle));
+            return Ok(());
+        }
+        // --- G (Algorithm 1): walk i = k-1 .. 1, CX(s[i-1] → s[i]), X fix-up
+        // when v_i == v_{i-1}; finish with H on the first support qubit.
+        let fix_up = |i: usize| (pattern >> i) & 1 == (pattern >> (i - 1)) & 1;
+        for i in (1..k).rev() {
+            self.cx(support[i - 1], support[i]);
+            if fix_up(i) {
+                self.emit(Gate::X(support[i]));
+            }
+        }
+        self.emit(Gate::H(support[0]));
+        // --- core: X₁ P(−β) X₁ P(β)  (applied left-to-right).
+        self.emit(Gate::X(support[0]));
+        self.mcphase(support, -angle)?;
+        self.emit(Gate::X(support[0]));
+        self.mcphase(support, angle)?;
+        // --- G†: every gate of G is self-inverse, so walk G backwards.
+        self.emit(Gate::H(support[0]));
+        for i in 1..k {
+            if fix_up(i) {
+                self.emit(Gate::X(support[i]));
+            }
+            self.cx(support[i - 1], support[i]);
+        }
+        Ok(())
+    }
+
+    /// Generalized commute block with slack registers: one exact two-level
+    /// rotation per eligible register source-value combination. The coupled
+    /// `{|p⟩, |q⟩}` pairs are disjoint across combinations, so the two-level
+    /// rotations commute and their sequential product equals `e^{-iθHc}`
+    /// exactly (no Trotter error).
+    fn shiftblock(&mut self, b: &ShiftBlock) -> Result<(), TranspileError> {
+        if b.shifts.is_empty() {
+            return self.ublock(&b.support, b.pattern, b.angle);
+        }
+        let mut footprint: Vec<usize> = b.support.clone();
+        for s in &b.shifts {
+            footprint.extend_from_slice(&s.qubits);
+        }
+        footprint.sort_unstable();
+        let full = b.full_mask();
+        let v_abs = b.pattern_abs();
+        // Expand the (source, target) pattern per register value combination.
+        let mut combos: Vec<(u64, u64)> = vec![(v_abs, v_abs ^ full)];
+        for s in &b.shifts {
+            let mut next = Vec::new();
+            for &(p, q) in &combos {
+                for r in 0..=s.max_value {
+                    let shifted = r as i64 + s.delta;
+                    if shifted < 0 || shifted as u64 > s.max_value {
+                        continue;
+                    }
+                    next.push((s.write(p, r), s.write(q, shifted as u64)));
+                }
+            }
+            combos = next;
+        }
+        let (sin, cos) = b.angle.sin_cos();
+        let matrix = [
+            [c64(cos, 0.0), c64(0.0, -sin)],
+            [c64(0.0, -sin), c64(cos, 0.0)],
+        ];
+        for (p, q) in combos {
+            self.two_level(&footprint, p, q, matrix)?;
+        }
+        Ok(())
+    }
+
+    /// An exact two-level unitary acting as `matrix` on `span{|p⟩, |q⟩}`
+    /// over the `footprint` qubits (absolute bit patterns, `p ≠ q`) and as
+    /// identity on every other footprint pattern: a CX-conjugation aligns
+    /// the pair onto a single differing qubit, X-conjugation fixes
+    /// zero-valued controls, and one controlled-U applies the 2×2. Requires
+    /// a symmetric `matrix` (the rotation used here), since the conjugation
+    /// does not track the pair's orientation.
+    fn two_level(
+        &mut self,
+        footprint: &[usize],
+        p: u64,
+        q: u64,
+        matrix: [[Complex64; 2]; 2],
+    ) -> Result<(), TranspileError> {
+        let diff = p ^ q;
+        debug_assert_ne!(diff, 0, "two-level states must differ");
+        let t = diff.trailing_zeros() as usize;
+        let p_t = (p >> t) & 1;
+        // After CX(t → d) on every other differing bit d, the images of p and
+        // q agree everywhere except on t; differing bits then carry
+        // `p_d ^ p_t`, common bits keep `p_d`. Controls reading 0 get an X.
+        let differs = |d: usize| d != t && (diff >> d) & 1 == 1;
+        let flipped = |d: usize| d != t && ((p >> d) & 1) ^ ((diff >> d) & p_t & 1) == 0;
+        let controls: Vec<usize> = footprint.iter().copied().filter(|&d| d != t).collect();
+        for &d in footprint.iter().filter(|&&d| differs(d)) {
+            self.cx(t, d);
+        }
+        for &d in footprint.iter().filter(|&&d| flipped(d)) {
+            self.emit(Gate::X(d));
+        }
+        self.controlled_u(&controls, t, matrix)?;
+        for &d in footprint.iter().rev().filter(|&&d| flipped(d)) {
+            self.emit(Gate::X(d));
+        }
+        for &d in footprint.iter().rev().filter(|&&d| differs(d)) {
+            self.cx(t, d);
+        }
+        Ok(())
+    }
+
+    /// Standard exact Toffoli: 6 CX + 9 single-qubit T/H gates.
+    fn ccx(&mut self, c1: usize, c2: usize, t: usize) {
+        self.emit(Gate::H(t));
+        self.cx(c2, t);
+        self.emit(Gate::Tdg(t));
+        self.cx(c1, t);
+        self.emit(Gate::T(t));
+        self.cx(c2, t);
+        self.emit(Gate::Tdg(t));
+        self.cx(c1, t);
+        self.emit(Gate::T(c2));
+        self.emit(Gate::T(t));
+        self.emit(Gate::H(t));
+        self.cx(c1, c2);
+        self.emit(Gate::T(c1));
+        self.emit(Gate::Tdg(c2));
+        self.cx(c1, c2);
+    }
+
+    /// The clean ancillas outside `used` (a bit mask), in option order.
+    fn clean_ancillas(&self, used: u64) -> impl Iterator<Item = usize> + '_ {
+        let n = self.n_qubits;
+        let ancillas = self.opts.ancillas.iter().copied();
+        ancillas.filter(move |&a| a < n && (used >> a) & 1 == 0)
+    }
+
+    /// Qubits outside `used`: the clean ancillas in option order, then the
+    /// borrowable idle qubits ascending. Also returns the clean count.
+    fn spare_qubits(&self, used: u64) -> (Vec<usize>, usize) {
+        let mut spare: Vec<usize> = self.clean_ancillas(used).collect();
+        let clean = spare.len();
+        let taken = used | mask(&spare);
+        spare.extend((0..self.n_qubits).filter(|&q| (taken >> q) & 1 == 0));
+        (spare, clean)
+    }
+
+    /// Multi-controlled X. Chooses between the clean-ancilla Toffoli chain
+    /// (`2(m−2)+1` CCX) and the Barenco borrowed-qubit split (recursive,
+    /// correct for arbitrary borrowed-qubit state).
+    fn mcx(&mut self, controls: &[usize], target: usize) -> Result<(), TranspileError> {
+        let m = controls.len();
+        match m {
+            0 => {
+                self.emit(Gate::X(target));
+                return Ok(());
+            }
+            1 => {
+                self.cx(controls[0], target);
+                return Ok(());
+            }
+            2 => {
+                self.ccx(controls[0], controls[1], target);
+                return Ok(());
+            }
+            _ => {}
+        }
+        let (spare, clean) = self.spare_qubits(mask(controls) | 1 << target);
+        if clean >= m - 2 {
+            // Toffoli chain with clean ancillas: compute the AND cascade,
+            // flip the target, uncompute. 2(m−2)+1 CCX.
+            let anc = &spare[..m - 2];
+            self.ccx(controls[0], controls[1], anc[0]);
+            for i in 2..m - 1 {
+                self.ccx(controls[i], anc[i - 2], anc[i - 1]);
+            }
+            self.ccx(controls[m - 1], anc[m - 3], target);
+            for i in (2..m - 1).rev() {
+                self.ccx(controls[i], anc[i - 2], anc[i - 1]);
+            }
+            self.ccx(controls[0], controls[1], anc[0]);
+            Ok(())
+        } else if spare.len() >= m - 2 {
+            // V-chain with *borrowed* ancillas (arbitrary state, restored):
+            // the doubled-wedge network, 4(m−2) CCX — this is what keeps the
+            // commute-block decomposition linear even with only the paper's two
+            // clean ancillas, by borrowing idle problem qubits.
+            self.mcx_dirty_vchain(controls, target, &spare[..m - 2]);
+            Ok(())
+        } else if let Some(&borrow) = spare.first() {
+            // Barenco split: C^m X = A·B·A·B with A = C^{m1}X(first half → borrow)
+            // and B = C^{m2+1}X(second half + borrow → target). Works for any
+            // state of `borrow` and restores it.
+            let m1 = m.div_ceil(2);
+            let mut second: Vec<usize> = controls[m1..].to_vec();
+            second.push(borrow);
+            for _ in 0..2 {
+                self.mcx(&controls[..m1], borrow)?;
+                self.mcx(&second, target)?;
+            }
+            Ok(())
+        } else {
+            Err(TranspileError::NeedsAncilla {
+                gate: format!("mcx {controls:?} -> q{target}"),
+            })
+        }
+    }
+
+    /// The borrowed-ancilla V-chain (`m ≥ 3` controls, `m−2` ancillas in
+    /// arbitrary states, all restored): a doubled wedge of `4(m−2)` Toffolis.
+    fn mcx_dirty_vchain(&mut self, controls: &[usize], target: usize, anc: &[usize]) {
+        let m = controls.len();
+        debug_assert!(m >= 3 && anc.len() == m - 2);
+        // network = top wedge top wedge, with wedge = down · bottom · up.
+        for _ in 0..2 {
+            self.ccx(controls[m - 1], anc[m - 3], target);
+            for i in (2..m - 1).rev() {
+                self.ccx(controls[i], anc[i - 2], anc[i - 1]);
+            }
+            self.ccx(controls[0], controls[1], anc[0]);
+            for i in 2..m - 1 {
+                self.ccx(controls[i], anc[i - 2], anc[i - 1]);
+            }
+        }
+    }
+
+    /// Multi-controlled phase on the all-ones state of `qubits`.
+    ///
+    /// Small arities use the ancilla-free recursion
+    /// `C^k P(θ) = CP(c_k, t, θ/2) · C^{k−1}X · CP(c_k, t, −θ/2) · C^{k−1}X ·
+    /// C^{k−1}P(θ/2)` (the k = 2 base case is the textbook CCP identity);
+    /// large arities collapse the controls onto a clean ancilla first.
+    fn mcphase(&mut self, qubits: &[usize], angle: f64) -> Result<(), TranspileError> {
+        let k = qubits.len();
+        match k {
+            0 => return Ok(()), // global phase
+            1 => {
+                self.emit(Gate::Phase(qubits[0], angle));
+                return Ok(());
+            }
+            2 => {
+                self.cp(qubits[0], qubits[1], angle);
+                return Ok(());
+            }
+            _ => {}
+        }
+        if k <= MCPHASE_RECURSION_LIMIT {
+            // Recursive, ancilla-free: phase fires iff *all* qubits are |1⟩.
+            // C^{k−1}P(c…, pivot → t) = CP(pivot,t,θ/2) · MCX(c→pivot) ·
+            // CP(pivot,t,−θ/2) · MCX(c→pivot) · C^{k−2}P(c… → t, θ/2).
+            let t = qubits[k - 1];
+            let pivot = qubits[k - 2];
+            let rest = &qubits[..k - 2];
+            self.cp(pivot, t, angle / 2.0);
+            self.mcx(rest, pivot)?;
+            self.cp(pivot, t, -angle / 2.0);
+            self.mcx(rest, pivot)?;
+            let mut recursive = [0; MCPHASE_RECURSION_LIMIT];
+            recursive[..k - 2].copy_from_slice(rest);
+            recursive[k - 2] = t;
+            return self.mcphase(&recursive[..k - 1], angle / 2.0);
+        }
+        let Some(a) = self.clean_ancillas(mask(qubits)).next() else {
+            return Err(TranspileError::NeedsAncilla {
+                gate: format!("mcp({angle:.4}) {qubits:?}"),
+            });
+        };
+        let (controls, last) = (&qubits[..k - 1], qubits[k - 1]);
+        self.mcx(controls, a)?;
+        self.cp(a, last, angle);
+        self.mcx(controls, a)
+    }
+
+    /// Controlled arbitrary single-qubit unitary.
+    ///
+    /// A single control uses the textbook ABC construction
+    /// (`U = e^{iα} A X B X C`, `ABC = I`); more controls first collapse to
+    /// one clean ancilla via MCX.
+    fn controlled_u(
+        &mut self,
+        controls: &[usize],
+        target: usize,
+        matrix: [[Complex64; 2]; 2],
+    ) -> Result<(), TranspileError> {
+        match controls.len() {
+            0 => {
+                // The global phase e^{iα} is dropped.
+                let (_, beta, gamma, delta) = zyz_decompose(matrix);
+                self.emit(Gate::Rz(target, delta));
+                self.emit(Gate::Ry(target, gamma));
+                self.emit(Gate::Rz(target, beta));
+                Ok(())
+            }
+            1 => {
+                let c = controls[0];
+                let (alpha, beta, gamma, delta) = zyz_decompose(matrix);
+                // C: Rz((δ-β)/2)   B: Rz(-(δ+β)/2) Ry(-γ/2)   A: Ry(γ/2) Rz(β)
+                self.emit(Gate::Phase(c, alpha));
+                self.emit(Gate::Rz(target, (delta - beta) / 2.0));
+                self.cx(c, target);
+                self.emit(Gate::Rz(target, -(delta + beta) / 2.0));
+                self.emit(Gate::Ry(target, -gamma / 2.0));
+                self.cx(c, target);
+                self.emit(Gate::Ry(target, gamma / 2.0));
+                self.emit(Gate::Rz(target, beta));
+                Ok(())
+            }
+            _ => {
+                let Some(a) = self.clean_ancillas(mask(controls) | 1 << target).next() else {
+                    return Err(TranspileError::NeedsAncilla {
+                        gate: format!("cu {controls:?} -> q{target}"),
+                    });
+                };
+                self.mcx(controls, a)?;
+                self.controlled_u(&[a], target, matrix)?;
+                self.mcx(controls, a)
+            }
+        }
+    }
 }
 
 /// Beyond this arity the recursive CP construction's quadratic growth
 /// loses to the ancilla route.
 const MCPHASE_RECURSION_LIMIT: usize = 6;
-
-/// Multi-controlled phase on the all-ones state of `qubits`.
-///
-/// Small arities use the ancilla-free recursion
-/// `C^k P(θ) = CP(c_k, t, θ/2) · C^{k−1}X · CP(c_k, t, −θ/2) · C^{k−1}X ·
-/// C^{k−1}P(θ/2)` (the k = 2 base case is the textbook CCP identity);
-/// large arities collapse the controls onto a clean ancilla first.
-fn emit_mcphase(
-    out: &mut Vec<Gate>,
-    qubits: &[usize],
-    angle: f64,
-    n_qubits: usize,
-    opts: &TranspileOptions,
-) -> Result<(), TranspileError> {
-    match qubits.len() {
-        0 => return Ok(()), // global phase
-        1 => {
-            out.push(Gate::Phase(qubits[0], angle));
-            return Ok(());
-        }
-        2 => {
-            out.push(Gate::Cp(qubits[0], qubits[1], angle));
-            return Ok(());
-        }
-        _ => {}
-    }
-    let k = qubits.len();
-    if k <= MCPHASE_RECURSION_LIMIT {
-        // Recursive, ancilla-free: phase fires iff *all* qubits are |1⟩.
-        // C^{k−1}P(c…, pivot → t) = CP(pivot,t,θ/2) · MCX(c→pivot) ·
-        // CP(pivot,t,−θ/2) · MCX(c→pivot) · C^{k−2}P(c… → t, θ/2).
-        let t = qubits[k - 1];
-        let pivot = qubits[k - 2];
-        let rest: Vec<usize> = qubits[..k - 2].to_vec();
-        out.push(Gate::Cp(pivot, t, angle / 2.0));
-        out.push(Gate::Mcx {
-            controls: rest.clone(),
-            target: pivot,
-        });
-        out.push(Gate::Cp(pivot, t, -angle / 2.0));
-        out.push(Gate::Mcx {
-            controls: rest.clone(),
-            target: pivot,
-        });
-        let mut recursive = rest;
-        recursive.push(t);
-        out.push(Gate::McPhase {
-            qubits: recursive,
-            angle: angle / 2.0,
-        });
-        return Ok(());
-    }
-    let (clean, _) = spare_qubits(qubits, n_qubits, opts);
-    let Some(&a) = clean.first() else {
-        return Err(TranspileError::NeedsAncilla {
-            gate: format!("mcp({angle:.4}) {qubits:?}"),
-        });
-    };
-    let controls: Vec<usize> = qubits[..k - 1].to_vec();
-    let last = qubits[k - 1];
-    out.push(Gate::Mcx {
-        controls: controls.clone(),
-        target: a,
-    });
-    out.push(Gate::Cp(a, last, angle));
-    out.push(Gate::Mcx {
-        controls,
-        target: a,
-    });
-    Ok(())
-}
 
 /// ZYZ Euler angles of a 2×2 unitary: `U = e^{iα} Rz(β) Ry(γ) Rz(δ)`.
 pub fn zyz_decompose(m: [[Complex64; 2]; 2]) -> (f64, f64, f64, f64) {
@@ -593,73 +652,10 @@ pub fn zyz_decompose(m: [[Complex64; 2]; 2]) -> (f64, f64, f64, f64) {
     (alpha, beta, gamma, delta)
 }
 
-/// Controlled arbitrary single-qubit unitary.
-///
-/// A single control uses the textbook ABC construction
-/// (`U = e^{iα} A X B X C`, `ABC = I`); more controls first collapse to one
-/// clean ancilla via MCX.
-fn emit_controlled_u(
-    out: &mut Vec<Gate>,
-    controls: &[usize],
-    target: usize,
-    matrix: [[Complex64; 2]; 2],
-    n_qubits: usize,
-    opts: &TranspileOptions,
-) -> Result<(), TranspileError> {
-    match controls.len() {
-        0 => {
-            let (alpha, beta, gamma, delta) = zyz_decompose(matrix);
-            out.push(Gate::Rz(target, delta));
-            out.push(Gate::Ry(target, gamma));
-            out.push(Gate::Rz(target, beta));
-            // global phase e^{iα} dropped
-            let _ = alpha;
-            Ok(())
-        }
-        1 => {
-            let c = controls[0];
-            let (alpha, beta, gamma, delta) = zyz_decompose(matrix);
-            // C: Rz((δ-β)/2)   B: Rz(-(δ+β)/2) Ry(-γ/2)   A: Ry(γ/2) Rz(β)
-            out.push(Gate::Phase(c, alpha));
-            out.push(Gate::Rz(target, (delta - beta) / 2.0));
-            out.push(Gate::Cx(c, target));
-            out.push(Gate::Rz(target, -(delta + beta) / 2.0));
-            out.push(Gate::Ry(target, -gamma / 2.0));
-            out.push(Gate::Cx(c, target));
-            out.push(Gate::Ry(target, gamma / 2.0));
-            out.push(Gate::Rz(target, beta));
-            Ok(())
-        }
-        _ => {
-            let mut used = controls.to_vec();
-            used.push(target);
-            let (clean, _) = spare_qubits(&used, n_qubits, opts);
-            let Some(&a) = clean.first() else {
-                return Err(TranspileError::NeedsAncilla {
-                    gate: format!("cu {controls:?} -> q{target}"),
-                });
-            };
-            out.push(Gate::Mcx {
-                controls: controls.to_vec(),
-                target: a,
-            });
-            out.push(Gate::ControlledU {
-                controls: vec![a],
-                target,
-                matrix,
-            });
-            out.push(Gate::Mcx {
-                controls: controls.to_vec(),
-                target: a,
-            });
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::UBlock;
     use crate::phasepoly::PhasePoly;
     use crate::state::StateVector;
     use choco_mathkit::c64;

@@ -125,13 +125,14 @@ impl Solver for AnnealingSolver {
         let circuit = self.build_circuit(problem);
         let compile = compile_start.elapsed();
 
+        let stats = circuit_stats(&circuit, vec![], false)?;
         let execute_start = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let counts = match &self.config.noise {
             None => StateVector::run(&circuit).sample(self.config.shots, &mut rng),
             Some(noise) => sample_transpiled_noisy(
                 choco_qsim::SimConfig::default(),
-                &circuit,
+                circuit,
                 noise,
                 self.config.shots,
                 self.config.noise_trajectories,
@@ -140,7 +141,6 @@ impl Solver for AnnealingSolver {
         };
         let execute = execute_start.elapsed();
 
-        let stats = circuit_stats(&circuit, vec![], false)?;
         Ok(SolveOutcome {
             counts,
             cost_history: Vec::new(),

@@ -25,14 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = ChocoQSolver::initial_params(1, ordered.len());
     let circuit = ChocoQSolver::build_circuit(&driver, &poly, &ordered, initial, 1, &params);
 
-    let mut wide = Circuit::new(n + 2);
-    for g in circuit.gates() {
-        wide.push(g.clone());
-    }
+    let structured_depth = circuit.depth();
+    let wide = circuit.widened(n + 2);
     let lowered = transpile(&wide, &TranspileOptions::with_ancillas(vec![n, n + 1]))?;
     println!(
         "structured depth {} → transpiled depth {} ({} basic gates)\n",
-        circuit.depth(),
+        structured_depth,
         lowered.depth(),
         lowered.len()
     );

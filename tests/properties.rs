@@ -4,11 +4,15 @@
 //! emitted instance is feasible and matches its declared family shape).
 
 use choco_q::core::CommuteDriver;
-use choco_q::mathkit::{ternary_kernel_basis, LinEq, LinSystem};
+use choco_q::mathkit::{ternary_kernel_basis, LinEq, LinSystem, SplitMix64};
 use choco_q::prelude::*;
 use choco_q::problems::{cover_random, knapsack_random, KnapsackLayout};
-use choco_q::qsim::{transpile, PhasePoly, TranspileOptions, UBlock};
+use choco_q::qsim::{
+    transpile, transpile_into, PhasePoly, RegisterShift, ShiftBlock, StatsSink, TranspileError,
+    TranspileOptions, TwoQubitBasis, UBlock,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random small constraint system with ±1 coefficients (the shape that
 /// FLP/GCP/KPP encodings produce).
@@ -80,6 +84,159 @@ fn arb_mixed_system() -> impl Strategy<Value = LinSystem> {
         }
         sys
     })
+}
+
+/// A random circuit over every gate kind the lowering handles. Gates act
+/// on the `n_data` low qubits; the `n_anc` qubits above them are the clean
+/// ancillas, and data qubits a gate leaves idle are borrowable. Without
+/// ancillas some wide multi-controlled gates cannot lower.
+fn arb_lowering_case() -> impl Strategy<Value = (Circuit, TranspileOptions)> {
+    (3usize..10, 0usize..3, any::<bool>(), any::<u64>()).prop_map(|(n_data, n_anc, cz, seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let mut circuit = Circuit::new(n_data + n_anc);
+        for _ in 0..1 + rng.gen_range(0, 6) {
+            circuit.push(random_gate(&mut rng, n_data));
+        }
+        let opts = TranspileOptions {
+            two_qubit: if cz {
+                TwoQubitBasis::Cz
+            } else {
+                TwoQubitBasis::Cx
+            },
+            ancillas: (n_data..n_data + n_anc).collect(),
+        };
+        (circuit, opts)
+    })
+}
+
+/// One gate of a random kind on distinct qubits below `n_data` (at least 3).
+fn random_gate(rng: &mut SplitMix64, n_data: usize) -> Gate {
+    let mut qs: Vec<usize> = (0..n_data).collect();
+    rng.shuffle(&mut qs);
+    let angle = rng.gen_range_f64(-1.5, 1.5);
+    let width = 1 + rng.gen_range(0, n_data as u64) as usize;
+    let sorted = |qs: &[usize]| {
+        let mut qs = qs.to_vec();
+        qs.sort_unstable();
+        qs
+    };
+    let (a, b, c) = (qs[0], qs[1], qs[2]);
+    match rng.gen_range(0, 13) {
+        0 => Gate::Rz(a, angle),
+        1 => Gate::Cx(a, b),
+        2 => Gate::Cz(a, b),
+        3 => Gate::Cp(a, b, angle),
+        4 => Gate::Swap(a, b),
+        5 => Gate::Ccx(a, b, c),
+        6 => Gate::Mcx {
+            controls: qs[1..width].to_vec(),
+            target: a,
+        },
+        7 => Gate::McPhase {
+            qubits: sorted(&qs[..width]),
+            angle,
+        },
+        8 => Gate::ControlledU {
+            controls: qs[1..width].to_vec(),
+            target: a,
+            matrix: Gate::Ry(0, angle).matrix_1q().unwrap(),
+        },
+        9 => Gate::UBlock(UBlock {
+            support: sorted(&qs[..width]),
+            pattern: rng.next_u64() & ((1 << width) - 1),
+            angle,
+        }),
+        10 => {
+            // One or two slack registers of 1–2 qubits after the support.
+            let k = 1 + rng.gen_range(0, 2) as usize;
+            let mut shifts = Vec::new();
+            let mut next = k;
+            while next < n_data && (shifts.is_empty() || rng.gen_bool(0.5)) {
+                let len = (1 + rng.gen_range(0, 2) as usize).min(n_data - next);
+                shifts.push(RegisterShift {
+                    qubits: sorted(&qs[next..next + len]),
+                    delta: [-2, -1, 1, 2][rng.gen_range(0, 4) as usize],
+                    max_value: rng.gen_range(1, 1 << len),
+                });
+                next += len;
+            }
+            Gate::ShiftBlock(ShiftBlock {
+                support: sorted(&qs[..k]),
+                pattern: rng.gen_range(0, 1 << k),
+                shifts,
+                angle,
+            })
+        }
+        11 => {
+            let mut poly = PhasePoly::new(n_data);
+            poly.add_linear(a, 1.0 + angle);
+            poly.add_quadratic(a.min(b), a.max(b), -angle);
+            poly.add_constant(0.5);
+            Gate::DiagPhase(Arc::new(poly), angle)
+        }
+        _ => Gate::XyMix(a, b, angle),
+    }
+}
+
+/// Depth, gate count and 2-qubit count of a lowering, streamed through a
+/// [`StatsSink`] or read off the materialized circuit.
+fn lowered_stats(
+    circuit: &Circuit,
+    opts: &TranspileOptions,
+    streamed: bool,
+) -> Result<(usize, usize, usize), TranspileError> {
+    if streamed {
+        let mut sink = StatsSink::new(circuit.n_qubits());
+        transpile_into(circuit, opts, &mut sink)?;
+        Ok((sink.depth(), sink.gates(), sink.two_qubit_gates()))
+    } else {
+        let lowered = transpile(circuit, opts)?;
+        Ok((
+            lowered.depth(),
+            lowered.len(),
+            lowered.multi_qubit_gate_count(),
+        ))
+    }
+}
+
+/// The lowering cases above reach every gate kind, both bases, every
+/// ancilla count, and both a successful and a failing lowering.
+#[test]
+fn lowering_cases_cover_every_kind_and_outcome() {
+    let mut rng = proptest::TestRng::new(7);
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..256 {
+        let (circuit, opts) = arb_lowering_case().generate(&mut rng);
+        kinds.extend(circuit.gates().iter().map(Gate::name));
+        let lowered = transpile(&circuit, &opts);
+        seen.insert((
+            opts.two_qubit == TwoQubitBasis::Cz,
+            opts.ancillas.len(),
+            lowered.is_ok(),
+        ));
+    }
+    assert_eq!(kinds.len(), 13, "gate kinds drawn: {kinds:?}");
+    for cz in [false, true] {
+        for n_anc in 0..3 {
+            assert!(seen.contains(&(cz, n_anc, true)), "{seen:?}");
+        }
+        assert!(seen.contains(&(cz, 0, false)), "{seen:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Streaming the lowering into a [`StatsSink`] counts exactly what the
+    /// materialized circuit reports, and fails with the same error.
+    #[test]
+    fn streamed_lowering_stats_equal_materialized((circuit, opts) in arb_lowering_case()) {
+        prop_assert_eq!(
+            lowered_stats(&circuit, &opts, true),
+            lowered_stats(&circuit, &opts, false)
+        );
+    }
 }
 
 proptest! {
