@@ -932,36 +932,39 @@ mod tests {
         use choco_qsim::EngineKind;
         let problem = paper_problem();
         let solver = ChocoQSolver::new(ChocoQConfig::fast_test());
-        let compact = SimConfig::serial().with_engine(EngineKind::Compact);
-        let mut serial_ws = SimWorkspace::new(compact);
+        // The dense engine declines `run_batch` and replays every
+        // candidate serially; the compact engine batches every group.
+        let mut serial_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         let serial = solver
             .solve_with_workspace(&problem, &mut serial_ws)
             .unwrap();
-        for k in [4usize, 8] {
-            let mut batched_ws = SimWorkspace::new(compact.with_batch(k));
-            let batched = solver
-                .solve_with_workspace(&problem, &mut batched_ws)
-                .unwrap();
-            // The batch size is a pure performance knob: identical
-            // histogram, history, and iteration count at every K.
-            assert_eq!(serial.counts, batched.counts, "batch {k}");
-            assert_eq!(serial.cost_history, batched.cost_history, "batch {k}");
-            assert_eq!(serial.iterations, batched.iterations, "batch {k}");
-            // Batching must not cost extra compilations, and the SoA
-            // buffer warms up once per (shape, width) like the serial
-            // amplitude array.
-            assert_eq!(
-                batched_ws.plan_compilations(),
-                serial_ws.plan_compilations(),
-                "batch {k}"
-            );
-            assert_eq!(batched_ws.reallocations(), 1, "batch {k}: serial warmup");
-            assert!(
-                batched_ws.batch_reallocations() <= batched_ws.plan_compilations(),
-                "batch {k}: at most one SoA warmup per shape, got {}",
-                batched_ws.batch_reallocations()
-            );
-        }
+        let mut batched_ws = SimWorkspace::new(SimConfig::serial());
+        let batched = solver
+            .solve_with_workspace(&problem, &mut batched_ws)
+            .unwrap();
+        assert_eq!(serial.counts, batched.counts);
+        assert_eq!(serial.cost_history, batched.cost_history);
+        assert_eq!(serial.iterations, batched.iterations);
+        assert_eq!(serial_ws.batch_reallocations(), 0, "dense never batches");
+        // Batching costs no extra compilations, and the SoA buffer warms
+        // up at most once per shape like the serial amplitude array.
+        assert_eq!(
+            batched_ws.plan_compilations(),
+            batched_ws.cached_plans() as u64,
+            "every shape compiled exactly once"
+        );
+        assert_eq!(batched_ws.reallocations(), 1, "serial warmup");
+        let warm = batched_ws.batch_reallocations();
+        assert!(
+            (1..=batched_ws.plan_compilations()).contains(&warm),
+            "at most one SoA warmup per shape, got {warm}"
+        );
+        // A second solve on the warm workspace allocates nothing.
+        solver
+            .solve_with_workspace(&problem, &mut batched_ws)
+            .unwrap();
+        assert_eq!(batched_ws.batch_reallocations(), warm);
+        assert_eq!(batched_ws.reallocations(), 1);
     }
 
     #[test]
@@ -1067,7 +1070,8 @@ mod tests {
             ws.cached_plans() as u64,
             "every shape compiled exactly once across the worker pool"
         );
-        // And the parallel compact solve matches the serial dense solve.
+        // And the parallel compact solve, every candidate group batched,
+        // matches the serial dense solve.
         let serial = ChocoQSolver::new(ChocoQConfig {
             restart_workers: 1,
             sim: SimConfig::serial().with_engine(EngineKind::Dense),
@@ -1080,28 +1084,6 @@ mod tests {
         // The caller workspace ends holding the winner's final state
         // (the runner reads engine/occupancy from it).
         assert!(ws.state().is_some(), "workspace holds the winner's state");
-        // Batching on top of the worker pool changes neither the results
-        // nor the compile count: every shape across restarts × workers ×
-        // batches still compiles exactly once.
-        let mut batched_ws = SimWorkspace::new(
-            SimConfig::serial()
-                .with_engine(EngineKind::Compact)
-                .with_batch(8),
-        );
-        let batched = ChocoQSolver::new(ChocoQConfig {
-            restarts: 6,
-            restart_workers: 4,
-            ..ChocoQConfig::fast_test()
-        })
-        .solve_with_workspace(&problem, &mut batched_ws)
-        .unwrap();
-        assert_eq!(serial.counts, batched.counts);
-        assert_eq!(serial.cost_history, batched.cost_history);
-        assert_eq!(
-            batched_ws.plan_compilations(),
-            ws.plan_compilations(),
-            "batching must not add compilations across the worker pool"
-        );
     }
 
     #[test]

@@ -26,6 +26,17 @@ use choco_mathkit::Complex64;
 use rand::Rng;
 use std::sync::Arc;
 
+/// The most lanes [`crate::SimWorkspace::batch_lanes`] picks: the
+/// fastest width per candidate in the batched replay benchmark.
+pub const MAX_BATCH_LANES: usize = 16;
+
+/// The SoA buffer size [`crate::SimWorkspace::batch_lanes`] keeps a
+/// batch within. Every lane read strides across all lanes, and past
+/// about this size batching stops paying: 16 lanes over a plan of about
+/// 570k ranks made a whole Choco-Q cell three times slower than serial
+/// replays.
+pub const BATCH_BUFFER_BYTES: usize = 1 << 20;
+
 /// The SoA amplitude buffer for batched compact replay, plus per-lane
 /// read operations. Owned (and reused across iterations) by
 /// [`crate::SimWorkspace`]; obtained through

@@ -55,7 +55,7 @@ mod synth;
 mod transpile;
 mod workspace;
 
-pub use batch::BatchWorkspace;
+pub use batch::{BatchWorkspace, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 pub use circuit::Circuit;
 pub use compact::CompactStateVector;
 pub use counts::Counts;

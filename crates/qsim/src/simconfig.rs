@@ -82,15 +82,6 @@ pub struct SimConfig {
     pub parallel_threshold: usize,
     /// Which amplitude representation to run circuits on.
     pub engine: EngineKind,
-    /// How many candidate angle sets a compact replay evaluates per plan
-    /// traversal (`1`, the default, replays candidates one at a time
-    /// through the same lane kernels). Consumers with independent
-    /// evaluations ready — a simplex construction, a geometry rebuild —
-    /// hand up to this many circuits of one shape to
-    /// [`crate::SimWorkspace::run_batch`] at once. Purely a performance
-    /// knob: batched results are bit-identical to sequential replays at
-    /// every setting.
-    pub batch_size: usize,
 }
 
 /// Default threshold: below 2^15 items a scoped-thread fan-out costs more
@@ -126,7 +117,6 @@ impl Default for SimConfig {
             threads: default_threads(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             engine: EngineKind::default(),
-            batch_size: 1,
         }
     }
 }
@@ -155,15 +145,6 @@ impl SimConfig {
     /// The same configuration with a different engine selection.
     pub fn with_engine(self, engine: EngineKind) -> Self {
         SimConfig { engine, ..self }
-    }
-
-    /// The same configuration with a different batch size (0 is clamped
-    /// to 1).
-    pub fn with_batch(self, batch_size: usize) -> Self {
-        SimConfig {
-            batch_size: batch_size.max(1),
-            ..self
-        }
     }
 
     /// The worker count to use for `work_items` units of work: 1 below the
@@ -256,20 +237,5 @@ mod tests {
         let c = SimConfig::with_threads(3).with_engine(EngineKind::Dense);
         assert_eq!(c.threads, 3);
         assert_eq!(c.engine, EngineKind::Dense);
-    }
-
-    #[test]
-    fn batch_size_defaults_to_serial_and_clamps_zero() {
-        assert_eq!(SimConfig::default().batch_size, 1);
-        assert_eq!(SimConfig::serial().batch_size, 1);
-        let c = SimConfig::serial().with_batch(8);
-        assert_eq!(c.batch_size, 8);
-        assert_eq!(c.threads, 1);
-        assert_eq!(SimConfig::serial().with_batch(0).batch_size, 1);
-        // Engine and batch builders compose in either order.
-        let c = SimConfig::serial()
-            .with_batch(4)
-            .with_engine(EngineKind::Dense);
-        assert_eq!((c.batch_size, c.engine), (4, EngineKind::Dense));
     }
 }

@@ -34,7 +34,7 @@
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
 
-use crate::batch::BatchWorkspace;
+use crate::batch::{BatchWorkspace, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 use crate::circuit::Circuit;
 use crate::compact::CompactStateVector;
 use crate::counts::Counts;
@@ -501,18 +501,6 @@ impl SimWorkspace {
         engine.sample_with_cumulative(&self.cumulative, shots, rng)
     }
 
-    /// Expectation of a diagonal observable on the last run's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing has been run yet.
-    pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
-        self.engine
-            .as_ref()
-            .expect("run a circuit before measuring")
-            .expectation_diag_values(values)
-    }
-
     /// Replays K same-shape circuits in one pass over the cached gate
     /// plan — the batched compact fast path (see [`BatchWorkspace`]).
     /// Returns the lane-addressable batch state, or `None` when batching
@@ -540,6 +528,23 @@ impl SimWorkspace {
         self.batch
             .replay(&plan, circuits, &mut self.scratch, &self.config);
         Some(&self.batch)
+    }
+
+    /// How many candidates of `circuit`'s shape to hand one
+    /// [`SimWorkspace::run_batch`]: as many as keep the lane buffer
+    /// within [`BATCH_BUFFER_BYTES`], from 1 to [`MAX_BATCH_LANES`].
+    /// Shapes that do not batch (dense engine, refused plan) get the
+    /// most; `run_batch` declines them anyway.
+    pub fn batch_lanes(&mut self, circuit: &Circuit) -> usize {
+        let cap = plan_support_cap(circuit.n_qubits());
+        let ranks = match self.config.engine {
+            EngineKind::Compact => self
+                .plans
+                .lookup_or_compile(circuit, cap)
+                .map_or(0, |plan| plan.basis().bits.len()),
+            EngineKind::Dense => 0,
+        };
+        (BATCH_BUFFER_BYTES / (ranks * 16).max(1)).clamp(1, MAX_BATCH_LANES)
     }
 
     /// How many times the batched SoA buffer had to grow (see
@@ -1027,7 +1032,7 @@ mod tests {
             }
             assert_eq!(
                 batch.expectation_diag_values(lane, &table),
-                serial_ws.expectation_diag_values(&table),
+                serial_ws.state().unwrap().expectation_diag_values(&table),
                 "lane={lane} expectation"
             );
             let mut ra = StdRng::seed_from_u64(19);
@@ -1068,6 +1073,28 @@ mod tests {
         assert!(ws.run_batch(&[mixer.clone(), mixer]).is_none());
         // A well-formed batch afterwards still works.
         assert!(ws.run_batch(&circuits).is_some());
+    }
+
+    #[test]
+    fn batch_lanes_keep_the_lane_buffer_within_budget() {
+        // `k` Hadamards on an `n`-qubit register: a plan of 2^k ranks.
+        let spread = |n: usize, k: usize| {
+            let mut c = Circuit::new(n);
+            for q in 0..k {
+                c.h(q);
+            }
+            c
+        };
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        assert_eq!(ws.batch_lanes(&spread(4, 3)), MAX_BATCH_LANES);
+        // 2^15 ranks × 16 B is half the budget; 2^16 ranks fill it.
+        assert_eq!(ws.batch_lanes(&spread(18, 15)), 2);
+        assert_eq!(ws.batch_lanes(&spread(20, 16)), 1);
+        // Shapes that do not batch leave the width to `run_batch`, which
+        // declines them.
+        assert_eq!(ws.batch_lanes(&spread(10, 10)), MAX_BATCH_LANES);
+        let mut dense_ws = SimWorkspace::new(dense());
+        assert_eq!(dense_ws.batch_lanes(&spread(4, 3)), MAX_BATCH_LANES);
     }
 
     #[test]

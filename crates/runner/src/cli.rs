@@ -16,30 +16,12 @@ use std::time::Duration;
 pub struct RunArgs {
     /// Spec file path.
     pub spec_path: String,
-    /// Worker threads (0 = one per host core).
-    pub workers: usize,
     /// Trim to the spec's quick subset.
     pub quick: bool,
     /// JSON output path (`-` = stdout; default from the spec / name).
     pub out: Option<String>,
     /// Also write the flat cells as CSV to this path.
     pub csv: Option<String>,
-    /// Per-worker simulator threads (default 1: cell-level parallelism
-    /// already fills the host).
-    pub sim_threads: usize,
-    /// Simulation engine override (`--engine dense|compact`); `None`
-    /// defers to the spec's `[grid] engine` key.
-    pub engine: Option<EngineKind>,
-    /// Batched-replay width override (`--batch K`); `None` defers to the
-    /// spec's `[grid] batch` key. `1` replays one candidate at a time.
-    pub batch: Option<usize>,
-    /// Classical-optimizer override
-    /// (`--optimizer cobyla|nelder-mead|spsa`); `None` defers to the
-    /// spec's `[grid] optimizer` key.
-    pub optimizer: Option<OptimizerKind>,
-    /// Restart-scheduler workers per Choco-Q solve
-    /// (`--restart-workers N`, 0 = one per host core, default 1).
-    pub restart_workers: usize,
     /// Suppress the human-readable table on stdout.
     pub no_table: bool,
     /// Checkpoint journal path (`--checkpoint PATH`): append every
@@ -47,16 +29,53 @@ pub struct RunArgs {
     pub checkpoint: Option<String>,
     /// Resume from the `--checkpoint` journal, skipping completed cells.
     pub resume: bool,
+    /// The execution flags shared with `serve`.
+    pub exec: ExecArgs,
+}
+
+/// The execution flags `run` and `serve` share, parsed and turned into
+/// [`RunOptions`] in one place.
+#[derive(Clone, Debug)]
+pub struct ExecArgs {
+    /// Worker threads (0 = one per host core).
+    pub workers: usize,
+    /// Per-worker simulator threads (default 1: cell-level parallelism
+    /// already fills the host).
+    pub sim_threads: usize,
+    /// Simulation engine override (`--engine dense|compact`); `None`
+    /// defers to the spec's `[grid] engine` key.
+    pub engine: Option<EngineKind>,
+    /// Classical-optimizer override
+    /// (`--optimizer cobyla|nelder-mead|spsa`); `None` defers to the
+    /// spec's `[grid] optimizer` key.
+    pub optimizer: Option<OptimizerKind>,
+    /// Restart-scheduler workers per Choco-Q solve
+    /// (`--restart-workers N`, 0 = one per host core, default 1).
+    pub restart_workers: usize,
     /// Per-cell wall-clock budget in seconds (`--cell-timeout SECS`).
     pub cell_timeout_secs: Option<f64>,
     /// Retry budget for transient per-cell failures (`--retries N`).
     pub retries: u32,
 }
 
+impl Default for ExecArgs {
+    fn default() -> Self {
+        ExecArgs {
+            workers: 0,
+            sim_threads: 1,
+            engine: None,
+            optimizer: None,
+            restart_workers: 1,
+            cell_timeout_secs: None,
+            retries: 0,
+        }
+    }
+}
+
 /// Usage text for the `run` subcommand.
 pub const RUN_USAGE: &str = "usage: choco-cli run <spec.toml> [--workers N] [--quick] \
      [--out PATH|-] [--csv PATH] [--sim-threads N] [--engine dense|compact] \
-     [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] [--no-table] \
+     [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] [--no-table] \
      [--checkpoint PATH] [--resume] [--cell-timeout SECS] [--retries N]";
 
 /// Parses a seconds-valued flag: positive, finite, and bounded by
@@ -99,51 +118,30 @@ where
         .map_err(|e| format!("{flag}: {e}"))
 }
 
-/// The eight execution flags `run` and `serve` share, borrowed from the
-/// same-named fields of a [`RunArgs`] or a [`ServeArgs`], so they are
-/// parsed and turned into [`RunOptions`] in one place.
-struct ExecFlags<'a> {
-    workers: &'a mut usize,
-    sim_threads: &'a mut usize,
-    engine: &'a mut Option<EngineKind>,
-    batch: &'a mut Option<usize>,
-    optimizer: &'a mut Option<OptimizerKind>,
-    restart_workers: &'a mut usize,
-    cell_timeout_secs: &'a mut Option<f64>,
-    retries: &'a mut u32,
-}
-
-impl ExecFlags<'_> {
+impl ExecArgs {
     /// Parses `flag` and its value from `args` when it is one of the
     /// shared flags; `Ok(false)` leaves any other flag to the caller.
     fn parse(&mut self, flag: &str, args: &mut std::slice::Iter<String>) -> Result<bool, String> {
         match flag {
-            "--workers" => *self.workers = flag_number(args, flag)?,
-            "--sim-threads" => *self.sim_threads = flag_number(args, flag)?,
+            "--workers" => self.workers = flag_number(args, flag)?,
+            "--sim-threads" => self.sim_threads = flag_number(args, flag)?,
             "--engine" => {
-                *self.engine = Some(
+                self.engine = Some(
                     EngineKind::parse(&flag_value(args, flag)?)
                         .map_err(|e| format!("--engine: {e}"))?,
                 )
             }
-            "--batch" => {
-                let k: usize = flag_number(args, flag)?;
-                if k < 1 {
-                    return Err("--batch: expected a width of at least 1 (1 = serial)".into());
-                }
-                *self.batch = Some(k);
-            }
             "--optimizer" => {
-                *self.optimizer = Some(
+                self.optimizer = Some(
                     OptimizerKind::parse(&flag_value(args, flag)?)
                         .map_err(|e| format!("--optimizer: {e}"))?,
                 )
             }
-            "--restart-workers" => *self.restart_workers = flag_number(args, flag)?,
+            "--restart-workers" => self.restart_workers = flag_number(args, flag)?,
             "--cell-timeout" => {
-                *self.cell_timeout_secs = Some(parse_secs(flag, &flag_value(args, flag)?)?);
+                self.cell_timeout_secs = Some(parse_secs(flag, &flag_value(args, flag)?)?);
             }
-            "--retries" => *self.retries = flag_number(args, flag)?,
+            "--retries" => self.retries = flag_number(args, flag)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -153,42 +151,24 @@ impl ExecFlags<'_> {
     /// `CHOCO_FAULT_INJECT`; run-only options keep their defaults.
     fn run_options(&self) -> Result<RunOptions, String> {
         Ok(RunOptions {
-            workers: *self.workers,
-            sim: if *self.sim_threads <= 1 {
+            workers: self.workers,
+            sim: if self.sim_threads <= 1 {
                 SimConfig::serial()
             } else {
-                SimConfig::with_threads(*self.sim_threads)
+                SimConfig::with_threads(self.sim_threads)
             },
-            engine: *self.engine,
-            batch: *self.batch,
-            optimizer: *self.optimizer,
-            restart_workers: *self.restart_workers,
+            engine: self.engine,
+            optimizer: self.optimizer,
+            restart_workers: self.restart_workers,
             cell_timeout: self
                 .cell_timeout_secs
                 .map(|s| secs_to_duration("--cell-timeout", s))
                 .transpose()?,
-            retries: *self.retries,
+            retries: self.retries,
             faults: FaultPlan::from_env()?.map(Arc::new),
             ..RunOptions::default()
         })
     }
-}
-
-/// Borrows the shared execution flags of a [`RunArgs`] or [`ServeArgs`]
-/// variable.
-macro_rules! exec_flags {
-    ($args:ident) => {
-        ExecFlags {
-            workers: &mut $args.workers,
-            sim_threads: &mut $args.sim_threads,
-            engine: &mut $args.engine,
-            batch: &mut $args.batch,
-            optimizer: &mut $args.optimizer,
-            restart_workers: &mut $args.restart_workers,
-            cell_timeout_secs: &mut $args.cell_timeout_secs,
-            retries: &mut $args.retries,
-        }
-    };
 }
 
 /// Parses `run` subcommand arguments (everything after the literal
@@ -198,14 +178,10 @@ macro_rules! exec_flags {
 ///
 /// Returns a user-facing message for unknown flags or missing values.
 pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut parsed = RunArgs {
-        sim_threads: 1,
-        restart_workers: 1,
-        ..RunArgs::default()
-    };
+    let mut parsed = RunArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if exec_flags!(parsed).parse(arg, &mut it)? {
+        if parsed.exec.parse(arg, &mut it)? {
             continue;
         }
         match arg.as_str() {
@@ -234,13 +210,13 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 ///
 /// Returns a user-facing message on spec, execution, or I/O failure.
 pub fn run_command(args: &[String]) -> Result<(), String> {
-    let mut parsed = parse_run_args(args)?;
+    let parsed = parse_run_args(args)?;
     let spec = ExperimentSpec::load(&parsed.spec_path)?;
     let options = RunOptions {
         quick: parsed.quick,
         checkpoint: parsed.checkpoint.clone(),
         resume: parsed.resume,
-        ..exec_flags!(parsed).run_options()?
+        ..parsed.exec.run_options()?
     };
     let report = execute(&spec, &options)?;
 
@@ -286,22 +262,6 @@ pub struct ServeArgs {
     pub queue_cap: usize,
     /// Unix socket path; `None` serves one session on stdin/stdout.
     pub socket: Option<String>,
-    /// Worker threads (0 = one per host core).
-    pub workers: usize,
-    /// Per-worker simulator threads (default 1).
-    pub sim_threads: usize,
-    /// Engine override applied to every job.
-    pub engine: Option<EngineKind>,
-    /// Batched-replay width override applied to every job.
-    pub batch: Option<usize>,
-    /// Classical-optimizer override applied to every job.
-    pub optimizer: Option<OptimizerKind>,
-    /// Restart-scheduler workers per Choco-Q solve.
-    pub restart_workers: usize,
-    /// Per-cell wall-clock budget in seconds.
-    pub cell_timeout_secs: Option<f64>,
-    /// Retry budget for transient per-cell failures.
-    pub retries: u32,
     /// Admission memory budget in bytes (`--mem-budget BYTES[K|M|G]`,
     /// binary suffixes). `None` disables byte-based admission.
     pub mem_budget: Option<u64>,
@@ -310,6 +270,8 @@ pub struct ServeArgs {
     /// How long a signal-initiated drain may run before falling back to
     /// abort (`--drain-timeout SECS`).
     pub drain_timeout_secs: f64,
+    /// The execution flags shared with `run`, applied to every job.
+    pub exec: ExecArgs,
 }
 
 impl Default for ServeArgs {
@@ -318,17 +280,10 @@ impl Default for ServeArgs {
             state_dir: "serve-state".to_string(),
             queue_cap: 4096,
             socket: None,
-            workers: 0,
-            sim_threads: 1,
-            engine: None,
-            batch: None,
-            optimizer: None,
-            restart_workers: 1,
-            cell_timeout_secs: None,
-            retries: 0,
             mem_budget: None,
             gc_done: false,
             drain_timeout_secs: 60.0,
+            exec: ExecArgs::default(),
         }
     }
 }
@@ -336,7 +291,7 @@ impl Default for ServeArgs {
 /// Usage text for the `serve` subcommand.
 pub const SERVE_USAGE: &str = "usage: choco-cli serve [--state-dir DIR] [--queue-cap N] \
      [--socket PATH] [--workers N] [--sim-threads N] [--engine dense|compact] \
-     [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
+     [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
      [--cell-timeout SECS] [--retries N] [--mem-budget BYTES[K|M|G]] [--gc-done] \
      [--drain-timeout SECS]";
 
@@ -368,7 +323,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
     let mut parsed = ServeArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if exec_flags!(parsed).parse(arg, &mut it)? {
+        if parsed.exec.parse(arg, &mut it)? {
             continue;
         }
         match arg.as_str() {
@@ -407,14 +362,13 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
 /// values (possible when a `ServeArgs` is built programmatically rather
 /// than via [`parse_serve_args`]).
 pub fn serve_options(parsed: &ServeArgs) -> Result<ServeOptions, String> {
-    let mut exec = parsed.clone();
     Ok(ServeOptions {
         state_dir: PathBuf::from(&parsed.state_dir),
         queue_cap: parsed.queue_cap,
         mem_budget: parsed.mem_budget,
         gc_done: parsed.gc_done,
         drain_timeout: secs_to_duration("--drain-timeout", parsed.drain_timeout_secs)?,
-        run: exec_flags!(exec).run_options()?,
+        run: parsed.exec.run_options()?,
     })
 }
 
@@ -464,8 +418,6 @@ mod tests {
             "2",
             "--engine",
             "dense",
-            "--batch",
-            "8",
             "--optimizer",
             "nelder-mead",
             "--restart-workers",
@@ -474,15 +426,14 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(args.spec_path, "spec.toml");
-        assert_eq!(args.workers, 3);
+        assert_eq!(args.exec.workers, 3);
         assert!(args.quick);
         assert_eq!(args.out.as_deref(), Some("-"));
         assert_eq!(args.csv.as_deref(), Some("cells.csv"));
-        assert_eq!(args.sim_threads, 2);
-        assert_eq!(args.engine, Some(EngineKind::Dense));
-        assert_eq!(args.batch, Some(8));
-        assert_eq!(args.optimizer, Some(OptimizerKind::NelderMead));
-        assert_eq!(args.restart_workers, 4);
+        assert_eq!(args.exec.sim_threads, 2);
+        assert_eq!(args.exec.engine, Some(EngineKind::Dense));
+        assert_eq!(args.exec.optimizer, Some(OptimizerKind::NelderMead));
+        assert_eq!(args.exec.restart_workers, 4);
         assert!(args.no_table);
     }
 
@@ -501,14 +452,14 @@ mod tests {
         .unwrap();
         assert_eq!(args.checkpoint.as_deref(), Some("run.journal"));
         assert!(args.resume);
-        assert_eq!(args.cell_timeout_secs, Some(2.5));
-        assert_eq!(args.retries, 3);
+        assert_eq!(args.exec.cell_timeout_secs, Some(2.5));
+        assert_eq!(args.exec.retries, 3);
         // Defaults: no checkpointing, no budget, no retries.
         let args = parse_run_args(&strings(&["s.toml"])).unwrap();
         assert_eq!(args.checkpoint, None);
         assert!(!args.resume);
-        assert_eq!(args.cell_timeout_secs, None);
-        assert_eq!(args.retries, 0);
+        assert_eq!(args.exec.cell_timeout_secs, None);
+        assert_eq!(args.exec.retries, 0);
         // Non-positive, non-numeric, and Duration-overflowing budgets
         // are all parse errors, never a later `from_secs_f64` panic.
         for bad in ["0", "-1", "forever", "1e300", "inf", "nan"] {
@@ -523,7 +474,7 @@ mod tests {
         assert_eq!(args.state_dir, "serve-state");
         assert_eq!(args.queue_cap, 4096);
         assert_eq!(args.socket, None);
-        assert_eq!(args.workers, 0);
+        assert_eq!(args.exec.workers, 0);
 
         let args = parse_serve_args(&strings(&[
             "--state-dir",
@@ -548,9 +499,9 @@ mod tests {
         assert_eq!(args.state_dir, "/tmp/s");
         assert_eq!(args.queue_cap, 7);
         assert_eq!(args.socket.as_deref(), Some("/tmp/s.sock"));
-        assert_eq!(args.workers, 2);
-        assert_eq!(args.engine, Some(EngineKind::Compact));
-        assert_eq!(args.retries, 1);
+        assert_eq!(args.exec.workers, 2);
+        assert_eq!(args.exec.engine, Some(EngineKind::Compact));
+        assert_eq!(args.exec.retries, 1);
         assert_eq!(args.mem_budget, Some(512 << 20));
         assert!(args.gc_done);
         assert_eq!(args.drain_timeout_secs, 2.5);
@@ -597,7 +548,10 @@ mod tests {
             .unwrap_err()
             .contains("--drain-timeout"));
         let args = ServeArgs {
-            cell_timeout_secs: Some(-1.0),
+            exec: ExecArgs {
+                cell_timeout_secs: Some(-1.0),
+                ..ExecArgs::default()
+            },
             ..ServeArgs::default()
         };
         assert!(serve_options(&args).unwrap_err().contains("--cell-timeout"));
@@ -612,11 +566,21 @@ mod tests {
         assert!(parse_run_args(&strings(&["s.toml", "--workers"]))
             .unwrap_err()
             .contains("--workers"));
+        // The retired batch width is an unknown flag in both modes.
+        assert!(parse_run_args(&strings(&["s.toml", "--batch", "8"]))
+            .unwrap_err()
+            .contains("unexpected argument `--batch`"));
+        assert!(parse_serve_args(&strings(&["--batch", "8"]))
+            .unwrap_err()
+            .contains("unexpected argument `--batch`"));
     }
 
     #[test]
     fn engine_flag_defaults_to_none_and_rejects_unknown() {
-        assert_eq!(parse_run_args(&strings(&["s.toml"])).unwrap().engine, None);
+        assert_eq!(
+            parse_run_args(&strings(&["s.toml"])).unwrap().exec.engine,
+            None
+        );
         let err = parse_run_args(&strings(&["s.toml", "--engine", "fpga"])).unwrap_err();
         assert!(err.contains("--engine") && err.contains("fpga"), "{err}");
         // The retired selections are rejected in both modes, naming the
@@ -636,24 +600,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_defaults_to_none_and_rejects_bad_widths() {
-        assert_eq!(parse_run_args(&strings(&["s.toml"])).unwrap().batch, None);
-        let args = parse_run_args(&strings(&["s.toml", "--batch", "1"])).unwrap();
-        assert_eq!(args.batch, Some(1));
-        for bad in ["0", "-4", "wide"] {
-            let err = parse_run_args(&strings(&["s.toml", "--batch", bad])).unwrap_err();
-            assert!(err.contains("--batch"), "{bad}: {err}");
-        }
-    }
-
-    #[test]
     fn optimizer_flag_defaults_to_none_and_rejects_unknown() {
         let args = parse_run_args(&strings(&["s.toml"])).unwrap();
-        assert_eq!(args.optimizer, None);
-        assert_eq!(args.restart_workers, 1);
+        assert_eq!(args.exec.optimizer, None);
+        assert_eq!(args.exec.restart_workers, 1);
         // Case-insensitive, like the spec key.
         let args = parse_run_args(&strings(&["s.toml", "--optimizer", "COBYLA"])).unwrap();
-        assert_eq!(args.optimizer, Some(OptimizerKind::Cobyla));
+        assert_eq!(args.exec.optimizer, Some(OptimizerKind::Cobyla));
         let err = parse_run_args(&strings(&["s.toml", "--optimizer", "adam"])).unwrap_err();
         assert!(err.contains("--optimizer") && err.contains("adam"), "{err}");
         assert!(err.contains("cobyla|nelder-mead|spsa"), "{err}");

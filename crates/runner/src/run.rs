@@ -44,11 +44,6 @@ pub struct RunOptions {
     /// Engine override from the CLI (`--engine`). `None` defers to the
     /// spec's `[grid] engine` key, which in turn defers to `sim.engine`.
     pub engine: Option<EngineKind>,
-    /// Batched-replay width override from the CLI (`--batch`). `None`
-    /// defers to the spec's `[grid] batch` key, which in turn defers to
-    /// `sim.batch_size`. Like the engine, a pure performance knob:
-    /// batched replays are bit-identical to serial ones at any width.
-    pub batch: Option<usize>,
     /// Classical-optimizer override from the CLI (`--optimizer`). `None`
     /// defers to the spec's `[grid] optimizer` key, which in turn defers
     /// to the solver default (COBYLA).
@@ -100,7 +95,6 @@ impl Default for RunOptions {
             quick: false,
             sim: SimConfig::serial(),
             engine: None,
-            batch: None,
             optimizer: None,
             restart_workers: 1,
             checkpoint: None,
@@ -134,8 +128,7 @@ impl RunOptions {
     /// wall-clock, never report bytes (asserted by CI's engine matrix).
     pub fn effective_sim(&self, spec: &ExperimentSpec) -> SimConfig {
         let engine = self.engine.or(spec.engine).unwrap_or(self.sim.engine);
-        let batch = self.batch.or(spec.batch).unwrap_or(self.sim.batch_size);
-        self.sim.with_engine(engine).with_batch(batch)
+        self.sim.with_engine(engine)
     }
 
     /// The classical optimizer a run of `spec` uses, resolved in the same
@@ -938,47 +931,20 @@ max_iters = 3
     }
 
     #[test]
-    fn batch_resolution_prefers_cli_then_spec_then_default() {
-        let mut spec = tiny_spec();
-        let opts = RunOptions::default();
-        assert_eq!(opts.effective_sim(&spec).batch_size, 1);
-        spec.batch = Some(4);
-        assert_eq!(opts.effective_sim(&spec).batch_size, 4);
-        let cli = RunOptions {
-            batch: Some(8),
-            ..RunOptions::default()
-        };
-        assert_eq!(cli.effective_sim(&spec).batch_size, 8);
-        // Batch and engine resolve independently from their own sources.
-        spec.engine = Some(EngineKind::Dense);
-        let sim = cli.effective_sim(&spec);
-        assert_eq!((sim.engine, sim.batch_size), (EngineKind::Dense, 8));
-    }
-
-    #[test]
     fn batched_grid_report_is_byte_identical_to_serial() {
-        // The runner-level determinism contract the CI step byte-compares:
-        // the compact engine at any batch width produces the same report
-        // bytes as batch 1 (and as any other engine, modulo the engine
-        // label the matrix masks).
+        // The runner-level determinism contract: the compact engine
+        // batches every candidate group, the dense engine replays them
+        // one at a time, and both write the same report bytes up to the
+        // engine label.
         let spec = tiny_spec();
-        let base = RunOptions {
-            engine: Some(EngineKind::Compact),
-            ..RunOptions::default()
+        let run = |engine: EngineKind| {
+            let opts = RunOptions {
+                engine: Some(engine),
+                ..RunOptions::default()
+            };
+            mask_engine_field(&execute(&spec, &opts).unwrap().to_json())
         };
-        let serial = execute(&spec, &base).unwrap().to_json();
-        for k in [4usize, 8] {
-            let batched = execute(
-                &spec,
-                &RunOptions {
-                    batch: Some(k),
-                    ..base.clone()
-                },
-            )
-            .unwrap()
-            .to_json();
-            assert_eq!(serial, batched, "batch {k}");
-        }
+        assert_eq!(run(EngineKind::Dense), run(EngineKind::Compact));
     }
 
     #[test]

@@ -73,7 +73,10 @@ use crate::run::{
 };
 use crate::spec::{Cell, ExperimentSpec, RunKind, SolverKind};
 use crate::RunOptions;
-use choco_qsim::{EngineKind, PlanCache, SimConfig, SimWorkspace};
+use choco_qsim::{
+    EngineKind, PlanCache, SimConfig, SimWorkspace, BATCH_BUFFER_BYTES, DENSITY_THRESHOLD,
+    MAX_BATCH_LANES,
+};
 use choco_solvers::shared::check_size_for;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -1338,10 +1341,9 @@ fn emit_stats(shared: &Shared) {
     let caches = json_list(lock(&shared.caches).iter().map(|(sim, cache)| {
         let stats = cache.stats();
         format!(
-            "{{\"engine\": \"{}\", \"batch\": {}, \"shapes\": {}, \"compilations\": {}, \
+            "{{\"engine\": \"{}\", \"shapes\": {}, \"compilations\": {}, \
              \"refusals\": {}, \"hits\": {}}}",
             sim.engine.label(),
-            sim.batch_size,
             stats.shapes,
             stats.compilations,
             stats.refusals,
@@ -1443,10 +1445,12 @@ const DENSE_BYTES_PER_AMPLITUDE: u64 = 40;
 /// the compact engine: their mixers leave the feasible subspace, so their
 /// plans refuse, they run dense and the solver tabulates its `2^n` cost.
 /// Choco-Q and cyclic cells stay confined on compact at one packed entry
-/// (~32 bytes) per amplitude. For Choco-Q that is bounded by the
+/// (~32 bytes) per amplitude, plus the batched replay's lane buffer
+/// ([`batch_buffer_bytes`]). For Choco-Q that is bounded by the
 /// enumerated feasible count `|F|` and is the whole footprint: the
 /// solver builds no `2^n` cost table on compact and reads the cost at the
-/// plan's feasible basis. Cyclic is sized on the full register.
+/// plan's feasible basis. Cyclic is sized on the full register, its lane
+/// buffer on the plan cap `DENSITY_THRESHOLD · 2^n`.
 /// Saturating arithmetic: an estimate that overflows `u64` is "infinite"
 /// for admission purposes anyway.
 fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
@@ -1459,11 +1463,27 @@ fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
         (EngineKind::Dense, _) | (_, SolverKind::Penalty | SolverKind::Hea) => {
             full.saturating_mul(DENSE_BYTES_PER_AMPLITUDE)
         }
-        (EngineKind::Compact, SolverKind::ChocoQ) => (optimum.n_feasible as u64)
-            .clamp(1, full)
-            .saturating_mul(32),
-        (EngineKind::Compact, SolverKind::Cyclic) => full.saturating_mul(32),
+        (EngineKind::Compact, SolverKind::ChocoQ) => {
+            let ranks = (optimum.n_feasible as u64).clamp(1, full);
+            ranks
+                .saturating_mul(32)
+                .saturating_add(batch_buffer_bytes(ranks))
+        }
+        (EngineKind::Compact, SolverKind::Cyclic) => {
+            let cap = (DENSITY_THRESHOLD * full as f64) as u64;
+            full.saturating_mul(32)
+                .saturating_add(batch_buffer_bytes(cap))
+        }
     }
+}
+
+/// The batched replay's lane buffer for a plan of at most `ranks` ranks:
+/// [`MAX_BATCH_LANES`] lanes of 16 bytes per rank, which
+/// `SimWorkspace::batch_lanes` keeps within [`BATCH_BUFFER_BYTES`].
+fn batch_buffer_bytes(ranks: u64) -> u64 {
+    ranks
+        .saturating_mul(MAX_BATCH_LANES as u64 * 16)
+        .min(BATCH_BUFFER_BYTES as u64)
 }
 
 /// Renders a byte count for admission messages: `512 B`, `64.0 KiB`, …
@@ -1598,7 +1618,7 @@ fn job_to_toml(job: &Json) -> Result<String, String> {
             "engine" | "optimizer" => {
                 let _ = writeln!(grid, "{key} = {}", toml_str(key, value)?);
             }
-            "batch" | "quick_max_vars" => {
+            "quick_max_vars" => {
                 let _ = writeln!(grid, "{key} = {}", toml_int(key, value)?);
             }
             "shots" | "max_iters" | "restarts" | "noise_trajectories" => {
@@ -1610,7 +1630,7 @@ fn job_to_toml(job: &Json) -> Result<String, String> {
             other => {
                 return Err(format!(
                     "job key `{other}` is not recognized (grid keys: name, description, seed, \
-                     problems, solvers, seeds, layers, eliminate, engine, optimizer, batch, \
+                     problems, solvers, seeds, layers, eliminate, engine, optimizer, \
                      quick_max_vars; config keys: shots, max_iters, restarts, \
                      noise_trajectories, transpiled_stats)"
                 ));
@@ -1722,6 +1742,10 @@ mod tests {
         let typo = JsonParser::parse(r#"{"name": "t", "problems": ["F1"], "shotss": 1}"#).unwrap();
         let err = job_to_toml(&typo).unwrap_err();
         assert!(err.contains("shotss"), "{err}");
+        // The retired batch width is rejected like any typo.
+        let batch = JsonParser::parse(r#"{"name": "t", "problems": ["F1"], "batch": 8}"#).unwrap();
+        let err = job_to_toml(&batch).unwrap_err();
+        assert!(err.contains("job key `batch` is not recognized"), "{err}");
 
         let quote = JsonParser::parse(r#"{"name": "a\"b", "problems": ["F1"]}"#).unwrap();
         let err = job_to_toml(&quote).unwrap_err();
@@ -1766,12 +1790,18 @@ mod tests {
         assert_eq!(bytes(SolverKind::Penalty, EngineKind::Compact), full * 40);
         assert_eq!(bytes(SolverKind::Hea, EngineKind::Compact), full * 40);
         // Confined solvers: Choco-Q is |F|-bounded, cyclic stays compact
-        // over the full register.
+        // over the full register. Both add the batched replay's lane
+        // buffer: 16 lanes of 16 bytes per rank, at most 1 MiB.
         assert_eq!(
             bytes(SolverKind::ChocoQ, EngineKind::Compact),
-            feasible * 32
+            feasible * (32 + 256)
         );
-        assert_eq!(bytes(SolverKind::Cyclic, EngineKind::Compact), full * 32);
+        assert_eq!(
+            bytes(SolverKind::Cyclic, EngineKind::Compact),
+            full * 32 + full / 4 * 256
+        );
+        assert_eq!(batch_buffer_bytes(1 << 12), 1 << 20);
+        assert_eq!(batch_buffer_bytes(1 << 20), 1 << 20);
     }
 
     #[test]

@@ -348,11 +348,6 @@ pub struct ExperimentSpec {
     /// engines are bit-identical, so sweeping them would duplicate every
     /// record.
     pub engine: Option<EngineKind>,
-    /// Batched-replay width for the compact engine (`None` = the runner's
-    /// default, overridable by `choco-cli run --batch`). Like the engine
-    /// key it is not a grid axis: batched replays are bit-identical to
-    /// serial ones, so the setting changes wall-clock, never report bytes.
-    pub batch: Option<usize>,
     /// Classical optimizer every solver in the grid runs (`None` = the
     /// workspace default, COBYLA; overridable by
     /// `choco-cli run --optimizer`). Unlike the engine key this *does*
@@ -510,22 +505,11 @@ impl ExperimentSpec {
             Some(name) => Some(EngineKind::parse(&name).map_err(|e| {
                 format!(
                     "`[grid] engine`: {e} — pick `compact` (the default) for \
-                         the plan-compiled feasible-subspace engine, which falls \
-                         back gate by gate on circuits that fill the register, \
+                         the plan-compiled feasible-subspace engine, which runs \
+                         circuits that fill the register on the dense engine, \
                          or `dense` for the 2^n strided reference engine"
                 )
             })?),
-            None => None,
-        };
-        let batch = match known.int_key(doc, "grid.batch")? {
-            Some(v) if v < 1 => {
-                return Err(format!(
-                    "`[grid] batch`: must be at least 1 (got {v}) — the batched \
-                         compact replay evaluates that many candidate angle sets \
-                         per plan traversal; 1 replays them one at a time"
-                ));
-            }
-            Some(v) => Some(v as usize),
             None => None,
         };
         let optimizer = match known.str_key(doc, "grid.optimizer")? {
@@ -625,7 +609,6 @@ impl ExperimentSpec {
             eliminate,
             devices,
             engine,
-            batch,
             optimizer,
             noisy,
             history,
@@ -1061,36 +1044,6 @@ quick_problems = ["F1"]
     }
 
     #[test]
-    fn batch_key_parses_and_defaults_to_none() {
-        assert_eq!(ExperimentSpec::parse_str(MINIMAL).unwrap().batch, None);
-        for (text, want) in [("1", 1usize), ("8", 8), ("17", 17)] {
-            let spec = ExperimentSpec::parse_str(&format!(
-                "name = \"b\"\n[grid]\nproblems = [\"F1\"]\nbatch = {text}"
-            ))
-            .unwrap();
-            assert_eq!(spec.batch, Some(want), "batch = {text}");
-        }
-    }
-
-    #[test]
-    fn nonpositive_batch_is_rejected_with_guidance() {
-        for bad in ["0", "-3"] {
-            let err = ExperimentSpec::parse_str(&format!(
-                "name = \"b\"\n[grid]\nproblems = [\"F1\"]\nbatch = {bad}"
-            ))
-            .unwrap_err();
-            assert!(err.contains("batch"), "{bad}: {err}");
-            assert!(err.contains("at least 1"), "{bad}: {err}");
-        }
-        // Wrong type is also caught, not silently ignored.
-        let err = ExperimentSpec::parse_str(
-            "name = \"b\"\n[grid]\nproblems = [\"F1\"]\nbatch = \"wide\"",
-        )
-        .unwrap_err();
-        assert!(err.contains("batch"), "{err}");
-    }
-
-    #[test]
     fn optimizer_key_parses_case_insensitively_and_defaults_to_none() {
         assert_eq!(ExperimentSpec::parse_str(MINIMAL).unwrap().optimizer, None);
         for (name, kind) in [
@@ -1143,6 +1096,10 @@ quick_problems = ["F1"]
         assert!(e.contains("Q9"), "{e}");
         let e = ExperimentSpec::parse_str(&format!("{MINIMAL}typo_key = 3")).unwrap_err();
         assert!(e.contains("typo_key"), "{e}");
+        // The retired batch width is an unknown key like any typo.
+        let e = ExperimentSpec::parse_str("name = \"x\"\n[grid]\nproblems = [\"F1\"]\nbatch = 8")
+            .unwrap_err();
+        assert!(e.contains("unknown spec key `grid.batch`"), "{e}");
         let e = ExperimentSpec::parse_str(
             "name = \"x\"\n[grid]\nproblems = [\"F1\"]\nsolvers = [\"vqe\"]",
         )

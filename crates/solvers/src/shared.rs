@@ -185,17 +185,17 @@ impl CostSpec<'_> {
 }
 
 /// The variational objective handed to the optimizers: maps a parameter
-/// vector to `E[cost]` through one circuit execution, and — when the
-/// simulator configuration enables batching — evaluates groups of
-/// independent candidates through [`SimWorkspace::run_batch`], one plan
-/// traversal for up to `batch_size` angle sets.
+/// vector to `E[cost]` through one circuit execution, and evaluates
+/// groups of independent candidates through [`SimWorkspace::run_batch`],
+/// one plan traversal for as many angle sets as
+/// [`SimWorkspace::batch_lanes`] allows (at most 16).
 ///
 /// Bit-identity: a serial compact run and every
 /// [`choco_qsim::BatchWorkspace`] lane go through the same plan replay,
 /// whose per-lane IEEE expression sequence does not depend on the batch
 /// width, so every value this objective returns is identical whether it
-/// went through `eval`, a batched chunk, or the sequential fallback —
-/// optimizer trajectories cannot depend on `batch_size`.
+/// went through `eval`, a batched chunk, or the serial fallback —
+/// optimizer trajectories cannot depend on how a group was chunked.
 struct BatchedObjective<'a, F: Fn(&[f64]) -> Circuit> {
     build: &'a F,
     cost: &'a CostSpec<'a>,
@@ -245,45 +245,36 @@ impl<F: Fn(&[f64]) -> Circuit> choco_optim::Objective for BatchedObjective<'_, F
 
     fn eval_batch(&mut self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         out.clear();
-        let k = self.config.sim.batch_size;
-        if k <= 1 {
-            for x in xs {
-                out.push(self.eval(x));
-            }
+        if xs.is_empty() || self.deadline_expired() {
+            out.extend(std::iter::repeat_n(f64::INFINITY, xs.len()));
             return;
         }
-        for chunk in xs.chunks(k) {
-            // The sticky deadline check fires inside the batched loop,
-            // once per chunk: when it trips, the whole chunk gets the
-            // same `+inf` every member would have gotten serially.
+        self.circuits.clear();
+        self.circuits.extend(xs.iter().map(|x| (self.build)(x)));
+        let lanes = self.workspace.borrow_mut().batch_lanes(&self.circuits[0]);
+        for chunk in self.circuits.chunks(lanes) {
+            // The sticky deadline check fires once per chunk: when it
+            // trips, the whole chunk gets `+inf`.
             if self.deadline_expired() {
                 out.extend(std::iter::repeat_n(f64::INFINITY, chunk.len()));
                 continue;
             }
-            if chunk.len() == 1 {
-                out.push(self.eval(&chunk[0]));
-                continue;
-            }
-            self.circuits.clear();
-            self.circuits.extend(chunk.iter().map(|x| (self.build)(x)));
             let t0 = Instant::now();
             let mut ws = self.workspace.borrow_mut();
-            if let Some(batch) = ws.run_batch(&self.circuits) {
-                for lane in 0..chunk.len() {
-                    out.push(self.cost.expectation_lane(batch, lane));
-                }
-                self.execute_time
-                    .set(self.execute_time.get() + t0.elapsed());
+            let batch = if lanes > 1 { ws.run_batch(chunk) } else { None };
+            if let Some(batch) = batch {
+                out.extend((0..chunk.len()).map(|lane| self.cost.expectation_lane(batch, lane)));
             } else {
-                // Batching doesn't apply (wrong engine, fallback shape):
-                // release the workspace borrow and evaluate sequentially.
-                drop(ws);
-                self.execute_time
-                    .set(self.execute_time.get() + t0.elapsed());
-                for x in chunk {
-                    out.push(self.eval(x));
+                // One lane per chunk (a one-lane batch buffer would only
+                // duplicate the serial state), or batching doesn't apply
+                // (dense engine, refused shape): replay the built
+                // circuits one at a time.
+                for circuit in chunk {
+                    out.push(self.cost.expectation(ws.run(circuit)));
                 }
             }
+            self.execute_time
+                .set(self.execute_time.get() + t0.elapsed());
         }
     }
 }
@@ -576,9 +567,10 @@ mod tests {
         assert!(result.iterations > 0);
     }
 
-    /// A 3-qubit loop the compact engine can plan: superpose, phase with
-    /// the cost diagonal, mix. Cost favors |000⟩.
-    fn run_confined_loop(sim: SimConfig) -> (LoopResult, u64) {
+    /// A 3-qubit loop the compact engine can plan: superpose, then
+    /// `layers` rounds of phasing with the cost diagonal and mixing, two
+    /// angles per round. Cost favors |000⟩.
+    fn run_confined_loop(sim: SimConfig, layers: usize) -> (LoopResult, u64) {
         let mut poly = PhasePoly::new(3);
         poly.add_linear(0, 1.0);
         poly.add_linear(1, 2.0);
@@ -586,7 +578,7 @@ mod tests {
         let table: Vec<f64> = (0..8u64).map(|b| poly.eval_bits(b)).collect();
         let poly = Arc::new(poly);
         let config = QaoaConfig {
-            layers: 1,
+            layers,
             shots: 2_000,
             max_iters: 30,
             transpiled_stats: false,
@@ -594,17 +586,22 @@ mod tests {
             ..QaoaConfig::default()
         };
         let mut workspace = SimWorkspace::new(sim);
+        let x0: Vec<f64> = (0..2 * layers)
+            .map(|i| 0.3 + 0.2 * (i % 2) as f64)
+            .collect();
         let result = variational_loop(
             3,
             |params| {
                 let mut c = Circuit::new(3);
                 c.h(0).h(1).h(2);
-                c.diag(poly.clone(), params[0]);
-                c.rx(0, params[1]).rx(1, params[1]).rx(2, params[1]);
+                for angles in params.chunks(2) {
+                    c.diag(poly.clone(), angles[0]);
+                    c.rx(0, angles[1]).rx(1, angles[1]).rx(2, angles[1]);
+                }
                 c
             },
             &CostSpec::Table(&table),
-            &[0.3, 0.5],
+            &x0,
             &config,
             &mut workspace,
         );
@@ -613,34 +610,27 @@ mod tests {
 
     #[test]
     fn batched_loop_is_bit_identical_to_serial_and_compiles_once() {
-        let compact = SimConfig::serial().with_engine(EngineKind::Compact);
-        let (serial, _) = run_confined_loop(compact);
-        for k in [2usize, 3, 8] {
-            let (batched, compilations) = run_confined_loop(compact.with_batch(k));
-            assert_eq!(serial.counts, batched.counts, "batch {k}");
-            assert_eq!(serial.cost_history, batched.cost_history, "batch {k}");
-            assert_eq!(serial.iterations, batched.iterations, "batch {k}");
-            assert_eq!(compilations, 1, "batch {k} must reuse one plan");
+        // The compact engine replays every candidate group batched; the
+        // dense engine declines `run_batch` and replays serially. Nine
+        // layers give COBYLA a 19-point simplex, split into a full
+        // `MAX_BATCH_LANES` chunk and a remainder.
+        for layers in [1usize, 9] {
+            let (serial, _) =
+                run_confined_loop(SimConfig::serial().with_engine(EngineKind::Dense), layers);
+            let (batched, compilations) = run_confined_loop(SimConfig::serial(), layers);
+            assert_eq!(serial.counts, batched.counts, "{layers} layers");
+            assert_eq!(serial.cost_history, batched.cost_history, "{layers} layers");
+            assert_eq!(serial.iterations, batched.iterations, "{layers} layers");
+            assert_eq!(compilations, 1, "{layers} layers must reuse one plan");
         }
-        // Non-compact engines take the sequential fallback and still
-        // produce the same trajectory.
-        let (dense, _) = run_confined_loop(
-            SimConfig::serial()
-                .with_engine(EngineKind::Dense)
-                .with_batch(8),
-        );
-        assert_eq!(serial.counts, dense.counts);
-        assert_eq!(serial.cost_history, dense.cost_history);
     }
 
     #[test]
     fn expired_deadline_is_honored_inside_the_batched_loop() {
         let expired = Some(Instant::now() - std::time::Duration::from_secs(1));
         let mut results = Vec::new();
-        for k in [1usize, 8] {
-            let sim = SimConfig::serial()
-                .with_engine(EngineKind::Compact)
-                .with_batch(k);
+        for engine in [EngineKind::Dense, EngineKind::Compact] {
+            let sim = SimConfig::serial().with_engine(engine);
             let config = QaoaConfig {
                 layers: 1,
                 shots: 2_000,
@@ -663,16 +653,16 @@ mod tests {
                 &config,
                 &mut workspace,
             );
-            assert!(result.deadline_exceeded, "batch {k}");
-            assert_eq!(result.counts, Counts::new(), "batch {k}: sampling skipped");
+            assert!(result.deadline_exceeded, "{engine}");
+            assert_eq!(result.counts, Counts::new(), "{engine}: sampling skipped");
             assert!(
                 result.cost_history.iter().all(|v| v.is_infinite()),
-                "batch {k}: every evaluation must short-circuit to +inf"
+                "{engine}: every evaluation must short-circuit to +inf"
             );
             results.push(result);
         }
-        // The sticky check fires inside the batched chunk loop, so the
-        // drained trajectories are identical at every batch size.
+        // The sticky check fires before each chunk on either engine, so
+        // the drained trajectories are identical.
         assert_eq!(results[0].cost_history, results[1].cost_history);
         assert_eq!(results[0].iterations, results[1].iterations);
     }

@@ -6,16 +6,16 @@
 //!                  [--layers N] [--shots N] [--iters N] [--eliminate K]
 //!                  [--noise fez|osaka|sherbrooke] [--top N] [--seed N]
 //!                  [--threads N] [--engine dense|compact]
-//!                  [--batch K] [--optimizer cobyla|nelder-mead|spsa]
+//!                  [--optimizer cobyla|nelder-mead|spsa]
 //!                  [--restart-workers N] [--timeout SECS]
 //!        choco-cli run <spec.toml> [--workers N] [--quick] [--out PATH|-]
 //!                  [--csv PATH] [--sim-threads N] [--engine dense|compact]
-//!                  [--batch K] [--optimizer cobyla|nelder-mead|spsa]
+//!                  [--optimizer cobyla|nelder-mead|spsa]
 //!                  [--restart-workers N] [--no-table] [--checkpoint PATH] [--resume]
 //!                  [--cell-timeout SECS] [--retries N]
 //!        choco-cli serve [--state-dir DIR] [--queue-cap N] [--socket PATH]
 //!                  [--workers N] [--sim-threads N] [--engine dense|compact]
-//!                  [--batch K] [--optimizer cobyla|nelder-mead|spsa]
+//!                  [--optimizer cobyla|nelder-mead|spsa]
 //!                  [--restart-workers N] [--cell-timeout SECS] [--retries N]
 //!                  [--mem-budget BYTES[K|M|G]] [--gc-done] [--drain-timeout SECS]
 //!
@@ -30,13 +30,10 @@
 //! and every optimizer iteration replays a precompiled gate plan over a
 //! rank-indexed flat array; Choco-Q circuits never leave the feasible
 //! subspace, so this scales to registers the dense engine cannot
-//! allocate, and circuits that fill the register fall back gate by gate
-//! to a sparse map that densifies at the occupancy threshold) or `dense`
-//! (the 2^n strided reference buffer).
-//! `--batch` sets the batched-replay width: the variational loop hands
-//! K candidate angle sets at a time to the compact engine, which
-//! evaluates them in one pass over the cached plan (bit-identical to K
-//! serial replays; a pure performance knob, like `--engine`).
+//! allocate; circuits that fill the register run on the dense engine,
+//! and the optimizer's candidate groups replay batched, up to 16 angle
+//! sets per pass over a small plan) or `dense` (the 2^n strided
+//! reference buffer).
 //! `--timeout` arms a cooperative wall-clock deadline on the solve: it
 //! is checked at every objective evaluation and an expired solve fails
 //! with a timeout error instead of running away. The `run` subcommand's
@@ -77,7 +74,6 @@ struct Args {
     optimizer: Option<choco_q::optim::OptimizerKind>,
     restart_workers: usize,
     timeout: Option<std::time::Duration>,
-    batch: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -96,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
         optimizer: None,
         restart_workers: 1,
         timeout: None,
-        batch: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -158,15 +153,6 @@ fn parse_args() -> Result<Args, String> {
                 args.restart_workers = value("--restart-workers")?
                     .parse()
                     .map_err(|e| format!("--restart-workers: {e}"))?
-            }
-            "--batch" => {
-                let k: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if k == 0 {
-                    return Err("--batch: expected a width of at least 1 (1 = serial)".into());
-                }
-                args.batch = Some(k);
             }
             "--timeout" => {
                 let secs: f64 = value("--timeout")?
@@ -232,17 +218,17 @@ fn main() -> ExitCode {
                 "usage: choco-cli <file | -> [--solver choco|penalty|cyclic|hea] \
                  [--layers N] [--shots N] [--iters N] [--eliminate K] \
                  [--noise fez|osaka|sherbrooke] [--top N] [--seed N] [--threads N] \
-                 [--engine dense|compact] [--batch K] \
+                 [--engine dense|compact] \
                  [--optimizer cobyla|nelder-mead|spsa] \
                  [--restart-workers N] [--timeout SECS]\n\
                  usage: choco-cli run <spec.toml> [--workers N] [--quick] [--out PATH|-] \
                  [--csv PATH] [--sim-threads N] [--engine dense|compact] \
-                 [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
+                 [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
                  [--no-table] [--checkpoint PATH] [--resume] [--cell-timeout SECS] \
                  [--retries N]\n\
                  usage: choco-cli serve [--state-dir DIR] [--queue-cap N] [--socket PATH] \
                  [--workers N] [--sim-threads N] [--engine dense|compact] \
-                 [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
+                 [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
                  [--cell-timeout SECS] [--retries N] [--mem-budget BYTES[K|M|G]] \
                  [--gc-done] [--drain-timeout SECS]"
             );
@@ -303,9 +289,6 @@ fn main() -> ExitCode {
             if let Some(engine) = args.engine {
                 cfg.sim = cfg.sim.with_engine(engine);
             }
-            if let Some(k) = args.batch {
-                cfg.sim = cfg.sim.with_batch(k);
-            }
             ChocoQSolver::new(cfg).solve(&problem)
         }
         name @ ("penalty" | "cyclic" | "hea") => {
@@ -330,9 +313,6 @@ fn main() -> ExitCode {
             }
             if let Some(engine) = args.engine {
                 cfg.sim = cfg.sim.with_engine(engine);
-            }
-            if let Some(k) = args.batch {
-                cfg.sim = cfg.sim.with_batch(k);
             }
             match name {
                 "penalty" => PenaltyQaoaSolver::new(cfg).solve(&problem),

@@ -180,7 +180,6 @@ proptest! {
             threads,
             parallel_threshold: 1,
             engine: EngineKind::Dense,
-            ..SimConfig::default()
         };
         let mut ws = SimWorkspace::new(config);
         for round in 0..3u64 {

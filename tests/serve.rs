@@ -268,13 +268,13 @@ fn int_field(line: &str, key: &str) -> u64 {
 fn plan_cache_is_shared_across_requests() {
     // Interactive session over OS pipes: submit a compact-engine job,
     // wait for it, read the cache stats, then submit a second job of
-    // the same shape and assert it compiled nothing new.
+    // the same shape and assert it compiled nothing new. A third job on
+    // the dense engine adds the second and last cache.
     let opts = ServeOptions {
         state_dir: scratch("cache").join("state"),
         queue_cap: 64,
         run: RunOptions {
             workers: 1,
-            engine: Some(EngineKind::Compact),
             ..RunOptions::default()
         },
         ..ServeOptions::default()
@@ -299,16 +299,16 @@ fn plan_cache_is_shared_across_requests() {
                 }
             }
         };
-        let job = |name: &str| {
+        let job = |name: &str, engine: &str| {
             format!(
                 "{{\"op\": \"submit\", \"job\": {{\"name\": \"{name}\", \"problems\": [\"F1\"], \
                  \"solvers\": [\"choco-q\"], \"seeds\": [1], \"shots\": 300, \"max_iters\": 4, \
-                 \"restarts\": 1}}}}\n"
+                 \"restarts\": 1, \"engine\": \"{engine}\"}}}}\n"
             )
         };
         next("ready");
         requests
-            .write_all(job("cold").as_bytes())
+            .write_all(job("cold", "compact").as_bytes())
             .expect("submit cold");
         next("done");
         requests
@@ -326,7 +326,7 @@ fn plan_cache_is_shared_across_requests() {
         );
 
         requests
-            .write_all(job("warm").as_bytes())
+            .write_all(job("warm", "compact").as_bytes())
             .expect("submit warm");
         next("done");
         requests
@@ -340,6 +340,22 @@ fn plan_cache_is_shared_across_requests() {
             "an identically-shaped job must compile zero new plans: {warm}"
         );
         assert!(warm_hits > cold_hits, "cold {cold} vs warm {warm}");
+        // The caches are keyed by the engine configuration alone: the
+        // two jobs share one compact cache, and a dense job adds exactly
+        // one more.
+        assert_eq!(warm.matches("\"engine\": ").count(), 1, "{warm}");
+        requests
+            .write_all(job("dense", "dense").as_bytes())
+            .expect("submit dense");
+        next("done");
+        requests
+            .write_all(b"{\"op\": \"stats\"}\n")
+            .expect("stats 3");
+        let both = next("stats");
+        for engine in ["compact", "dense"] {
+            let label = format!("\"engine\": \"{engine}\"");
+            assert_eq!(both.matches(&label).count(), 1, "{both}");
+        }
 
         requests
             .write_all(b"{\"op\": \"shutdown\"}\n")
