@@ -1,264 +1,172 @@
-//! The rank-indexed compact engine's state representation.
+//! The compact engine's state: one amplitude per rank of the feasible
+//! basis `F` that the gate-plan compiler enumerated, for K candidate
+//! circuits at once.
 //!
-//! Where the sparse engine stores `(basis index, amplitude)` entries and
-//! pays lookup/insert churn per gate, the compact engine stores a dense
-//! `Vec<Complex64>` of length `|F|`, indexed by the *rank* of each
-//! feasible basis state in the sorted feasible basis `F` that
-//! the gate-plan compiler enumerated at compile time. All per-gate work happens
-//! through the plan's precomputed rank tables; this type only owns the
-//! amplitude array and exposes the solver-facing read operations
-//! (amplitudes, expectations, sampling, support counting).
+//! A Choco-Q state never leaves the feasible subspace, so the compact
+//! engine stores a dense `Vec<Complex64>` of `K·|F|` amplitudes in
+//! **rank-major** order, `amps[rank·K + lane]`: all K candidates of one
+//! basis rank sit next to each other. All per-gate work happens through
+//! the plan's precomputed rank tables (`GatePlan::execute`);
+//! a serial run is the K = 1 case of the same replay. This module owns
+//! that buffer ([`CompactStateVector`]) and the one implementation of the
+//! solver-facing reads over a lane of it ([`CompactLane`]), which
+//! [`SimEngine::Compact`] exposes.
 //!
-//! That array is a one-lane batch: replay writes it with the same
-//! `GatePlan::execute` call that fills a K-lane
-//! [`crate::BatchWorkspace`], and both types read through one `Lane`
-//! implementation of the rank-strided reads.
-//!
-//! Structural slots the sparse engine pruned hold exact complex zeros
-//! here. Every read operation either skips them (mirroring the sparse
-//! engine's entry iteration term for term, so sums stay bit-identical) or
-//! lets them contribute exact IEEE zeros (the cumulative sampling table),
-//! which keeps amplitudes, expectations, and sample streams bit-identical
-//! across all three engines.
+//! Bit-identity contract: every lane evaluates the same IEEE expression
+//! sequence at any K and any thread count, so a lane reads exactly what
+//! a serial run of its circuit does. Slots of `F` that hold an exact zero
+//! are skipped by every sum, so the term sequence is the occupied entries
+//! in basis order (the sparse reference walker's), and they add exact
+//! IEEE zeros to the cumulative sampling table. Amplitudes, expectations
+//! and sample streams therefore match the other engines bit for bit.
 
+use crate::circuit::Circuit;
 use crate::counts::Counts;
+use crate::engine::SimEngine;
 use crate::phasepoly::PhasePoly;
-use crate::plan::PlanBasis;
+use crate::plan::{BatchScratch, GatePlan, PlanBasis};
 use crate::simconfig::SimConfig;
+use crate::state::StateVector;
 use choco_mathkit::Complex64;
 use rand::Rng;
 use std::sync::Arc;
 
-/// A pure quantum state over the feasible basis `F`, stored as one dense
-/// amplitude per feasible-state rank.
+/// The most lanes [`crate::SimWorkspace::batch_lanes`] picks: the
+/// fastest width per candidate in the batched replay benchmark.
+pub const MAX_BATCH_LANES: usize = 16;
+
+/// The lane buffer size [`crate::SimWorkspace::batch_lanes`] keeps a
+/// batch within. Every lane read strides across all lanes, and past
+/// about this size batching stops paying: 16 lanes over a plan of about
+/// 570k ranks made a whole Choco-Q cell three times slower than serial
+/// replays.
+pub const BATCH_BUFFER_BYTES: usize = 1 << 20;
+
+/// K pure quantum states over one feasible basis `F`, stored rank-major
+/// as `amps[rank·K + lane]` and read one lane at a time through
+/// [`CompactStateVector::lane`].
 ///
-/// Built and driven by [`crate::SimWorkspace`] when
-/// [`crate::EngineKind::Compact`] is selected; the basis is shared
-/// (`Arc`) with the compiled gate plan that produced it.
-#[derive(Clone, Debug)]
+/// Owned and reused across iterations by [`crate::SimWorkspace`]: its
+/// serial state is a one-lane buffer, and
+/// [`crate::SimWorkspace::run_batch`] returns a K-lane one. The basis is
+/// shared (`Arc`) with the compiled gate plan that produced it.
+#[derive(Debug, Default)]
 pub struct CompactStateVector {
     n_qubits: usize,
     /// The sorted feasible basis `F`: `basis.bits[rank]` is the
-    /// basis-state bit pattern of `amps[rank]`.
+    /// basis-state bit pattern of the amplitudes at `rank`.
     basis: Arc<PlanBasis>,
     amps: Vec<Complex64>,
-    config: SimConfig,
+    lanes: usize,
+    reallocations: u64,
 }
 
 impl CompactStateVector {
-    /// An unallocated state over the given feasible basis; replay starts
-    /// with [`CompactStateVector::reset_for_basis`].
-    pub(crate) fn new(n_qubits: usize, basis: &Arc<PlanBasis>, config: SimConfig) -> Self {
-        CompactStateVector {
-            n_qubits,
-            basis: basis.clone(),
-            amps: Vec::new(),
-            config,
+    /// Resets one lane per circuit to `|0…0⟩` (rank 0 — every plan's
+    /// basis starts there), reusing the allocation when its capacity
+    /// suffices, and replays `plan` over them. The caller has verified
+    /// every circuit matches the plan's shape.
+    pub(crate) fn replay(
+        &mut self,
+        plan: &GatePlan,
+        circuits: &[Circuit],
+        scratch: &mut BatchScratch,
+        config: &SimConfig,
+    ) {
+        let basis = plan.basis();
+        assert_eq!(
+            basis.bits.first(),
+            Some(&0),
+            "feasible basis must contain |0…0⟩"
+        );
+        if !Arc::ptr_eq(&self.basis, basis) {
+            self.basis = basis.clone();
         }
+        let lanes = circuits.len();
+        let needed = lanes * basis.bits.len();
+        if self.amps.capacity() < needed {
+            self.reallocations += 1;
+        }
+        self.amps.clear();
+        self.amps.resize(needed, Complex64::ZERO);
+        self.amps[..lanes].fill(Complex64::ONE);
+        self.n_qubits = circuits[0].n_qubits();
+        self.lanes = lanes;
+        plan.execute(circuits, &mut self.amps, scratch, config);
     }
 
-    /// Re-targets this state at another plan's basis and resets to
-    /// `|0…0⟩`, reusing the amplitude allocation (capacity permitting) —
-    /// the workspace's zero-alloc-per-iteration path when one solve
-    /// alternates between circuit shapes.
-    pub(crate) fn reset_for_basis(&mut self, basis: &Arc<PlanBasis>) {
-        reset_lanes(&mut self.basis, &mut self.amps, basis, 1);
-    }
-
-    /// Resets to `|0…0⟩` in place.
-    pub fn reset_zero(&mut self) {
-        self.amps.fill(Complex64::ZERO);
-        self.amps[0] = Complex64::ONE;
-    }
-
-    /// The execution configuration.
-    #[inline]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Number of qubits.
+    /// Number of qubits of the replayed circuits.
     #[inline]
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
     }
 
-    /// The sorted feasible basis this state is ranked over.
+    /// Number of lanes (K) held by the last replay.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The sorted feasible basis the lanes are ranked over.
     #[inline]
     pub fn basis(&self) -> &[u64] {
         &self.basis.bits
     }
 
-    /// Mutable amplitude array for plan replay (rank-indexed).
+    /// How many times the lane buffer had to grow. Stays flat once the
+    /// buffer has warmed up on a shape and lane count.
     #[inline]
-    pub(crate) fn amps_mut(&mut self) -> &mut [Complex64] {
-        &mut self.amps
+    pub fn reallocations(&self) -> u64 {
+        self.reallocations
     }
 
-    /// Size of the feasible basis `|F|` — the engine's storage footprint,
-    /// as opposed to [`CompactStateVector::occupancy`] which counts only
-    /// numerically non-zero amplitudes.
-    #[inline]
-    pub fn basis_len(&self) -> usize {
-        self.basis.bits.len()
-    }
-
-    /// The amplitude array as the one lane of a K = 1 batch, which is
-    /// how every read below is implemented.
-    fn lane(&self) -> Lane<'_> {
-        Lane {
+    /// One lane's state, read exactly as a serial run of its circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane(&self, lane: usize) -> SimEngine<'_> {
+        assert!(lane < self.lanes, "lane out of range");
+        SimEngine::Compact(CompactLane {
             n_qubits: self.n_qubits,
             basis: &self.basis,
             amps: &self.amps,
-            lanes: 1,
-            lane: 0,
-        }
-    }
-
-    /// Number of exactly non-zero amplitudes. Equals the sparse engine's
-    /// occupancy (amplitudes are bit-identical across engines; the sparse
-    /// engine prunes exact zeros).
-    pub fn occupancy(&self) -> usize {
-        self.lane().occupancy()
-    }
-
-    /// The non-zero entries `(basis index, amplitude)` in basis order —
-    /// exactly the sparse engine's entry list for the same state.
-    pub fn entries(&self) -> Vec<(u64, Complex64)> {
-        self.lane().occupied().collect()
-    }
-
-    /// The amplitude of basis state `bits` (zero off the feasible basis).
-    pub fn amplitude(&self, bits: u64) -> Complex64 {
-        self.lane().amplitude(bits)
-    }
-
-    /// Probability of measuring the basis state `bits`.
-    pub fn probability(&self, bits: u64) -> f64 {
-        self.amplitude(bits).norm_sqr()
-    }
-
-    /// Number of basis states with probability above `eps` (the fig. 9(b)
-    /// support metric).
-    pub fn support_size(&self, eps: f64) -> usize {
-        self.amps.iter().filter(|a| a.norm_sqr() > eps).count()
-    }
-
-    /// Total probability (should be 1 up to rounding). Skips exact zeros
-    /// so the sum has the same term sequence as the sparse engine's.
-    pub fn norm_sqr(&self) -> f64 {
-        self.lane().norm_sqr()
-    }
-
-    /// Expectation of a diagonal observable given a `2^n` value table.
-    /// Bit-identical to the other engines: the term sequence equals the
-    /// sparse engine's occupied-entry iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != 2^n`.
-    pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
-        self.lane().expectation_diag_values(values)
-    }
-
-    /// Expectation of a diagonal observable given as a polynomial, no
-    /// table required: `O(|F|)` for a polynomial the replayed circuit
-    /// evolves under (its values were baked per rank when the plan was
-    /// compiled), `O(|F| · terms)` for any other. Both give the same
-    /// bits as [`CompactStateVector::expectation_diag_values`] on the
-    /// polynomial's table.
-    pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
-        self.lane().expectation_diag_poly(poly)
-    }
-
-    /// Fills `out` with the cumulative probability over all `|F|` ranks
-    /// (ascending basis index). Zero slots add exact IEEE zeros, so the
-    /// values at occupied slots match the other engines' tables
-    /// bit-for-bit — which keeps sample streams identical.
-    pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
-        self.lane().fill_cumulative(out);
-    }
-
-    /// Samples `shots` outcomes using a prebuilt rank-cumulative table
-    /// (see [`CompactStateVector::fill_cumulative`]). One
-    /// `rng.gen::<f64>()` per shot; tie handling mirrors the dense
-    /// engine's `partition_point` endpoint exactly, so a shared seed
-    /// yields identical histograms across engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table length does not match `|F|`.
-    pub fn sample_with_cumulative<R: Rng>(
-        &self,
-        cumulative: &[f64],
-        shots: u64,
-        rng: &mut R,
-    ) -> Counts {
-        self.lane().sample_with_cumulative(cumulative, shots, rng)
-    }
-
-    /// Samples `shots` measurement outcomes, building the cumulative
-    /// table on the fly (one-off calls; [`crate::SimWorkspace::sample`]
-    /// caches the table across calls).
-    pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
-        self.lane().sample(shots, rng)
+            lanes: self.lanes,
+            lane,
+        })
     }
 }
 
-/// Points `held` at `basis` and resets every lane of a rank-major buffer
-/// to `|0…0⟩` (rank 0 — every plan's basis starts there), reusing the
-/// allocation when its capacity suffices. Returns whether it had to grow.
-pub(crate) fn reset_lanes(
-    held: &mut Arc<PlanBasis>,
-    amps: &mut Vec<Complex64>,
-    basis: &Arc<PlanBasis>,
+/// One lane of a [`CompactStateVector`]: the single implementation of
+/// the compact reads, reached through [`SimEngine::Compact`].
+#[derive(Clone, Copy, Debug)]
+pub struct CompactLane<'a> {
+    n_qubits: usize,
+    basis: &'a PlanBasis,
+    amps: &'a [Complex64],
     lanes: usize,
-) -> bool {
-    assert_eq!(
-        basis.bits.first(),
-        Some(&0),
-        "feasible basis must contain |0…0⟩"
-    );
-    if !Arc::ptr_eq(held, basis) {
-        *held = basis.clone();
+    lane: usize,
+}
+
+impl<'a> CompactLane<'a> {
+    pub(crate) fn n_qubits(self) -> usize {
+        self.n_qubits
     }
-    let needed = lanes * basis.bits.len();
-    let grew = amps.capacity() < needed;
-    amps.clear();
-    amps.resize(needed, Complex64::ZERO);
-    amps[..lanes].fill(Complex64::ONE); // rank 0 of every lane
-    grew
-}
 
-/// One lane of a rank-major amplitude buffer `amps[rank * lanes + lane]`
-/// over the feasible basis: the single implementation of the compact
-/// reads. A [`CompactStateVector`] is the `lanes = 1` case and
-/// [`crate::BatchWorkspace`] reads each of its lanes through one, so a
-/// lane reads exactly what a serial run of its circuit would.
-#[derive(Clone, Copy)]
-pub(crate) struct Lane<'a> {
-    pub(crate) n_qubits: usize,
-    pub(crate) basis: &'a PlanBasis,
-    pub(crate) amps: &'a [Complex64],
-    pub(crate) lanes: usize,
-    pub(crate) lane: usize,
-}
-
-impl<'a> Lane<'a> {
     /// The lane's amplitudes in rank order.
     fn iter(self) -> impl Iterator<Item = Complex64> + 'a {
         self.amps[self.lane..].iter().step_by(self.lanes).copied()
     }
 
-    /// The lane's `(rank, amplitude)` entries with exact zeros skipped
-    /// — the sparse engine's entry iteration, term for term.
+    /// The lane's `(rank, amplitude)` entries with exact zeros skipped,
+    /// in basis order.
     fn occupied_ranks(self) -> impl Iterator<Item = (usize, Complex64)> + 'a {
         self.iter()
             .enumerate()
             .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
     }
 
-    /// [`Lane::occupied_ranks`] with each rank's basis index.
+    /// [`CompactLane::occupied_ranks`] with each rank's basis index.
     fn occupied(self) -> impl Iterator<Item = (u64, Complex64)> + 'a {
         let bits = &self.basis.bits;
         self.occupied_ranks().map(move |(rank, a)| (bits[rank], a))
@@ -275,8 +183,19 @@ impl<'a> Lane<'a> {
         self.occupied().count()
     }
 
+    pub(crate) fn support_size(self, eps: f64) -> usize {
+        self.iter().filter(|a| a.norm_sqr() > eps).count()
+    }
+
     pub(crate) fn norm_sqr(self) -> f64 {
         self.occupied().map(|(_, a)| a.norm_sqr()).sum()
+    }
+
+    pub(crate) fn fidelity_against_dense(self, other: &StateVector) -> f64 {
+        self.occupied()
+            .map(|(bits, a)| a.conj() * other.amplitude(bits))
+            .sum::<Complex64>()
+            .norm_sqr()
     }
 
     pub(crate) fn expectation_diag_values(self, values: &[f64]) -> f64 {
@@ -330,8 +249,7 @@ impl<'a> Lane<'a> {
             let r: f64 = rng.gen::<f64>() * total;
             let bits = if r == 0.0 {
                 // The dense table's partition_point lands on basis index 0
-                // for r = 0; mirror that endpoint exactly (as the sparse
-                // engine does).
+                // for r = 0; mirror that endpoint exactly.
                 0
             } else {
                 let slot = cumulative.partition_point(|&c| c < r);
@@ -340,12 +258,6 @@ impl<'a> Lane<'a> {
             counts.record(bits);
         }
         counts
-    }
-
-    pub(crate) fn sample<R: Rng>(self, shots: u64, rng: &mut R) -> Counts {
-        let mut cumulative = Vec::new();
-        self.fill_cumulative(&mut cumulative);
-        self.sample_with_cumulative(&cumulative, shots, rng)
     }
 }
 
@@ -365,19 +277,13 @@ mod tests {
     /// against a dense run before any read is exercised.
     fn run_compact(circuit: &Circuit) -> CompactStateVector {
         let plan = GatePlan::compile(circuit, 1 << 12).unwrap();
-        let config = SimConfig::serial();
-        let mut state = CompactStateVector::new(circuit.n_qubits(), plan.basis(), config);
-        state.reset_for_basis(plan.basis());
+        let mut state = CompactStateVector::default();
         let circuits = std::slice::from_ref(circuit);
-        plan.execute(
-            circuits,
-            state.amps_mut(),
-            &mut BatchScratch::default(),
-            &config,
-        );
+        let mut scratch = BatchScratch::default();
+        state.replay(&plan, circuits, &mut scratch, &SimConfig::serial());
         let dense = StateVector::run(circuit);
         for (bits, d) in dense.amplitudes().iter().enumerate() {
-            let a = state.amplitude(bits as u64);
+            let a = state.lane(0).amplitude(bits as u64);
             assert!(
                 a.re == d.re && a.im == d.im,
                 "bits={bits}: compact {a} vs dense {d}"
@@ -404,14 +310,18 @@ mod tests {
     #[test]
     fn reads_match_sparse_bitwise() {
         let circuit = confined();
-        let compact = run_compact(&circuit);
+        let state = run_compact(&circuit);
+        let compact = state.lane(0);
         let sparse = SparseStateVector::run(&circuit);
         for bits in 0..16u64 {
             let (a, b) = (compact.amplitude(bits), sparse.amplitude(bits));
             assert!(a.re == b.re && a.im == b.im, "bits={bits}");
         }
         assert_eq!(compact.occupancy(), sparse.occupancy());
-        assert_eq!(compact.entries(), sparse.entries().to_vec());
+        let SimEngine::Compact(lane) = compact else {
+            unreachable!("a compact lane")
+        };
+        assert_eq!(lane.occupied().collect::<Vec<_>>(), sparse.entries());
         assert_eq!(compact.support_size(1e-9), sparse.support_size(1e-9));
         assert!((compact.norm_sqr() - 1.0).abs() < 1e-12);
     }
@@ -419,7 +329,8 @@ mod tests {
     #[test]
     fn expectations_are_bit_identical_to_sparse() {
         let circuit = confined();
-        let compact = run_compact(&circuit);
+        let state = run_compact(&circuit);
+        let compact = state.lane(0);
         let sparse = SparseStateVector::run(&circuit);
         let mut poly = PhasePoly::new(4);
         poly.add_linear(2, -1.5);
@@ -490,8 +401,8 @@ mod tests {
             for lane in 0..k {
                 for (poly, table) in [&*cost, &other].into_iter().zip(&tables) {
                     let (by_poly, by_table) = (
-                        batch.expectation_diag_poly(lane, poly),
-                        batch.expectation_diag_values(lane, table),
+                        batch.lane(lane).expectation_diag_poly(poly),
+                        batch.lane(lane).expectation_diag_values(table),
                     );
                     check(&format!("K={k} lane={lane}"), by_poly, by_table);
                 }
@@ -504,6 +415,7 @@ mod tests {
         let circuit = confined();
         let compact = run_compact(&circuit);
         let sparse = SparseStateVector::run(&circuit);
+        let compact = compact.lane(0);
         let mut ra = StdRng::seed_from_u64(17);
         let mut rb = StdRng::seed_from_u64(17);
         assert_eq!(
@@ -515,15 +427,22 @@ mod tests {
     #[test]
     fn reset_reuses_the_allocation() {
         let circuit = confined();
-        let mut compact = run_compact(&circuit);
-        let ptr = compact.amps.as_ptr();
-        compact.reset_zero();
-        assert_eq!(compact.amps.as_ptr(), ptr);
-        assert_eq!(compact.probability(0), 1.0);
-        assert_eq!(compact.occupancy(), 1);
-        // Re-targeting at the same basis keeps the allocation too.
-        let basis = compact.basis.clone();
-        compact.reset_for_basis(&basis);
-        assert_eq!(compact.amps.as_ptr(), ptr);
+        let plan = GatePlan::compile(&circuit, 1 << 12).unwrap();
+        let mut state = run_compact(&circuit);
+        let ptr = state.amps.as_ptr();
+        let mut scratch = BatchScratch::default();
+        let config = SimConfig::serial();
+        // Replaying the first gate alone resets to |0011⟩ in place.
+        let mut load = Circuit::new(4);
+        load.load_bits(0b0011);
+        let load_plan = GatePlan::compile(&load, 1 << 12).unwrap();
+        state.replay(&load_plan, &[load], &mut scratch, &config);
+        assert_eq!(state.amps.as_ptr(), ptr);
+        assert_eq!(state.lane(0).probability(0b0011), 1.0);
+        assert_eq!(state.lane(0).occupancy(), 1);
+        // Replaying the original plan again keeps the allocation too.
+        state.replay(&plan, std::slice::from_ref(&circuit), &mut scratch, &config);
+        assert_eq!(state.amps.as_ptr(), ptr);
+        assert_eq!(state.reallocations(), 1);
     }
 }

@@ -1,13 +1,15 @@
-//! The engine abstraction: one solver-facing state type over the dense
-//! strided [`StateVector`] or the rank-indexed [`CompactStateVector`],
-//! selected by [`SimConfig::engine`].
+//! The engine abstraction: one solver-facing, read-only view of a state
+//! held by the dense strided [`StateVector`] or by one lane of the
+//! rank-indexed [`crate::CompactStateVector`], selected by
+//! [`SimConfig::engine`].
 //!
 //! Everything above the kernels — [`crate::SimWorkspace`], the solvers'
 //! variational loop, the experiment runner, and the CLI — reads a
-//! [`SimEngine`] and never names a concrete representation. The engines
-//! produce bit-identical amplitudes, expectations, and sampling streams
-//! (see [`crate::compact`]), so engine selection is purely a performance
-//! decision:
+//! [`SimEngine`] and never names a concrete representation. A serial run
+//! and every lane of a batched run are read through the same view. The
+//! engines produce bit-identical amplitudes, expectations, and sampling
+//! streams (see [`crate::compact`]), so engine selection is purely a
+//! performance decision:
 //!
 //! * [`EngineKind::Dense`] — always the `2^n` buffer.
 //! * [`EngineKind::Compact`] (the default) — plan replay:
@@ -20,7 +22,7 @@
 //!
 //! [`DENSITY_THRESHOLD`]: crate::DENSITY_THRESHOLD
 
-use crate::compact::CompactStateVector;
+use crate::compact::CompactLane;
 use crate::counts::Counts;
 use crate::phasepoly::PhasePoly;
 #[cfg(doc)]
@@ -46,7 +48,8 @@ pub(crate) fn assert_dense_fallback(n_qubits: usize, support: usize, cap: usize)
     );
 }
 
-/// A quantum state behind one of the two amplitude representations.
+/// A borrowed view of a quantum state behind one of the two amplitude
+/// representations. `Copy`: pass it by value.
 ///
 /// # Examples
 ///
@@ -64,34 +67,34 @@ pub(crate) fn assert_dense_fallback(n_qubits: usize, support: usize, cap: usize)
 /// assert!(state.is_compact());
 /// assert_eq!(state.occupancy(), 2); // |F|-confined, not 2^5
 /// ```
-#[derive(Clone, Debug)]
-pub enum SimEngine {
+#[derive(Clone, Copy, Debug)]
+pub enum SimEngine<'a> {
     /// The dense strided engine.
-    Dense(StateVector),
-    /// The rank-indexed compact engine (built by
+    Dense(&'a StateVector),
+    /// One lane of the rank-indexed compact engine (built by
     /// [`crate::SimWorkspace`]'s plan replay).
-    Compact(CompactStateVector),
+    Compact(CompactLane<'a>),
 }
 
-impl SimEngine {
+impl<'a> SimEngine<'a> {
     /// Number of qubits.
-    pub fn n_qubits(&self) -> usize {
+    pub fn n_qubits(self) -> usize {
         match self {
             SimEngine::Dense(s) => s.n_qubits(),
-            SimEngine::Compact(s) => s.n_qubits(),
+            SimEngine::Compact(l) => l.n_qubits(),
         }
     }
 
     /// `true` while the state is held in the compact (rank-indexed)
     /// representation.
-    pub fn is_compact(&self) -> bool {
+    pub fn is_compact(self) -> bool {
         matches!(self, SimEngine::Compact(_))
     }
 
     /// Short label of the current representation (`"dense"` or
     /// `"compact"`) — what [`EngineKind::Compact`] actually resolved to
     /// for this circuit shape, as opposed to what was configured.
-    pub fn representation_label(&self) -> &'static str {
+    pub fn representation_label(self) -> &'static str {
         match self {
             SimEngine::Dense(_) => "dense",
             SimEngine::Compact(_) => "compact",
@@ -99,52 +102,51 @@ impl SimEngine {
     }
 
     /// The dense state, if that is the current representation.
-    pub fn as_dense(&self) -> Option<&StateVector> {
+    pub fn as_dense(self) -> Option<&'a StateVector> {
         match self {
             SimEngine::Dense(s) => Some(s),
-            _ => None,
+            SimEngine::Compact(_) => None,
         }
     }
 
     /// Number of occupied (exactly non-zero) basis entries. Both engines
     /// scan their buffers. Engine-invariant: amplitudes are bit-identical
     /// across representations, so the count is too.
-    pub fn occupancy(&self) -> usize {
+    pub fn occupancy(self) -> usize {
         match self {
             SimEngine::Dense(s) => s.occupancy(),
-            SimEngine::Compact(s) => s.occupancy(),
+            SimEngine::Compact(l) => l.occupancy(),
         }
     }
 
-    /// The amplitude of basis state `bits`.
-    pub fn amplitude(&self, bits: u64) -> Complex64 {
+    /// The amplitude of basis state `bits` (zero off a compact state's
+    /// feasible basis).
+    pub fn amplitude(self, bits: u64) -> Complex64 {
         match self {
             SimEngine::Dense(s) => s.amplitude(bits),
-            SimEngine::Compact(s) => s.amplitude(bits),
+            SimEngine::Compact(l) => l.amplitude(bits),
         }
     }
 
     /// Probability of measuring the basis state `bits`.
-    pub fn probability(&self, bits: u64) -> f64 {
-        match self {
-            SimEngine::Dense(s) => s.probability(bits),
-            SimEngine::Compact(s) => s.probability(bits),
-        }
+    pub fn probability(self, bits: u64) -> f64 {
+        self.amplitude(bits).norm_sqr()
     }
 
-    /// Number of basis states with probability above `eps`.
-    pub fn support_size(&self, eps: f64) -> usize {
+    /// Number of basis states with probability above `eps` (the fig. 9(b)
+    /// support metric).
+    pub fn support_size(self, eps: f64) -> usize {
         match self {
             SimEngine::Dense(s) => s.support_size(eps),
-            SimEngine::Compact(s) => s.support_size(eps),
+            SimEngine::Compact(l) => l.support_size(eps),
         }
     }
 
     /// Total probability (should be 1 up to rounding).
-    pub fn norm_sqr(&self) -> f64 {
+    pub fn norm_sqr(self) -> f64 {
         match self {
             SimEngine::Dense(s) => s.norm_sqr(),
-            SimEngine::Compact(s) => s.norm_sqr(),
+            SimEngine::Compact(l) => l.norm_sqr(),
         }
     }
 
@@ -153,16 +155,11 @@ impl SimEngine {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn fidelity_against_dense(&self, other: &StateVector) -> f64 {
+    pub fn fidelity_against_dense(self, other: &StateVector) -> f64 {
         assert_eq!(self.n_qubits(), other.n_qubits(), "dimension mismatch");
         match self {
             SimEngine::Dense(s) => s.fidelity(other),
-            SimEngine::Compact(s) => s
-                .entries()
-                .iter()
-                .map(|&(bits, a)| a.conj() * other.amplitude(bits))
-                .sum::<Complex64>()
-                .norm_sqr(),
+            SimEngine::Compact(l) => l.fidelity_against_dense(other),
         }
     }
 
@@ -171,57 +168,61 @@ impl SimEngine {
     /// # Panics
     ///
     /// Panics on table length mismatch.
-    pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
+    pub fn expectation_diag_values(self, values: &[f64]) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_values(values),
-            SimEngine::Compact(s) => s.expectation_diag_values(values),
+            SimEngine::Compact(l) => l.expectation_diag_values(values),
         }
     }
 
     /// Expectation of a diagonal observable given as a polynomial — the
-    /// table-free path compact solves rely on.
-    pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
+    /// table-free path compact solves rely on: `O(|F|)` for a polynomial
+    /// the replayed circuit evolves under (its values were baked per rank
+    /// when the plan was compiled). Same bits as
+    /// [`SimEngine::expectation_diag_values`] on the polynomial's table.
+    pub fn expectation_diag_poly(self, poly: &PhasePoly) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_poly(poly),
-            SimEngine::Compact(s) => s.expectation_diag_poly(poly),
+            SimEngine::Compact(l) => l.expectation_diag_poly(poly),
         }
     }
 
     /// Fills `out` with this engine's cumulative probability table
     /// (length `2^n` dense, `|F|` compact — pass it back to
     /// [`SimEngine::sample_with_cumulative`] on the *same* state).
-    pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
+    pub fn fill_cumulative(self, out: &mut Vec<f64>) {
         match self {
             SimEngine::Dense(s) => s.fill_cumulative(out),
-            SimEngine::Compact(s) => s.fill_cumulative(out),
+            SimEngine::Compact(l) => l.fill_cumulative(out),
         }
     }
 
     /// Samples `shots` outcomes using a table from
-    /// [`SimEngine::fill_cumulative`]. Identical histograms across
-    /// engines for a shared seed.
+    /// [`SimEngine::fill_cumulative`]: one `rng.gen::<f64>()` per shot,
+    /// so a shared seed yields identical histograms across engines.
     ///
     /// # Panics
     ///
     /// Panics if the table does not match this engine's state.
     pub fn sample_with_cumulative<R: Rng>(
-        &self,
+        self,
         cumulative: &[f64],
         shots: u64,
         rng: &mut R,
     ) -> Counts {
         match self {
             SimEngine::Dense(s) => s.sample_with_cumulative(cumulative, shots, rng),
-            SimEngine::Compact(s) => s.sample_with_cumulative(cumulative, shots, rng),
+            SimEngine::Compact(l) => l.sample_with_cumulative(cumulative, shots, rng),
         }
     }
 
-    /// Samples `shots` measurement outcomes in the computational basis.
-    pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
-        match self {
-            SimEngine::Dense(s) => s.sample(shots, rng),
-            SimEngine::Compact(s) => s.sample(shots, rng),
-        }
+    /// Samples `shots` measurement outcomes in the computational basis,
+    /// building the cumulative table on the fly
+    /// ([`crate::SimWorkspace::sample`] caches it across calls).
+    pub fn sample<R: Rng>(self, shots: u64, rng: &mut R) -> Counts {
+        let mut cumulative = Vec::new();
+        self.fill_cumulative(&mut cumulative);
+        self.sample_with_cumulative(&cumulative, shots, rng)
     }
 }
 

@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod circuit;
 pub mod compact;
 mod counts;
@@ -55,9 +54,8 @@ mod synth;
 mod transpile;
 mod workspace;
 
-pub use batch::{BatchWorkspace, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 pub use circuit::Circuit;
-pub use compact::CompactStateVector;
+pub use compact::{CompactLane, CompactStateVector, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 pub use counts::Counts;
 pub use draw::draw;
 pub use engine::{SimEngine, MAX_DENSIFY_QUBITS};

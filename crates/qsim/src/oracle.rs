@@ -255,7 +255,7 @@ impl ScalarStateVector {
 
     /// Fidelity `|⟨self|other⟩|²` against either production engine
     /// representation.
-    pub fn fidelity_against_engine(&self, other: &crate::SimEngine) -> f64 {
+    pub fn fidelity_against_engine(&self, other: crate::SimEngine<'_>) -> f64 {
         assert_eq!(self.n_qubits, other.n_qubits(), "dimension mismatch");
         self.amps
             .iter()

@@ -23,15 +23,15 @@
 //! path. It walks K same-shape circuits in lockstep with the steps,
 //! reading angles/matrices from the gates and ranks from the plan, over a
 //! rank-major amplitude buffer `amps[rank·K + lane]`. A serial run is the
-//! K = 1 case: its buffer is exactly the rank-indexed array of a
-//! [`crate::CompactStateVector`]. The loops are cache-friendly strided
-//! passes threaded through [`SimConfig::effective_threads`], with zero
-//! map operations and no allocations once the [`BatchScratch`] buffers
-//! are warm. Every lane's arithmetic mirrors the sparse engine operand
-//! for operand (which in turn mirrors the dense engine), so the three
-//! engines stay bit-identical — structurally-supported slots the sparse
-//! engine pruned hold exact zeros here and contribute exact IEEE no-ops
-//! to every kernel.
+//! K = 1 case of the same [`crate::CompactStateVector`] buffer. The
+//! loops are cache-friendly strided passes threaded through
+//! [`SimConfig::effective_threads`], with zero map operations and no
+//! allocations once the [`BatchScratch`] buffers are warm. Every lane's
+//! arithmetic mirrors the sparse reference walker operand for operand
+//! (which in turn mirrors the dense engine), so all three stay
+//! bit-identical — structurally-supported slots the sparse walker
+//! pruned hold exact zeros here and contribute exact IEEE no-ops to
+//! every kernel.
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
 //! once the structural support crosses [`crate::DENSITY_THRESHOLD`] of

@@ -8,10 +8,10 @@
 //! call. [`SimWorkspace`] owns all three buffers across iterations,
 //! restarts, and elimination branches:
 //!
-//! * the amplitude state is an engine ([`SimEngine`]) reset in place
-//!   (`reallocations()` counts how often the engine had to be rebuilt —
-//!   the zero-alloc-per-iteration invariant the solvers assert in their
-//!   tests),
+//! * the amplitude state (dense or compact) is reset in place and read
+//!   through a borrowed [`SimEngine`] view (`reallocations()` counts how
+//!   often the state had to be rebuilt — the zero-alloc-per-iteration
+//!   invariant the solvers assert in their tests),
 //! * diagonals are cached per `Arc<PhasePoly>` identity **on dense
 //!   runs**, so a polynomial shared across iterations is expanded exactly
 //!   once per register width; compact plans bake their diagonals per
@@ -34,9 +34,8 @@
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
 
-use crate::batch::{BatchWorkspace, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 use crate::circuit::Circuit;
-use crate::compact::CompactStateVector;
+use crate::compact::{CompactStateVector, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 use crate::counts::Counts;
 use crate::engine::{assert_dense_fallback, SimEngine, MAX_DENSIFY_QUBITS};
 use crate::gate::Gate;
@@ -287,6 +286,22 @@ fn plan_support_cap(n_qubits: usize) -> usize {
     }
 }
 
+/// The serial state a workspace holds between runs.
+enum Held {
+    Dense(StateVector),
+    /// A one-lane buffer.
+    Compact(CompactStateVector),
+}
+
+impl Held {
+    fn view(&self) -> SimEngine<'_> {
+        match self {
+            Held::Dense(s) => SimEngine::Dense(s),
+            Held::Compact(c) => c.lane(0),
+        }
+    }
+}
+
 /// Reusable buffers for repeated circuit execution (see module docs).
 ///
 /// # Examples
@@ -318,7 +333,7 @@ fn plan_support_cap(n_qubits: usize) -> usize {
 /// panicked worker keep working.
 pub struct SimWorkspace {
     config: SimConfig,
-    engine: Option<SimEngine>,
+    engine: Option<Held>,
     diag_cache: Vec<CachedDiag>,
     /// Compiled gate plans (and refusal markers), keyed by circuit shape
     /// ([`crate::EngineKind::Compact`] only). Shareable: workspaces built
@@ -331,9 +346,10 @@ pub struct SimWorkspace {
     run_stamp: u64,
     cumulative_for: u64,
     reallocations: u64,
-    /// The SoA buffer for batched compact replay ([`SimWorkspace::run_batch`]),
-    /// allocated on first use and reused across iterations.
-    batch: BatchWorkspace,
+    /// The lane buffer for batched compact replay
+    /// ([`SimWorkspace::run_batch`]), kept apart from the serial state
+    /// and reused across iterations.
+    batch: CompactStateVector,
     /// Lane-parameter buffers of the compact replay, shared by
     /// [`SimWorkspace::run`] (one lane) and [`SimWorkspace::run_batch`].
     scratch: BatchScratch,
@@ -365,7 +381,7 @@ impl SimWorkspace {
             run_stamp: 0,
             cumulative_for: u64::MAX,
             reallocations: 0,
-            batch: BatchWorkspace::default(),
+            batch: CompactStateVector::default(),
             scratch: BatchScratch::default(),
         }
     }
@@ -429,14 +445,14 @@ impl SimWorkspace {
     }
 
     /// Runs `circuit` from `|0…0⟩` reusing the workspace buffers, and
-    /// returns the resulting engine state (borrowed — it stays inside the
+    /// returns a view of the resulting state (it stays inside the
     /// workspace for sampling / expectation calls).
     ///
     /// # Panics
     ///
     /// Panics when a compact shape refuses its plan on a register wider
     /// than [`MAX_DENSIFY_QUBITS`], where no dense fallback fits.
-    pub fn run(&mut self, circuit: &Circuit) -> &SimEngine {
+    pub fn run(&mut self, circuit: &Circuit) -> SimEngine<'_> {
         self.run_stamp += 1;
         if self.config.engine == EngineKind::Compact {
             let n_qubits = circuit.n_qubits();
@@ -452,20 +468,17 @@ impl SimWorkspace {
     /// The dense path: reset the `2^n` buffer in place (allocating it on
     /// a width or representation change) and apply the gates, reading
     /// diagonals from the per-`Arc` cache.
-    fn run_dense(&mut self, circuit: &Circuit) -> &SimEngine {
+    fn run_dense(&mut self, circuit: &Circuit) -> SimEngine<'_> {
         let n_qubits = circuit.n_qubits();
-        if !matches!(&self.engine, Some(SimEngine::Dense(s)) if s.n_qubits() == n_qubits) {
-            if self.engine.as_ref().map(SimEngine::n_qubits) != Some(n_qubits) {
+        if !matches!(&self.engine, Some(Held::Dense(s)) if s.n_qubits() == n_qubits) {
+            if self.state().map(SimEngine::n_qubits) != Some(n_qubits) {
                 // Cached diagonals are per-width; drop stale ones.
                 self.diag_cache.clear();
             }
-            self.engine = Some(SimEngine::Dense(StateVector::new_with(
-                n_qubits,
-                self.config,
-            )));
+            self.engine = Some(Held::Dense(StateVector::new_with(n_qubits, self.config)));
             self.reallocations += 1;
         }
-        let Some(SimEngine::Dense(state)) = &mut self.engine else {
+        let Some(Held::Dense(state)) = &mut self.engine else {
             unreachable!("engine set to dense above");
         };
         state.reset_zero();
@@ -478,12 +491,12 @@ impl SimWorkspace {
                 g => state.apply_gate(g),
             }
         }
-        self.engine.as_ref().expect("engine set to dense above")
+        SimEngine::Dense(state)
     }
 
     /// The state left by the last [`SimWorkspace::run`], if any.
-    pub fn state(&self) -> Option<&SimEngine> {
-        self.engine.as_ref()
+    pub fn state(&self) -> Option<SimEngine<'_>> {
+        self.engine.as_ref().map(Held::view)
     }
 
     /// Samples from the last run's state, building the cumulative table at
@@ -493,7 +506,8 @@ impl SimWorkspace {
     ///
     /// Panics if nothing has been run yet.
     pub fn sample<R: Rng>(&mut self, shots: u64, rng: &mut R) -> Counts {
-        let engine = self.engine.as_ref().expect("run a circuit before sampling");
+        let held = self.engine.as_ref().expect("run a circuit before sampling");
+        let engine = held.view();
         if self.cumulative_for != self.run_stamp {
             engine.fill_cumulative(&mut self.cumulative);
             self.cumulative_for = self.run_stamp;
@@ -502,8 +516,8 @@ impl SimWorkspace {
     }
 
     /// Replays K same-shape circuits in one pass over the cached gate
-    /// plan — the batched compact fast path (see [`BatchWorkspace`]).
-    /// Returns the lane-addressable batch state, or `None` when batching
+    /// plan — the batched compact fast path (see [`crate::compact`]).
+    /// Returns the K-lane state, or `None` when batching
     /// does not apply and the caller should fall back to K sequential
     /// [`SimWorkspace::run`] calls: a non-compact engine selection, an
     /// empty batch, a shape that refused compilation (it runs dense), or
@@ -516,7 +530,7 @@ impl SimWorkspace {
     /// Bit-identity contract: lane `i` of the result reads exactly what
     /// `self.run(&circuits[i])` would produce, at any batch size and
     /// thread count.
-    pub fn run_batch(&mut self, circuits: &[Circuit]) -> Option<&BatchWorkspace> {
+    pub fn run_batch(&mut self, circuits: &[Circuit]) -> Option<&CompactStateVector> {
         if circuits.is_empty() || self.config.engine != EngineKind::Compact {
             return None;
         }
@@ -547,8 +561,8 @@ impl SimWorkspace {
         (BATCH_BUFFER_BYTES / (ranks * 16).max(1)).clamp(1, MAX_BATCH_LANES)
     }
 
-    /// How many times the batched SoA buffer had to grow (see
-    /// [`BatchWorkspace::reallocations`]); 0 before the first
+    /// How many times the batched lane buffer had to grow (see
+    /// [`CompactStateVector::reallocations`]); 0 before the first
     /// [`SimWorkspace::run_batch`].
     pub fn batch_reallocations(&self) -> u64 {
         self.batch.reallocations()
@@ -557,20 +571,18 @@ impl SimWorkspace {
     /// The compact fast path: replay the shape's gate plan into the
     /// (reused) rank-indexed amplitude array — a one-lane batch, through
     /// the same lane kernels as [`SimWorkspace::run_batch`].
-    fn run_compact(&mut self, plan: &GatePlan, circuit: &Circuit) -> &SimEngine {
+    fn run_compact(&mut self, plan: &GatePlan, circuit: &Circuit) -> SimEngine<'_> {
         let n_qubits = circuit.n_qubits();
-        if !matches!(&self.engine, Some(SimEngine::Compact(c)) if c.n_qubits() == n_qubits) {
-            let state = CompactStateVector::new(n_qubits, plan.basis(), self.config);
-            self.engine = Some(SimEngine::Compact(state));
+        if !matches!(&self.engine, Some(Held::Compact(c)) if c.n_qubits() == n_qubits) {
+            self.engine = Some(Held::Compact(CompactStateVector::default()));
             self.reallocations += 1;
         }
-        let Some(SimEngine::Compact(state)) = &mut self.engine else {
+        let Some(Held::Compact(state)) = &mut self.engine else {
             unreachable!("engine set to compact above");
         };
-        state.reset_for_basis(plan.basis());
         let circuits = std::slice::from_ref(circuit);
-        plan.execute(circuits, state.amps_mut(), &mut self.scratch, &self.config);
-        self.engine.as_ref().expect("engine set to compact above")
+        state.replay(plan, circuits, &mut self.scratch, &self.config);
+        state.lane(0)
     }
 }
 
@@ -1020,25 +1032,61 @@ mod tests {
         let batch = batch_ws.run_batch(&circuits).expect("compact batch runs");
         assert_eq!(batch.lanes(), circuits.len());
         let table: Vec<f64> = (0..16u64).map(|b| poly.eval_bits(b)).collect();
+        let same = |what: &str, lane: usize, a: f64, b: f64| {
+            assert_eq!(a.to_bits(), b.to_bits(), "lane={lane} {what}: {a} vs {b}");
+        };
         for (lane, circuit) in circuits.iter().enumerate() {
+            let got = batch.lane(lane);
             let state = serial_ws.run(circuit);
-            assert!(state.is_compact());
+            assert!(got.is_compact() && state.is_compact());
             for bits in 0..16u64 {
-                let (a, b) = (batch.amplitude(lane, bits), state.amplitude(bits));
-                assert!(
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "lane={lane} bits={bits}: {a} vs {b}"
+                let (a, b) = (got.amplitude(bits), state.amplitude(bits));
+                same("amplitude.re", lane, a.re, b.re);
+                same("amplitude.im", lane, a.im, b.im);
+                same(
+                    "probability",
+                    lane,
+                    got.probability(bits),
+                    state.probability(bits),
                 );
             }
-            assert_eq!(
-                batch.expectation_diag_values(lane, &table),
-                serial_ws.state().unwrap().expectation_diag_values(&table),
-                "lane={lane} expectation"
+            assert_eq!(got.occupancy(), state.occupancy(), "lane={lane}");
+            for eps in [0.0, 1e-3, 0.1] {
+                assert_eq!(
+                    got.support_size(eps),
+                    state.support_size(eps),
+                    "lane={lane}"
+                );
+            }
+            same("norm_sqr", lane, got.norm_sqr(), state.norm_sqr());
+            let reference = StateVector::run(circuit);
+            same(
+                "fidelity",
+                lane,
+                got.fidelity_against_dense(&reference),
+                state.fidelity_against_dense(&reference),
             );
+            same(
+                "expectation_diag_values",
+                lane,
+                got.expectation_diag_values(&table),
+                state.expectation_diag_values(&table),
+            );
+            same(
+                "expectation_diag_poly",
+                lane,
+                got.expectation_diag_poly(&poly),
+                state.expectation_diag_poly(&poly),
+            );
+            let (mut ca, mut cb) = (Vec::new(), Vec::new());
+            got.fill_cumulative(&mut ca);
+            state.fill_cumulative(&mut cb);
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ca), bits(&cb), "lane={lane} cumulative table");
             let mut ra = StdRng::seed_from_u64(19);
             let mut rb = StdRng::seed_from_u64(19);
             assert_eq!(
-                batch.sample(lane, 2_000, &mut ra),
+                got.sample(2_000, &mut ra),
                 serial_ws.sample(2_000, &mut rb),
                 "lane={lane} histogram"
             );
@@ -1144,7 +1192,7 @@ mod tests {
                             .map(|k| confined_4q(&poly, 0.1 * (w * 16 + i * 3 + k) as f64))
                             .collect();
                         let batch = ws.run_batch(&circuits).expect("compact batch runs");
-                        let want: Vec<_> = (0..16u64).map(|b| batch.amplitude(0, b)).collect();
+                        let want: Vec<_> = (0..16u64).map(|b| batch.lane(0).amplitude(b)).collect();
                         let state = ws.run(&circuits[0]);
                         for (bits, w) in want.iter().enumerate() {
                             let got = state.amplitude(bits as u64);

@@ -522,13 +522,14 @@ fn drain(shared: &Shared, end: &SessionEnd) -> &'static str {
 /// shutdown signal. Input is pumped through a channel by a detached
 /// reader thread: a blocking `read_line` would ride out SIGTERM (std
 /// retries EINTR), so the session loop polls the shutdown flag between
-/// bounded waits instead.
+/// bounded waits instead. A line that is not UTF-8 is answered with an
+/// `error` event like any other malformed request.
 fn session_loop<R: BufRead + Send + 'static>(shared: &Shared, input: R) -> SessionEnd {
-    let (tx, rx) = std::sync::mpsc::channel::<std::io::Result<String>>();
+    let (tx, rx) = std::sync::mpsc::channel::<std::io::Result<Vec<u8>>>();
     let spawned = std::thread::Builder::new()
         .name("choco-serve-reader".to_string())
         .spawn(move || {
-            for line in input.lines() {
+            for line in input.split(b'\n') {
                 let failed = line.is_err();
                 if tx.send(line).is_err() || failed {
                     break;
@@ -544,7 +545,11 @@ fn session_loop<R: BufRead + Send + 'static>(shared: &Shared, input: R) -> Sessi
             return SessionEnd::Signal;
         }
         match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Ok(line)) => {
+            Ok(Ok(bytes)) => {
+                let Ok(line) = String::from_utf8(bytes) else {
+                    emit_error(shared, None, "bad request line: not valid UTF-8");
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }

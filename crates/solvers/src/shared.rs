@@ -166,20 +166,12 @@ impl CostSpec<'_> {
         }
     }
 
-    /// Expectation on an engine state.
-    pub fn expectation(&self, state: &choco_qsim::SimEngine) -> f64 {
+    /// Expectation on an engine state: a serial run or one lane of a
+    /// batched replay, which read the same bits.
+    pub fn expectation(&self, state: choco_qsim::SimEngine<'_>) -> f64 {
         match self {
             CostSpec::Table(values) => state.expectation_diag_values(values),
             CostSpec::Poly(poly) => state.expectation_diag_poly(poly),
-        }
-    }
-
-    /// Expectation on one lane of a batched replay — bit-identical to
-    /// [`CostSpec::expectation`] on that lane's serial state.
-    pub fn expectation_lane(&self, batch: &choco_qsim::BatchWorkspace, lane: usize) -> f64 {
-        match self {
-            CostSpec::Table(values) => batch.expectation_diag_values(lane, values),
-            CostSpec::Poly(poly) => batch.expectation_diag_poly(lane, poly),
         }
     }
 }
@@ -190,8 +182,8 @@ impl CostSpec<'_> {
 /// one plan traversal for as many angle sets as
 /// [`SimWorkspace::batch_lanes`] allows (at most 16).
 ///
-/// Bit-identity: a serial compact run and every
-/// [`choco_qsim::BatchWorkspace`] lane go through the same plan replay,
+/// Bit-identity: a serial compact run and every lane of a batched one
+/// go through the same plan replay,
 /// whose per-lane IEEE expression sequence does not depend on the batch
 /// width, so every value this objective returns is identical whether it
 /// went through `eval`, a batched chunk, or the serial fallback —
@@ -263,7 +255,7 @@ impl<F: Fn(&[f64]) -> Circuit> choco_optim::Objective for BatchedObjective<'_, F
             let mut ws = self.workspace.borrow_mut();
             let batch = if lanes > 1 { ws.run_batch(chunk) } else { None };
             if let Some(batch) = batch {
-                out.extend((0..chunk.len()).map(|lane| self.cost.expectation_lane(batch, lane)));
+                out.extend((0..chunk.len()).map(|i| self.cost.expectation(batch.lane(i))));
             } else {
                 // One lane per chunk (a one-lane batch buffer would only
                 // duplicate the serial state), or batching doesn't apply

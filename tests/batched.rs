@@ -147,7 +147,7 @@ proptest! {
             prop_assert_eq!(batch.lanes(), k);
             for (lane, (amps, expectation, histogram)) in reference.iter().enumerate() {
                 for (bits, expect) in amps.iter().enumerate() {
-                    let got = batch.amplitude(lane, bits as u64);
+                    let got = batch.lane(lane).amplitude(bits as u64);
                     prop_assert!(
                         got.re == expect.re && got.im == expect.im,
                         "family={family} threads={threads} K={k} lane={lane} \
@@ -162,14 +162,14 @@ proptest! {
                     );
                 }
                 prop_assert_eq!(
-                    batch.expectation_diag_poly(lane, &cost),
+                    batch.lane(lane).expectation_diag_poly(&cost),
                     *expectation,
                     "family={} threads={} K={} lane={}: expectation diverged",
                     family, threads, k, lane
                 );
                 let mut rng = StdRng::seed_from_u64(seed);
                 prop_assert!(
-                    batch.sample(lane, 2_000, &mut rng) == *histogram,
+                    batch.lane(lane).sample(2_000, &mut rng) == *histogram,
                     "family={family} threads={threads} K={k} lane={lane}: \
                      sample histogram diverged"
                 );
@@ -197,7 +197,7 @@ fn batch_wider_than_the_feasible_set_is_exact() {
     for (lane, circuit) in circuits.iter().enumerate() {
         let state = serial.run(circuit);
         for bits in 0..(1u64 << problem.n_vars()) {
-            let (a, b) = (batch.amplitude(lane, bits), state.amplitude(bits));
+            let (a, b) = (batch.lane(lane).amplitude(bits), state.amplitude(bits));
             assert!(a.re == b.re && a.im == b.im, "lane={lane} bits={bits}");
         }
     }
@@ -225,7 +225,7 @@ fn shared_cache_compiles_once_across_workers_and_batches() {
                     let probes: Vec<_> = {
                         let batch = ws.run_batch(circuits).expect("compilable batch");
                         (0..(1u64 << n))
-                            .map(|bits| batch.amplitude(lane, bits))
+                            .map(|bits| batch.lane(lane).amplitude(bits))
                             .collect()
                     };
                     let state = ws.run(&circuits[lane]);

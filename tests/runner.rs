@@ -208,3 +208,50 @@ fn runner_prelude_types_are_reachable() {
     assert_eq!(report.records.len(), 1);
     assert_eq!(SolverKind::Hea.label(), "hea");
 }
+
+/// Every checked-in experiment spec as `(file name, text)`, sorted.
+fn checked_in_specs() -> &'static [(String, String)] {
+    static SPECS: std::sync::OnceLock<Vec<(String, String)>> = std::sync::OnceLock::new();
+    SPECS.get_or_init(|| {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("experiments");
+        let mut specs: Vec<(String, String)> = std::fs::read_dir(&dir)
+            .expect("experiments/ exists")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("toml"))
+            .map(|path| {
+                let text = std::fs::read_to_string(&path).expect("spec text");
+                (path.display().to_string(), text)
+            })
+            .collect();
+        specs.sort();
+        specs
+    })
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+    /// Truncated and byte-flipped copies of every checked-in spec never
+    /// panic the parser: each parses or returns an error message.
+    #[test]
+    fn mangled_specs_never_panic_the_parser(
+        cut in 0usize..4096,
+        flip_at in 0usize..4096,
+        flip_bit in 0u32..8,
+        mode in 0u32..3,
+    ) {
+        for (path, text) in checked_in_specs() {
+            let mut bytes = text.as_bytes().to_vec();
+            if mode != 1 {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            if mode != 0 && !bytes.is_empty() {
+                let i = flip_at % bytes.len();
+                bytes[i] ^= 1 << flip_bit;
+            }
+            if let Err(e) = ExperimentSpec::parse_str(&String::from_utf8_lossy(&bytes)) {
+                proptest::prop_assert!(!e.is_empty(), "{path}: empty error message");
+            }
+        }
+    }
+}

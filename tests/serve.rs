@@ -53,10 +53,12 @@ impl Write for SharedBuf {
 }
 
 /// Runs one stdin/stdout daemon session to completion (EOF drains all
-/// jobs) and returns the emitted event lines.
-fn run_session(opts: &ServeOptions, input: &str) -> Vec<String> {
+/// jobs) and returns the emitted event lines. The input may hold bytes
+/// that are not UTF-8.
+fn run_session(opts: &ServeOptions, input: &(impl AsRef<[u8]> + ?Sized)) -> Vec<String> {
     let buf = SharedBuf::default();
-    serve(opts, std::io::Cursor::new(input.to_string()), buf.clone()).expect("serve session");
+    let input = std::io::Cursor::new(input.as_ref().to_vec());
+    serve(opts, input, buf.clone()).expect("serve session");
     let bytes = buf.0.lock().unwrap().clone();
     String::from_utf8(bytes)
         .expect("utf-8 events")
@@ -206,11 +208,12 @@ fn admission_rejects_overflow_duplicates_and_malformed_requests() {
         "{events:?}"
     );
 
-    // Malformed requests are error events, never crashes; a duplicate
-    // submission of an accepted job is rejected.
+    // Malformed requests are error events, never crashes (a line that is
+    // not UTF-8 too, and the session goes on); a duplicate submission of
+    // an accepted job is rejected.
     let opts = serve_opts(scratch("admission2").join("state"), 2);
     let quick_job = r#"{"op": "submit", "job": {"name": "dup", "problems": ["F1"], "solvers": ["choco-q"], "seeds": [1], "shots": 200, "max_iters": 2, "restarts": 1}}"#;
-    let input = format!(
+    let text = format!(
         "this is not json\n\
          {{\"op\": \"frobnicate\"}}\n\
          {{\"op\": \"submit\"}}\n\
@@ -219,8 +222,14 @@ fn admission_rejects_overflow_duplicates_and_malformed_requests() {
          {quick_job}\n\
          {quick_job}\n"
     );
+    let mut input = b"{\"op\": \"submit\", \"id\": \"\xff\"}\n".to_vec();
+    input.extend_from_slice(text.as_bytes());
     let events = run_session(&opts, &input);
-    assert!(count_events(&events, "error") >= 2, "{events:?}");
+    assert!(count_events(&events, "error") >= 3, "{events:?}");
+    assert!(
+        events.iter().any(|e| e.contains("not valid UTF-8")),
+        "{events:?}"
+    );
     assert!(
         events.iter().any(|e| e.contains("bad request line")),
         "{events:?}"
@@ -1003,6 +1012,84 @@ proptest! {
             let resumed = std::fs::read_to_string(state.join("fuzz.json")).unwrap();
             prop_assert_eq!(&resumed, report);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The one-cell job the submit fuzz mangles, as spec TOML and as the
+/// equivalent JSON job: small enough that an accepted mangling costs
+/// milliseconds.
+const FUZZ_SPEC: &str = "name = \"fz\"\ndescription = \"submit fuzz\"\n\n[grid]\n\
+    problems = [\"F1\"]\nsolvers = [\"choco-q\"]\n\n[config]\n\
+    shots = 50\nmax_iters = 2\nrestarts = 1\ntranspiled_stats = false\n";
+const FUZZ_JOB: &str = r#"{"name": "fz", "description": "submit fuzz", "problems": ["F1"], "solvers": ["choco-q"], "shots": 50, "max_iters": 2, "restarts": 1, "transpiled_stats": false}"#;
+
+/// Truncates `text` and/or flips one bit of it, as drawn from `rng`.
+fn mangle(text: &str, rng: &mut choco_q::mathkit::SplitMix64) -> Vec<u8> {
+    let mut bytes = text.as_bytes().to_vec();
+    let mode = rng.gen_range(0, 3);
+    if mode != 1 {
+        bytes.truncate(rng.gen_range(0, bytes.len() as u64 + 1) as usize);
+    }
+    if mode != 0 && !bytes.is_empty() {
+        let i = rng.gen_range(0, bytes.len() as u64) as usize;
+        bytes[i] ^= 1 << rng.gen_range(0, 8);
+    }
+    bytes
+}
+
+/// `text` as a JSON string literal.
+fn json_string(text: &str) -> String {
+    let mut out = String::from("\"");
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Mangled `spec_toml` and `job` submissions never panic the daemon,
+    /// and each one is answered by exactly one admission event:
+    /// `accepted`, `rejected`, or a request-level `error` (`"job": null`).
+    /// Byte-level mangling of the job object can leave invalid JSON or
+    /// invalid UTF-8 on the line.
+    #[test]
+    fn mangled_submissions_get_exactly_one_admission_event(seed in any::<u64>()) {
+        let mut rng = choco_q::mathkit::SplitMix64::new(seed);
+        let mut input = Vec::new();
+        let submits = 8;
+        for i in 0..submits {
+            let head = format!("{{\"op\": \"submit\", \"id\": \"fz{i}\", ");
+            input.extend_from_slice(head.as_bytes());
+            if i % 2 == 0 {
+                let toml = String::from_utf8_lossy(&mangle(FUZZ_SPEC, &mut rng)).into_owned();
+                let tail = format!("\"spec_toml\": {}}}\n", json_string(&toml));
+                input.extend_from_slice(tail.as_bytes());
+            } else {
+                // The protocol is one request per line.
+                let job = mangle(FUZZ_JOB, &mut rng);
+                input.extend_from_slice(b"\"job\": ");
+                input.extend(job.into_iter().map(|b| if b == b'\n' { b' ' } else { b }));
+                input.extend_from_slice(b"}\n");
+            }
+        }
+        let dir = scratch(&format!("submit_fuzz_{seed}"));
+        let events = run_session(&serve_opts(dir.join("state"), 1), &input);
+        let request_errors = events
+            .iter()
+            .filter(|e| e.contains("\"event\": \"error\"") && e.contains("\"job\": null"))
+            .count();
+        let answered =
+            count_events(&events, "accepted") + count_events(&events, "rejected") + request_errors;
+        prop_assert_eq!(answered, submits, "{events:#?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
