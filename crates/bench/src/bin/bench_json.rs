@@ -10,8 +10,11 @@
 //! engines — the `ns_per_iteration` behind `compact_speedup_vs_sparse`),
 //! full compact solves at F3/G2/F4/G4 (`choco_solve_compact`, n = 15,
 //! 18, 21, 24), M2's Lemma-2 lowering materialized vs streamed into a
-//! `StatsSink` (`transpile_stats_*`), and writes `BENCH_simulation.json`
-//! so the perf trajectory stays comparable across PRs.
+//! `StatsSink` (`transpile_stats_*`), one warmed optimizer evaluation of
+//! K3 with a circuit built per evaluation vs a bound template, serial
+//! and as a 16-lane chunk (`choco_eval_*`), and writes
+//! `BENCH_simulation.json` so the perf trajectory stays comparable
+//! across PRs.
 //!
 //! ```text
 //! cargo run --release -p choco-bench --bin bench_json [-- --out PATH] [--quick]
@@ -578,6 +581,83 @@ fn main() {
         (n + 2, stats, quartiles)
     };
 
+    // One optimizer evaluation of K3 seed 1's first restart (its first
+    // Δ policy from the first feasible point, at the initial angles),
+    // warmed, on the compact engine: serial (run + expectation) and as a
+    // 16-candidate chunk (COBYLA-style `x0 + 0.1·e_i` points), once by
+    // building circuits per evaluation and once by binding a template.
+    let choco_eval = {
+        let problem = choco_problems::instance("K3", 1);
+        let cfg = ChocoQConfig::default();
+        let basis = CommuteDriver::build(problem.constraints()).expect("driver");
+        let extended = CommuteDriver::build_extended(
+            problem.constraints(),
+            cfg.delta_max_support,
+            cfg.delta_cap,
+        )
+        .expect("extended driver");
+        let driver = if extended.len() > basis.len() {
+            extended
+        } else {
+            basis
+        };
+        let initial = driver.encode_state(problem.feasible_solutions(256)[0]);
+        let terms = driver.ordered_terms(initial);
+        let poly = std::sync::Arc::new(problem.cost_poly());
+        let x0 = ChocoQSolver::initial_params(cfg.layers, terms.len());
+        let xs: Vec<Vec<f64>> = (0..16)
+            .map(|i| {
+                let mut x = x0.clone();
+                x[i % x0.len()] += 0.1;
+                x
+            })
+            .collect();
+        let template = ChocoQSolver::template(&driver, &poly, &terms, initial, cfg.layers);
+        let build =
+            |x: &[f64]| ChocoQSolver::build_circuit(&driver, &poly, &terms, initial, cfg.layers, x);
+        eprintln!("measuring one Choco-Q evaluation on K3 seed 1 (built vs template) …");
+        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        let mut quartiles = Vec::new();
+        type EvalOp<'a> = &'a mut dyn FnMut(&mut SimWorkspace);
+        let ops: [(&str, EvalOp); 4] = [
+            ("choco_eval_built", &mut |ws: &mut SimWorkspace| {
+                let state = ws.run(&build(&x0));
+                std::hint::black_box(state.expectation_diag_poly(&poly));
+            }),
+            ("choco_eval_built_k16", &mut |ws: &mut SimWorkspace| {
+                let circuits: Vec<_> = xs.iter().map(|x| build(x)).collect();
+                let batch = ws.run_batch(&circuits).expect("compact batch");
+                for lane in 0..batch.lanes() {
+                    std::hint::black_box(batch.lane(lane).expectation_diag_poly(&poly));
+                }
+            }),
+            ("choco_eval_template", &mut |ws: &mut SimWorkspace| {
+                let state = ws.run_template(&template, &x0);
+                std::hint::black_box(state.expectation_diag_poly(&poly));
+            }),
+            ("choco_eval_template_k16", &mut |ws: &mut SimWorkspace| {
+                let batch = ws
+                    .run_template_batch(&template, &xs)
+                    .expect("compact batch");
+                assert_eq!(batch.lanes(), 16, "one 16-lane chunk");
+                for lane in 0..batch.lanes() {
+                    std::hint::black_box(batch.lane(lane).expectation_diag_poly(&poly));
+                }
+            }),
+        ];
+        for (group, op) in ops {
+            op(&mut ws); // warm-up: plan compile, buffers, template lanes
+            let q = measure_quartiles(|| op(&mut ws), samples, budget_ms);
+            entries.push(Entry {
+                group,
+                n: driver.encoded_qubits(),
+                ns_per_op: q[1],
+            });
+            quartiles.push(q);
+        }
+        (driver.encoded_qubits(), quartiles)
+    };
+
     // Solve-as-a-service latency: one in-process `choco-serve` session
     // over OS pipes. The first job pays plan compilation (cold cache);
     // an identically-shaped second job replays the daemon-global plan
@@ -889,6 +969,29 @@ fn main() {
             spread(&quartiles[0]),
             spread(&quartiles[1]),
             quartiles[0][1] / quartiles[1][1]
+        );
+    }
+    json.push_str("  },\n  \"choco_eval\": {\n");
+    {
+        let (qubits, quartiles) = &choco_eval;
+        let spread = |q: &[f64; 3]| {
+            format!(
+                "{{\"q1\": {:.1}, \"median\": {:.1}, \"q3\": {:.1}}}",
+                q[0], q[1], q[2]
+            )
+        };
+        let _ = writeln!(
+            json,
+            "    \"problem\": \"K3\",\n    \"seed\": 1,\n    \"qubits\": {qubits},\n    \
+             \"built_ns\": {},\n    \"built_k16_ns\": {},\n    \
+             \"template_ns\": {},\n    \"template_k16_ns\": {},\n    \
+             \"template_speedup\": {:.2},\n    \"template_k16_speedup\": {:.2}",
+            spread(&quartiles[0]),
+            spread(&quartiles[1]),
+            spread(&quartiles[2]),
+            spread(&quartiles[3]),
+            quartiles[0][1] / quartiles[2][1],
+            quartiles[1][1] / quartiles[3][1]
         );
     }
     json.push_str("  }\n}\n");

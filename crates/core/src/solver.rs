@@ -28,7 +28,9 @@ use crate::elimination::{plan_elimination, EliminationPlan};
 use choco_mathkit::SplitMix64;
 use choco_model::{Problem, SolveOutcome, Solver, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
-use choco_qsim::{Circuit, Counts, EngineKind, PhasePoly, SimConfig, SimWorkspace};
+use choco_qsim::{
+    Circuit, CircuitTemplate, Counts, EngineKind, Gate, PhasePoly, SimConfig, SimWorkspace,
+};
 use choco_solvers::shared::{
     check_size_for, circuit_stats, variational_loop, CostSpec, QaoaConfig, MAX_SIM_QUBITS,
 };
@@ -181,15 +183,36 @@ impl ChocoQSolver {
         layers * (1 + n_terms)
     }
 
-    /// Builds the structured Choco-Q circuit for one (sub-)problem:
-    /// `|x*,s*⟩ → Π_l [ e^{-iγ_l H_o} Π_u e^{-iβ_{l,u} Hc(u)} ]` with the
-    /// parameter layout `[γ_1, β_{1,1} … β_{1,|Δ|}, γ_2, …]`.
+    /// The structured Choco-Q circuit for one (sub-)problem as a
+    /// template: `|x*,s*⟩ → Π_l [ e^{-iγ_l H_o} Π_u e^{-iβ_{l,u} Hc(u)} ]`
+    /// with the parameter layout `[γ_1, β_{1,1} … β_{1,|Δ|}, γ_2, …]`.
     /// `ordered_terms` should come from [`CommuteDriver::ordered_terms`]
     /// for the same *encoded* `initial` (see
     /// [`CommuteDriver::encode_state`]); the circuit spans the driver's
     /// encoded width (decision variables plus slack registers). The cost
     /// polynomial only reads the decision variables, so it applies
     /// unchanged on the wider register.
+    pub fn template(
+        driver: &CommuteDriver,
+        cost_poly: &Arc<PhasePoly>,
+        ordered_terms: &[DriverTerm],
+        initial: u64,
+        layers: usize,
+    ) -> CircuitTemplate {
+        let stride = 1 + ordered_terms.len();
+        let mut base = Circuit::new(driver.encoded_qubits().max(1));
+        base.load_bits(initial);
+        let mut template = CircuitTemplate::new(base);
+        for l in 0..layers {
+            template.push_slot(Gate::DiagPhase(cost_poly.clone(), 0.0), l * stride, 1.0);
+            for (t, term) in ordered_terms.iter().enumerate() {
+                template.push_slot(driver.gate_of(term, 0.0), l * stride + 1 + t, 1.0);
+            }
+        }
+        template
+    }
+
+    /// [`ChocoQSolver::template`] bound at `params`.
     pub fn build_circuit(
         driver: &CommuteDriver,
         cost_poly: &Arc<PhasePoly>,
@@ -199,18 +222,7 @@ impl ChocoQSolver {
         params: &[f64],
     ) -> Circuit {
         debug_assert_eq!(params.len(), Self::n_params(layers, ordered_terms.len()));
-        let stride = 1 + ordered_terms.len();
-        let mut c = Circuit::new(driver.encoded_qubits().max(1));
-        c.load_bits(initial);
-        for l in 0..layers {
-            let gamma = params[l * stride];
-            c.diag(cost_poly.clone(), gamma);
-            for (t, term) in ordered_terms.iter().enumerate() {
-                let beta = params[l * stride + 1 + t];
-                c.push(driver.gate_of(term, beta));
-            }
-        }
-        c
+        Self::template(driver, cost_poly, ordered_terms, initial, layers).bind(params)
     }
 
     /// Initial parameters: a small γ ramp and a moderate uniform β.
@@ -547,19 +559,10 @@ impl ChocoQSolver {
                 deadline: self.config.deadline,
                 cancel: self.config.cancel.clone(),
             };
-            let build = |params: &[f64]| {
-                Self::build_circuit(
-                    driver,
-                    &branch.cost_poly,
-                    &ordered_terms,
-                    initial,
-                    layers,
-                    params,
-                )
-            };
+            let template =
+                Self::template(driver, &branch.cost_poly, &ordered_terms, initial, layers);
             let result = variational_loop(
-                branch.encoded.max(1),
-                build,
+                &template,
                 &branch.cost_spec(),
                 &x0,
                 &loop_config,

@@ -5,7 +5,7 @@
 //! paper's "circuit depth" metric), gate counting, composition, and exact
 //! inversion.
 
-use crate::gate::{Gate, ShiftBlock, UBlock};
+use crate::gate::{Gate, UBlock};
 use crate::phasepoly::PhasePoly;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,6 +61,11 @@ impl Circuit {
     #[inline]
     pub fn gates(&self) -> &[Gate] {
         &self.gates
+    }
+
+    /// Gate `i`, for a template binding its angles in place.
+    pub(crate) fn gate_mut(&mut self, i: usize) -> &mut Gate {
+        &mut self.gates[i]
     }
 
     /// Iterates over the gates.
@@ -234,11 +239,6 @@ impl Circuit {
     /// Appends a commute-Hamiltonian block `e^{-iθHc(u)}`.
     pub fn ublock(&mut self, block: UBlock) -> &mut Self {
         self.push(Gate::UBlock(block))
-    }
-
-    /// Appends a generalized commute block with slack-register shifts.
-    pub fn shift_block(&mut self, block: ShiftBlock) -> &mut Self {
-        self.push(Gate::ShiftBlock(block))
     }
 
     /// Appends an XY-mixer pair term.

@@ -31,11 +31,11 @@ use choco_mathkit::Complex64;
 use rand::Rng;
 use std::sync::Arc;
 
-/// The most lanes [`crate::SimWorkspace::batch_lanes`] picks: the
+/// The most lanes [`crate::SimWorkspace::run_template_batch`] replays: the
 /// fastest width per candidate in the batched replay benchmark.
 pub const MAX_BATCH_LANES: usize = 16;
 
-/// The lane buffer size [`crate::SimWorkspace::batch_lanes`] keeps a
+/// The lane buffer size [`crate::SimWorkspace::run_template_batch`] keeps a
 /// batch within. Every lane read strides across all lanes, and past
 /// about this size batching stops paying: 16 lanes over a plan of about
 /// 570k ranks made a whole Choco-Q cell three times slower than serial

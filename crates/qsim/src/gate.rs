@@ -71,17 +71,6 @@ impl UBlock {
     pub fn arity(&self) -> usize {
         self.support.len()
     }
-
-    /// The eigenstate pattern `v` as bits over the support, and its
-    /// complement.
-    pub fn pattern_pair(&self) -> (u64, u64) {
-        let mask = if self.support.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.support.len()) - 1
-        };
-        (self.pattern, self.pattern ^ mask)
-    }
 }
 
 /// A bounded slack-register shift rider on a [`ShiftBlock`].
@@ -384,6 +373,26 @@ impl Gate {
         )
     }
 
+    /// Sets the gate's one angle (the rotation, phase, block or diagonal
+    /// angle) and returns `true`, or returns `false` for an angle-free
+    /// gate. A [`crate::CircuitTemplate`] binds its slots through this.
+    pub(crate) fn set_angle(&mut self, theta: f64) -> bool {
+        match self {
+            Gate::Rx(_, t)
+            | Gate::Ry(_, t)
+            | Gate::Rz(_, t)
+            | Gate::Phase(_, t)
+            | Gate::Cp(_, _, t)
+            | Gate::XyMix(_, _, t)
+            | Gate::DiagPhase(_, t)
+            | Gate::McPhase { angle: t, .. }
+            | Gate::UBlock(UBlock { angle: t, .. })
+            | Gate::ShiftBlock(ShiftBlock { angle: t, .. }) => *t = theta,
+            _ => return false,
+        }
+        true
+    }
+
     /// The inverse gate.
     pub fn inverse(&self) -> Gate {
         match self {
@@ -638,9 +647,6 @@ mod tests {
         let b = UBlock::from_u(&[-1, 0, 1, -1]);
         assert_eq!(b.support, vec![0, 2, 3]);
         assert_eq!(b.pattern, 0b010);
-        let (v, vbar) = b.pattern_pair();
-        assert_eq!(v, 0b010);
-        assert_eq!(vbar, 0b101);
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod simconfig;
 pub mod sparse;
 mod state;
 mod synth;
+mod template;
 mod transpile;
 mod workspace;
 
@@ -68,6 +69,7 @@ pub use state::StateVector;
 pub use synth::{
     circuit_unitary, two_level_decompose, SynthCost, TwoLevelDecomposition, TwoLevelOp,
 };
+pub use template::CircuitTemplate;
 pub use transpile::{
     transpile, transpile_into, zyz_decompose, GateSink, StatsSink, TranspileError,
     TranspileOptions, TwoQubitBasis,

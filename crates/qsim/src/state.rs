@@ -117,11 +117,6 @@ impl StateVector {
         &self.config
     }
 
-    /// Replaces the execution configuration (affects subsequent kernels).
-    pub fn set_config(&mut self, config: SimConfig) {
-        self.config = config;
-    }
-
     /// Resets to `|0…0⟩` in place, reusing the amplitude buffer.
     pub fn reset_zero(&mut self) {
         self.amps.fill(Complex64::ZERO);
@@ -203,7 +198,9 @@ impl StateVector {
                 let m = g1q
                     .matrix_1q()
                     .unwrap_or_else(|| panic!("unhandled gate {g1q}"));
-                self.apply_1q(m, g1q.qubits()[0]);
+                let mut q = 0;
+                g1q.for_each_qubit(|target| q = target);
+                self.apply_1q(m, q);
             }
         }
     }
@@ -474,18 +471,6 @@ impl StateVector {
     /// Total probability (should be 1 up to rounding).
     pub fn norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
-    }
-
-    /// Renormalizes to unit norm (used by the stochastic noise executor
-    /// after injecting non-unitary readout errors — unitary evolution never
-    /// needs this).
-    pub fn normalize(&mut self) {
-        let norm = self.norm_sqr().sqrt();
-        if norm > 0.0 {
-            for a in self.amps.iter_mut() {
-                *a = *a / norm;
-            }
-        }
     }
 
     /// Fills `out` with the cumulative probability table used by inverse-

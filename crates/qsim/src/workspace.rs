@@ -27,6 +27,9 @@
 //!   angles as flat-array loops — no support rediscovery, no map churn.
 //!   [`SimWorkspace::run`] and [`SimWorkspace::run_batch`] share that one
 //!   replay and its scratch buffers: a serial run is a one-lane batch.
+//!   Optimizer loops use [`SimWorkspace::run_template`] and its batched
+//!   variant: they bind a [`CircuitTemplate`]'s angles into reused
+//!   circuits and resolve its plan once per template, not per run.
 //!   Shapes that refuse compilation (structural support above
 //!   [`DENSITY_THRESHOLD`]` · 2^n`) are remembered as refusals and run on
 //!   the dense engine, so each shape has exactly one representation.
@@ -44,6 +47,7 @@ use crate::phasepoly::PhasePoly;
 use crate::plan::{BatchScratch, CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig, DENSITY_THRESHOLD};
 use crate::state::StateVector;
+use crate::template::CircuitTemplate;
 use rand::Rng;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -138,7 +142,10 @@ pub struct PlanCacheStats {
     pub compilations: u64,
     /// Of those, the compilations that refused (their shapes run dense).
     pub refusals: u64,
-    /// Shape lookups served from a cached entry.
+    /// Shape lookups served from a cached entry: one per template
+    /// resolution (once per optimizer loop, whatever its evaluation
+    /// count) plus one per [`SimWorkspace::run`] or
+    /// [`SimWorkspace::run_batch`] of a circuit.
     pub hits: u64,
 }
 
@@ -353,6 +360,11 @@ pub struct SimWorkspace {
     /// Lane-parameter buffers of the compact replay, shared by
     /// [`SimWorkspace::run`] (one lane) and [`SimWorkspace::run_batch`].
     scratch: BatchScratch,
+    /// Lane circuits of the template with id `bound_id` (0: none), and
+    /// the plan or refusal it resolved to on its first compact run.
+    bound: Vec<Circuit>,
+    bound_id: u64,
+    resolved: Option<Result<Arc<GatePlan>, usize>>,
 }
 
 impl SimWorkspace {
@@ -383,6 +395,9 @@ impl SimWorkspace {
             reallocations: 0,
             batch: CompactStateVector::default(),
             scratch: BatchScratch::default(),
+            bound: Vec::new(),
+            bound_id: 0,
+            resolved: None,
         }
     }
 
@@ -453,22 +468,100 @@ impl SimWorkspace {
     /// Panics when a compact shape refuses its plan on a register wider
     /// than [`MAX_DENSIFY_QUBITS`], where no dense fallback fits.
     pub fn run(&mut self, circuit: &Circuit) -> SimEngine<'_> {
-        self.run_stamp += 1;
-        if self.config.engine == EngineKind::Compact {
-            let n_qubits = circuit.n_qubits();
-            let cap = plan_support_cap(n_qubits);
-            match self.plans.lookup_or_compile(circuit, cap) {
-                Ok(plan) => return self.run_compact(&plan, circuit),
-                Err(support) => assert_dense_fallback(n_qubits, support, cap),
-            }
+        let plan = (self.config.engine == EngineKind::Compact).then(|| {
+            let cap = plan_support_cap(circuit.n_qubits());
+            self.plans.lookup_or_compile(circuit, cap)
+        });
+        self.execute(plan, circuit);
+        self.state().expect("a run leaves a state")
+    }
+
+    /// [`SimWorkspace::run`] of `template.bind(params)`, bound into a
+    /// reused circuit. The plan (or refusal) is resolved on the
+    /// template's first compact run and kept, so later runs skip the
+    /// cache lookup and shape match and allocate nothing.
+    pub fn run_template(&mut self, template: &CircuitTemplate, params: &[f64]) -> SimEngine<'_> {
+        self.bind(template, &[params]);
+        let plan = (self.config.engine == EngineKind::Compact).then(|| self.resolve());
+        let bound = std::mem::take(&mut self.bound);
+        self.execute(plan, &bound[0]);
+        self.bound = bound;
+        self.state().expect("a run leaves a state")
+    }
+
+    /// Replays `template` at the first candidates of `xs` in one plan
+    /// pass: as many as fit [`BATCH_BUFFER_BYTES`], at most
+    /// [`MAX_BATCH_LANES`] (the result's `lanes()`). Lane `i` reads
+    /// exactly what `run_template` of `xs[i]` would. `None` when
+    /// batching does not apply: a dense engine, no candidates, a refused
+    /// shape, or a plan too wide for two lanes. The serial state is
+    /// untouched.
+    pub fn run_template_batch<P: AsRef<[f64]>>(
+        &mut self,
+        template: &CircuitTemplate,
+        xs: &[P],
+    ) -> Option<&CompactStateVector> {
+        if xs.is_empty() || self.config.engine != EngineKind::Compact {
+            return None;
         }
-        self.run_dense(circuit)
+        self.bind(template, &xs[..1]);
+        let plan = self.resolve().ok()?;
+        let lanes = BATCH_BUFFER_BYTES / (plan.basis().bits.len() * 16).max(1);
+        if lanes < 2 {
+            return None;
+        }
+        let chunk = &xs[..xs.len().min(lanes).min(MAX_BATCH_LANES)];
+        self.bind(template, chunk);
+        let bound = &self.bound[..chunk.len()];
+        self.batch
+            .replay(&plan, bound, &mut self.scratch, &self.config);
+        Some(&self.batch)
+    }
+
+    /// Binds `xs` into the lane circuits, cloned once per template.
+    fn bind<P: AsRef<[f64]>>(&mut self, template: &CircuitTemplate, xs: &[P]) {
+        if self.bound_id != template.id {
+            self.bound.clear();
+            self.bound_id = template.id;
+            self.resolved = None;
+        }
+        while self.bound.len() < xs.len() {
+            self.bound.push(template.circuit().clone());
+        }
+        for (circuit, x) in self.bound.iter_mut().zip(xs) {
+            template.bind_into(x.as_ref(), circuit);
+        }
+    }
+
+    /// The bound template's plan or refusal, resolved through the cache
+    /// from lane 0 on the first call after a template change.
+    fn resolve(&mut self) -> Result<Arc<GatePlan>, usize> {
+        let (plans, c) = (&self.plans, &self.bound[0]);
+        let cap = plan_support_cap(c.n_qubits());
+        let found = self
+            .resolved
+            .get_or_insert_with(|| plans.lookup_or_compile(c, cap));
+        found.clone()
+    }
+
+    /// Runs `circuit` on its plan, or dense (no plan asked, or refused).
+    fn execute(&mut self, plan: Option<Result<Arc<GatePlan>, usize>>, circuit: &Circuit) {
+        self.run_stamp += 1;
+        match plan {
+            Some(Ok(plan)) => self.run_compact(&plan, circuit),
+            Some(Err(support)) => {
+                let n = circuit.n_qubits();
+                assert_dense_fallback(n, support, plan_support_cap(n));
+                self.run_dense(circuit);
+            }
+            None => self.run_dense(circuit),
+        }
     }
 
     /// The dense path: reset the `2^n` buffer in place (allocating it on
     /// a width or representation change) and apply the gates, reading
     /// diagonals from the per-`Arc` cache.
-    fn run_dense(&mut self, circuit: &Circuit) -> SimEngine<'_> {
+    fn run_dense(&mut self, circuit: &Circuit) {
         let n_qubits = circuit.n_qubits();
         if !matches!(&self.engine, Some(Held::Dense(s)) if s.n_qubits() == n_qubits) {
             if self.state().map(SimEngine::n_qubits) != Some(n_qubits) {
@@ -491,7 +584,6 @@ impl SimWorkspace {
                 g => state.apply_gate(g),
             }
         }
-        SimEngine::Dense(state)
     }
 
     /// The state left by the last [`SimWorkspace::run`], if any.
@@ -544,23 +636,6 @@ impl SimWorkspace {
         Some(&self.batch)
     }
 
-    /// How many candidates of `circuit`'s shape to hand one
-    /// [`SimWorkspace::run_batch`]: as many as keep the lane buffer
-    /// within [`BATCH_BUFFER_BYTES`], from 1 to [`MAX_BATCH_LANES`].
-    /// Shapes that do not batch (dense engine, refused plan) get the
-    /// most; `run_batch` declines them anyway.
-    pub fn batch_lanes(&mut self, circuit: &Circuit) -> usize {
-        let cap = plan_support_cap(circuit.n_qubits());
-        let ranks = match self.config.engine {
-            EngineKind::Compact => self
-                .plans
-                .lookup_or_compile(circuit, cap)
-                .map_or(0, |plan| plan.basis().bits.len()),
-            EngineKind::Dense => 0,
-        };
-        (BATCH_BUFFER_BYTES / (ranks * 16).max(1)).clamp(1, MAX_BATCH_LANES)
-    }
-
     /// How many times the batched lane buffer had to grow (see
     /// [`CompactStateVector::reallocations`]); 0 before the first
     /// [`SimWorkspace::run_batch`].
@@ -571,7 +646,7 @@ impl SimWorkspace {
     /// The compact fast path: replay the shape's gate plan into the
     /// (reused) rank-indexed amplitude array — a one-lane batch, through
     /// the same lane kernels as [`SimWorkspace::run_batch`].
-    fn run_compact(&mut self, plan: &GatePlan, circuit: &Circuit) -> SimEngine<'_> {
+    fn run_compact(&mut self, plan: &GatePlan, circuit: &Circuit) {
         let n_qubits = circuit.n_qubits();
         if !matches!(&self.engine, Some(Held::Compact(c)) if c.n_qubits() == n_qubits) {
             self.engine = Some(Held::Compact(CompactStateVector::default()));
@@ -582,7 +657,6 @@ impl SimWorkspace {
         };
         let circuits = std::slice::from_ref(circuit);
         state.replay(plan, circuits, &mut self.scratch, &self.config);
-        state.lane(0)
     }
 }
 
@@ -625,6 +699,7 @@ mod tests {
     use super::*;
     use crate::simconfig::EngineKind;
     use crate::state::StateVector;
+    use crate::template::CircuitTemplate;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1124,25 +1199,99 @@ mod tests {
     }
 
     #[test]
-    fn batch_lanes_keep_the_lane_buffer_within_budget() {
-        // `k` Hadamards on an `n`-qubit register: a plan of 2^k ranks.
+    fn template_batches_keep_the_lane_buffer_within_budget() {
+        // `k` bound `ry`s on an `n`-qubit register: a plan of 2^k ranks.
         let spread = |n: usize, k: usize| {
-            let mut c = Circuit::new(n);
+            let mut t = CircuitTemplate::new(Circuit::new(n));
             for q in 0..k {
-                c.h(q);
+                t.push_slot(Gate::Ry(q, 0.0), 0, 1.0);
             }
-            c
+            t
         };
+        let xs = vec![vec![0.5]; 20];
         let mut ws = SimWorkspace::new(SimConfig::serial());
-        assert_eq!(ws.batch_lanes(&spread(4, 3)), MAX_BATCH_LANES);
+        let width = |ws: &mut SimWorkspace, t: &CircuitTemplate| {
+            ws.run_template_batch(t, &xs).map(|b| b.lanes())
+        };
+        assert_eq!(width(&mut ws, &spread(4, 3)), Some(MAX_BATCH_LANES));
+        assert_eq!(
+            ws.run_template_batch(&spread(4, 3), &xs[..3])
+                .map(|b| b.lanes()),
+            Some(3)
+        );
         // 2^15 ranks × 16 B is half the budget; 2^16 ranks fill it.
-        assert_eq!(ws.batch_lanes(&spread(18, 15)), 2);
-        assert_eq!(ws.batch_lanes(&spread(20, 16)), 1);
-        // Shapes that do not batch leave the width to `run_batch`, which
-        // declines them.
-        assert_eq!(ws.batch_lanes(&spread(10, 10)), MAX_BATCH_LANES);
+        assert_eq!(width(&mut ws, &spread(18, 15)), Some(2));
+        assert_eq!(width(&mut ws, &spread(20, 16)), None);
+        // Shapes that do not batch: a refused plan, the dense engine.
+        assert_eq!(width(&mut ws, &spread(10, 10)), None);
         let mut dense_ws = SimWorkspace::new(dense());
-        assert_eq!(dense_ws.batch_lanes(&spread(4, 3)), MAX_BATCH_LANES);
+        assert_eq!(width(&mut dense_ws, &spread(4, 3)), None);
+    }
+
+    /// [`confined_4q`] as a template over one parameter.
+    fn confined_4q_template(poly: &Arc<PhasePoly>) -> CircuitTemplate {
+        let mut base = Circuit::new(4);
+        base.load_bits(0b0110);
+        let mut t = CircuitTemplate::new(base);
+        t.push_slot(Gate::DiagPhase(poly.clone(), 0.0), 0, 1.0);
+        t.push(Gate::UBlock(crate::gate::UBlock::from_u_with_angle(
+            &[1, -1, 1, -1],
+            0.5,
+        )));
+        t.push_slot(
+            Gate::UBlock(crate::gate::UBlock::from_u(&[0, 1, -1, 1])),
+            0,
+            1.0,
+        );
+        t
+    }
+
+    #[test]
+    fn template_runs_match_bound_runs_and_resolve_once() {
+        let poly = test_poly(4);
+        let template = confined_4q_template(&poly);
+        let thetas = [0.3, 1.1, -0.7, 0.0, 2.2];
+        assert_eq!(template.bind(&[0.3]), confined_4q(&poly, 0.3));
+        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let (mut by_template, mut by_circuit) =
+            (SimWorkspace::new(config), SimWorkspace::new(config));
+        for theta in thetas {
+            let want: Vec<_> = {
+                let e = by_circuit.run(&template.bind(&[theta]));
+                (0..16u64).map(|b| e.amplitude(b)).collect()
+            };
+            let got = by_template.run_template(&template, &[theta]);
+            for (bits, w) in want.iter().enumerate() {
+                let a = got.amplitude(bits as u64);
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (w.re.to_bits(), w.im.to_bits())
+                );
+            }
+        }
+        let xs: Vec<Vec<f64>> = thetas.iter().map(|&t| vec![t]).collect();
+        let batch = by_template.run_template_batch(&template, &xs).unwrap();
+        for (lane, theta) in thetas.into_iter().enumerate() {
+            let e = by_circuit.run(&template.bind(&[theta]));
+            for bits in 0..16u64 {
+                let (a, w) = (batch.lane(lane).amplitude(bits), e.amplitude(bits));
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (w.re.to_bits(), w.im.to_bits())
+                );
+            }
+        }
+        // One resolution (a compile) served every run and the batch.
+        let stats = by_template.plan_cache().stats();
+        assert_eq!((stats.compilations, stats.hits), (1, 0));
+        assert_eq!(by_circuit.plan_cache().stats().hits, 9);
+        // A rebuilt template of the same shape resolves with one hit.
+        for theta in thetas {
+            by_template.run_template(&confined_4q_template(&poly), &[theta]);
+        }
+        let stats = by_template.plan_cache().stats();
+        assert_eq!((stats.compilations, stats.hits), (1, 5));
+        assert_eq!(by_template.reallocations(), 1);
     }
 
     #[test]

@@ -1484,7 +1484,7 @@ fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
 
 /// The batched replay's lane buffer for a plan of at most `ranks` ranks:
 /// [`MAX_BATCH_LANES`] lanes of 16 bytes per rank, which
-/// `SimWorkspace::batch_lanes` keeps within [`BATCH_BUFFER_BYTES`].
+/// `SimWorkspace::run_template_batch` keeps within [`BATCH_BUFFER_BYTES`].
 fn batch_buffer_bytes(ranks: u64) -> u64 {
     ranks
         .saturating_mul(MAX_BATCH_LANES as u64 * 16)

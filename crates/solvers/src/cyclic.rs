@@ -23,8 +23,9 @@ use crate::shared::{
 };
 use choco_mathkit::{LinEq, LinSystem};
 use choco_model::{Problem, SolveOutcome, Solver, SolverError};
-use choco_qsim::Circuit;
 use choco_qsim::SimWorkspace;
+use choco_qsim::{Circuit, CircuitTemplate, Gate, PhasePoly};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The cyclic-Hamiltonian QAOA solver.
@@ -72,6 +73,35 @@ impl CyclicQaoaSolver {
             }
         }
         CyclicEncoding { encoded, soft }
+    }
+
+    /// The circuit over parameters `[γ_1, β_1, …, γ_L, β_L]`: load
+    /// `initial`, then per layer `e^{-iγ_l·poly}` and an XY ring mixer
+    /// `e^{-iβ_l(XX+YY)}` over consecutive (and closing) pairs of each
+    /// ring.
+    pub fn template(
+        n: usize,
+        initial: u64,
+        rings: &[Vec<usize>],
+        poly: &Arc<PhasePoly>,
+        layers: usize,
+    ) -> CircuitTemplate {
+        let mut base = Circuit::new(n);
+        base.load_bits(initial);
+        let mut template = CircuitTemplate::new(base);
+        for l in 0..layers {
+            template.push_slot(Gate::DiagPhase(poly.clone(), 0.0), 2 * l, 1.0);
+            for ring in rings {
+                for w in ring.windows(2) {
+                    template.push_slot(Gate::XyMix(w[0], w[1], 0.0), 2 * l + 1, 1.0);
+                }
+                if ring.len() > 2 {
+                    let (last, first) = (ring[ring.len() - 1], ring[0]);
+                    template.push_slot(Gate::XyMix(last, first, 0.0), 2 * l + 1, 1.0);
+                }
+            }
+        }
+        template
     }
 }
 
@@ -147,32 +177,12 @@ impl CyclicQaoaSolver {
         let layers = self.config.layers;
         let compile = compile_start.elapsed();
 
-        let build = |params: &[f64]| -> Circuit {
-            let mut c = Circuit::new(n);
-            c.load_bits(initial);
-            for l in 0..layers {
-                let gamma = params[2 * l];
-                let beta = params[2 * l + 1];
-                c.diag(poly.clone(), gamma);
-                for ring in &rings {
-                    for w in ring.windows(2) {
-                        c.xy(w[0], w[1], beta);
-                    }
-                    if ring.len() > 2 {
-                        c.xy(ring[ring.len() - 1], ring[0], beta);
-                    }
-                }
-            }
-            c
-        };
-
         let loop_config = QaoaConfig {
             sim: *workspace.config(),
             ..self.config.clone()
         };
         let result = variational_loop(
-            n,
-            build,
+            &Self::template(n, initial, &rings, &poly, layers),
             &CostSpec::Table(&cost_values),
             &ramp_initial_params(layers),
             &loop_config,

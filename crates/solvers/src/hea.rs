@@ -11,8 +11,8 @@ use crate::shared::{
     check_size, circuit_stats, reject_inequalities, variational_loop, CostSpec, QaoaConfig,
 };
 use choco_model::{Problem, SolveOutcome, Solver, SolverError};
-use choco_qsim::Circuit;
 use choco_qsim::SimWorkspace;
+use choco_qsim::{Circuit, CircuitTemplate, Gate};
 use std::time::Instant;
 
 /// The hardware-efficient ansatz solver.
@@ -36,6 +36,24 @@ impl HeaSolver {
     /// layer, `layers + 1` rotation layers.
     pub fn n_params(n_vars: usize, layers: usize) -> usize {
         n_vars * (layers + 1)
+    }
+
+    /// The ansatz over parameters `[θ_{0,0} … θ_{L,n-1}]`: per layer an
+    /// `RY` on every qubit and a CZ ladder, then a final `RY` layer.
+    pub fn template(n: usize, layers: usize) -> CircuitTemplate {
+        let mut template = CircuitTemplate::new(Circuit::new(n));
+        for l in 0..=layers {
+            for q in 0..n {
+                template.push_slot(Gate::Ry(q, 0.0), l * n + q, 1.0);
+            }
+            if l == layers {
+                break; // the final rotation layer has no ladder
+            }
+            for q in 0..n.saturating_sub(1) {
+                template.push(Gate::Cz(q, q + 1));
+            }
+        }
+        template
     }
 }
 
@@ -68,22 +86,6 @@ impl HeaSolver {
         let layers = self.config.layers;
         let compile = compile_start.elapsed();
 
-        let build = |params: &[f64]| -> Circuit {
-            let mut c = Circuit::new(n);
-            for l in 0..layers {
-                for q in 0..n {
-                    c.ry(q, params[l * n + q]);
-                }
-                for q in 0..n.saturating_sub(1) {
-                    c.cz(q, q + 1);
-                }
-            }
-            for q in 0..n {
-                c.ry(q, params[layers * n + q]);
-            }
-            c
-        };
-
         // Small nonzero start breaks the RY(0) saddle.
         let x0 = vec![0.3; Self::n_params(n, layers)];
         let loop_config = QaoaConfig {
@@ -91,8 +93,7 @@ impl HeaSolver {
             ..self.config.clone()
         };
         let result = variational_loop(
-            n,
-            build,
+            &Self::template(n, layers),
             &CostSpec::Table(&cost_values),
             &x0,
             &loop_config,

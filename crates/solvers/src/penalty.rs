@@ -13,8 +13,9 @@ use crate::shared::{
     CostSpec, QaoaConfig,
 };
 use choco_model::{Problem, SolveOutcome, Solver, SolverError};
-use choco_qsim::Circuit;
 use choco_qsim::SimWorkspace;
+use choco_qsim::{Circuit, CircuitTemplate, Gate, PhasePoly};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The penalty-based QAOA solver.
@@ -64,6 +65,23 @@ impl Solver for PenaltyQaoaSolver {
 }
 
 impl PenaltyQaoaSolver {
+    /// The circuit over parameters `[γ_1, β_1, …, γ_L, β_L]`: `H` on
+    /// every qubit, then per layer `e^{-iγ_l·poly}` and `RX(2β_l)`.
+    pub fn template(n: usize, poly: &Arc<PhasePoly>, layers: usize) -> CircuitTemplate {
+        let mut base = Circuit::new(n);
+        for q in 0..n {
+            base.h(q);
+        }
+        let mut template = CircuitTemplate::new(base);
+        for l in 0..layers {
+            template.push_slot(Gate::DiagPhase(poly.clone(), 0.0), 2 * l, 1.0);
+            for q in 0..n {
+                template.push_slot(Gate::Rx(q, 0.0), 2 * l + 1, 2.0);
+            }
+        }
+        template
+    }
+
     /// [`Solver::solve`] with a caller-owned [`SimWorkspace`]: the
     /// amplitude buffer and cached diagonals live in `workspace` and are
     /// reused across optimizer iterations (and across repeated solves when
@@ -85,22 +103,6 @@ impl PenaltyQaoaSolver {
         let layers = self.config.layers;
         let compile = compile_start.elapsed();
 
-        let build = |params: &[f64]| -> Circuit {
-            let mut c = Circuit::new(n);
-            for q in 0..n {
-                c.h(q);
-            }
-            for l in 0..layers {
-                let gamma = params[2 * l];
-                let beta = params[2 * l + 1];
-                c.diag(poly.clone(), gamma);
-                for q in 0..n {
-                    c.rx(q, 2.0 * beta);
-                }
-            }
-            c
-        };
-
         // Follow the caller-owned workspace's engine config for every
         // kernel of this solve (noisy sampling included).
         let loop_config = QaoaConfig {
@@ -108,8 +110,7 @@ impl PenaltyQaoaSolver {
             ..self.config.clone()
         };
         let result = variational_loop(
-            n,
-            build,
+            &Self::template(n, &poly, layers),
             &CostSpec::Table(&cost_values),
             &ramp_initial_params(layers),
             &loop_config,

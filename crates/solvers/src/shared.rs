@@ -4,8 +4,8 @@
 use choco_model::{CircuitStats, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
 use choco_qsim::{
-    transpile, transpile_into, Circuit, Counts, EngineKind, NoiseModel, PhasePoly, SimConfig,
-    SimWorkspace, StatsSink, TranspileOptions, MAX_SPARSE_QUBITS,
+    transpile, transpile_into, Circuit, CircuitTemplate, Counts, EngineKind, NoiseModel, PhasePoly,
+    SimConfig, SimWorkspace, StatsSink, TranspileOptions, MAX_SPARSE_QUBITS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -177,10 +177,9 @@ impl CostSpec<'_> {
 }
 
 /// The variational objective handed to the optimizers: maps a parameter
-/// vector to `E[cost]` through one circuit execution, and evaluates
-/// groups of independent candidates through [`SimWorkspace::run_batch`],
-/// one plan traversal for as many angle sets as
-/// [`SimWorkspace::batch_lanes`] allows (at most 16).
+/// vector to `E[cost]` through one template run, and evaluates groups of
+/// independent candidates through [`SimWorkspace::run_template_batch`],
+/// one plan traversal per chunk of up to 16 candidates.
 ///
 /// Bit-identity: a serial compact run and every lane of a batched one
 /// go through the same plan replay,
@@ -188,18 +187,16 @@ impl CostSpec<'_> {
 /// width, so every value this objective returns is identical whether it
 /// went through `eval`, a batched chunk, or the serial fallback —
 /// optimizer trajectories cannot depend on how a group was chunked.
-struct BatchedObjective<'a, F: Fn(&[f64]) -> Circuit> {
-    build: &'a F,
+struct BatchedObjective<'a> {
+    template: &'a CircuitTemplate,
     cost: &'a CostSpec<'a>,
     config: &'a QaoaConfig,
     workspace: &'a std::cell::RefCell<&'a mut SimWorkspace>,
     deadline_hit: &'a std::cell::Cell<bool>,
     execute_time: &'a std::cell::Cell<std::time::Duration>,
-    /// Reused circuit buffer for batched chunks (no per-chunk Vec).
-    circuits: Vec<Circuit>,
 }
 
-impl<F: Fn(&[f64]) -> Circuit> BatchedObjective<'_, F> {
+impl BatchedObjective<'_> {
     /// The sticky cooperative-deadline check shared by both evaluation
     /// paths: returns `true` once [`QaoaConfig::deadline`] has passed or
     /// [`QaoaConfig::cancel`] has been set.
@@ -220,16 +217,16 @@ impl<F: Fn(&[f64]) -> Circuit> BatchedObjective<'_, F> {
     }
 }
 
-impl<F: Fn(&[f64]) -> Circuit> choco_optim::Objective for BatchedObjective<'_, F> {
+impl choco_optim::Objective for BatchedObjective<'_> {
     fn eval(&mut self, params: &[f64]) -> f64 {
         if self.deadline_expired() {
             return f64::INFINITY;
         }
-        let circuit = (self.build)(params);
         let t0 = Instant::now();
         let mut ws = self.workspace.borrow_mut();
-        let state = ws.run(&circuit);
-        let value = self.cost.expectation(state);
+        let value = self
+            .cost
+            .expectation(ws.run_template(self.template, params));
         self.execute_time
             .set(self.execute_time.get() + t0.elapsed());
         value
@@ -237,34 +234,32 @@ impl<F: Fn(&[f64]) -> Circuit> choco_optim::Objective for BatchedObjective<'_, F
 
     fn eval_batch(&mut self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         out.clear();
-        if xs.is_empty() || self.deadline_expired() {
-            out.extend(std::iter::repeat_n(f64::INFINITY, xs.len()));
-            return;
-        }
-        self.circuits.clear();
-        self.circuits.extend(xs.iter().map(|x| (self.build)(x)));
-        let lanes = self.workspace.borrow_mut().batch_lanes(&self.circuits[0]);
-        for chunk in self.circuits.chunks(lanes) {
+        let mut rest = xs;
+        while !rest.is_empty() {
             // The sticky deadline check fires once per chunk: when it
-            // trips, the whole chunk gets `+inf`.
+            // trips, every remaining candidate gets `+inf`.
             if self.deadline_expired() {
-                out.extend(std::iter::repeat_n(f64::INFINITY, chunk.len()));
-                continue;
+                out.extend(std::iter::repeat_n(f64::INFINITY, rest.len()));
+                return;
             }
             let t0 = Instant::now();
             let mut ws = self.workspace.borrow_mut();
-            let batch = if lanes > 1 { ws.run_batch(chunk) } else { None };
-            if let Some(batch) = batch {
-                out.extend((0..chunk.len()).map(|i| self.cost.expectation(batch.lane(i))));
-            } else {
-                // One lane per chunk (a one-lane batch buffer would only
-                // duplicate the serial state), or batching doesn't apply
-                // (dense engine, refused shape): replay the built
-                // circuits one at a time.
-                for circuit in chunk {
-                    out.push(self.cost.expectation(ws.run(circuit)));
+            let done = match ws.run_template_batch(self.template, rest) {
+                Some(batch) => {
+                    out.extend((0..batch.lanes()).map(|i| self.cost.expectation(batch.lane(i))));
+                    batch.lanes()
                 }
-            }
+                // Batching doesn't apply (dense engine, refused shape,
+                // a plan too wide for two lanes): one candidate serially.
+                None => {
+                    out.push(
+                        self.cost
+                            .expectation(ws.run_template(self.template, &rest[0])),
+                    );
+                    1
+                }
+            };
+            rest = &rest[done..];
             self.execute_time
                 .set(self.execute_time.get() + t0.elapsed());
         }
@@ -296,27 +291,24 @@ pub struct LoopResult {
 /// minimize `E[cost]` over the circuit parameters, then sample the final
 /// circuit.
 ///
-/// `build` maps a parameter vector to a circuit over `n_qubits` qubits;
-/// `cost` is the diagonal (minimization convention) whose expectation is
+/// `template` is the circuit with its angles taken from the parameter
+/// vector; `cost` is the diagonal (minimization convention) whose expectation is
 /// optimized — a `2^n` table or a bare polynomial (see [`CostSpec`]).
 /// Every state execution runs through `workspace` (and therefore through
 /// whichever [`choco_qsim::SimEngine`] its configuration selects), so
-/// iterations after the first perform **no amplitude-vector allocations**
+/// evaluations after the first build no circuit and allocate no state,
 /// and re-used `PhasePoly` diagonals are expanded once, not once per
 /// iteration. Callers own the workspace and may share it across restarts
 /// and elimination branches.
-pub fn variational_loop<F>(
-    n_qubits: usize,
-    build: F,
+pub fn variational_loop(
+    template: &CircuitTemplate,
     cost: &CostSpec<'_>,
     x0: &[f64],
     config: &QaoaConfig,
     workspace: &mut SimWorkspace,
-) -> LoopResult
-where
-    F: Fn(&[f64]) -> Circuit,
-{
+) -> LoopResult {
     if let CostSpec::Table(values) = cost {
+        let n_qubits = template.circuit().n_qubits();
         assert_eq!(values.len(), 1 << n_qubits, "cost table size mismatch");
     }
     let loop_start = Instant::now();
@@ -331,13 +323,12 @@ where
     let result = {
         let workspace = std::cell::RefCell::new(&mut *workspace);
         let objective = BatchedObjective {
-            build: &build,
+            template,
             cost,
             config,
             workspace: &workspace,
             deadline_hit: &deadline_hit,
             execute_time: &execute_cell,
-            circuits: Vec::new(),
         };
         config
             .optimizer
@@ -345,7 +336,7 @@ where
     };
     let mut execute_time = execute_cell.get();
 
-    let final_circuit = build(&result.best_params);
+    let final_circuit = template.bind(&result.best_params);
     if deadline_hit.get() {
         let total = loop_start.elapsed();
         return LoopResult {
@@ -468,6 +459,7 @@ pub fn ramp_initial_params(layers: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use choco_qsim::Gate;
     use std::sync::Arc;
 
     #[test]
@@ -520,6 +512,13 @@ mod tests {
         assert!(x0[1] > x0[3] && x0[3] > x0[5], "β ramps down");
     }
 
+    /// One `Rx(θ)` on one qubit.
+    fn rx_template() -> CircuitTemplate {
+        let mut template = CircuitTemplate::new(Circuit::new(1));
+        template.push_slot(Gate::Rx(0, 0.0), 0, 1.0);
+        template
+    }
+
     #[test]
     fn variational_loop_optimizes_a_single_qubit() {
         // cost = P(|1⟩); circuit = Rx(θ). Optimum: θ = 0 (stay at |0⟩)
@@ -534,12 +533,7 @@ mod tests {
         };
         let mut workspace = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         let result = variational_loop(
-            1,
-            |params| {
-                let mut c = Circuit::new(1);
-                c.rx(0, params[0]);
-                c
-            },
+            &rx_template(),
             &CostSpec::Table(&cost),
             &[2.0],
             &config,
@@ -581,17 +575,17 @@ mod tests {
         let x0: Vec<f64> = (0..2 * layers)
             .map(|i| 0.3 + 0.2 * (i % 2) as f64)
             .collect();
+        let mut base = Circuit::new(3);
+        base.h(0).h(1).h(2);
+        let mut template = CircuitTemplate::new(base);
+        for l in 0..layers {
+            template.push_slot(Gate::DiagPhase(poly.clone(), 0.0), 2 * l, 1.0);
+            for q in 0..3 {
+                template.push_slot(Gate::Rx(q, 0.0), 2 * l + 1, 1.0);
+            }
+        }
         let result = variational_loop(
-            3,
-            |params| {
-                let mut c = Circuit::new(3);
-                c.h(0).h(1).h(2);
-                for angles in params.chunks(2) {
-                    c.diag(poly.clone(), angles[0]);
-                    c.rx(0, angles[1]).rx(1, angles[1]).rx(2, angles[1]);
-                }
-                c
-            },
+            &template,
             &CostSpec::Table(&table),
             &x0,
             &config,
@@ -634,12 +628,7 @@ mod tests {
             };
             let mut workspace = SimWorkspace::new(sim);
             let result = variational_loop(
-                1,
-                |params| {
-                    let mut c = Circuit::new(1);
-                    c.rx(0, params[0]);
-                    c
-                },
+                &rx_template(),
                 &CostSpec::Table(&[0.0, 1.0]),
                 &[2.0],
                 &config,
@@ -651,6 +640,7 @@ mod tests {
                 result.cost_history.iter().all(|v| v.is_infinite()),
                 "{engine}: every evaluation must short-circuit to +inf"
             );
+            assert_eq!(workspace.plan_compilations(), 0, "{engine}: compiled");
             results.push(result);
         }
         // The sticky check fires before each chunk on either engine, so

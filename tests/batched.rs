@@ -13,13 +13,20 @@
 //! own K = 1 replay to the bit, sign of zero included, so a lane does not
 //! depend on its batch width. The second half locks the resource story: one
 //! plan compilation across serial runs × batches × workers sharing a
-//! cache, and zero SoA allocations after warmup.
+//! cache, and zero SoA allocations after warmup. The last part checks
+//! the four solvers' circuit templates: a bound template equals the
+//! circuit each solver built per evaluation before templates existed,
+//! and template runs read the bits of a run of the bound circuit.
 
-use choco_q::core::{ChocoQSolver, CommuteDriver};
+use choco_q::core::{ChocoQSolver, CommuteDriver, DriverTerm};
 use choco_q::mathkit::SplitMix64;
 use choco_q::model::Problem;
-use choco_q::qsim::{Circuit, EngineKind, PlanCache, SimConfig, SimWorkspace, StateVector};
+use choco_q::qsim::{
+    Circuit, CircuitTemplate, EngineKind, Gate, PhasePoly, PlanCache, SimConfig, SimWorkspace,
+    StateVector,
+};
 use choco_q::runner::ProblemRef;
+use choco_q::solvers::{CyclicQaoaSolver, HeaSolver, PenaltyQaoaSolver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -264,4 +271,211 @@ fn batched_iterations_are_zero_alloc_after_warmup() {
     assert_eq!(ws.plan_compilations(), 1, "iteration never recompiles");
     // The serial engine was never disturbed by any of it.
     assert_eq!(ws.reallocations(), 0, "serial path untouched");
+}
+
+// ---- Circuit templates -------------------------------------------------
+//
+// The per-evaluation builders each solver used before its circuit became
+// a template, kept verbatim as the reference.
+
+fn built_choco(
+    driver: &CommuteDriver,
+    cost_poly: &Arc<PhasePoly>,
+    ordered_terms: &[DriverTerm],
+    initial: u64,
+    layers: usize,
+    params: &[f64],
+) -> Circuit {
+    let stride = 1 + ordered_terms.len();
+    let mut c = Circuit::new(driver.encoded_qubits().max(1));
+    c.load_bits(initial);
+    for l in 0..layers {
+        let gamma = params[l * stride];
+        c.diag(cost_poly.clone(), gamma);
+        for (t, term) in ordered_terms.iter().enumerate() {
+            let beta = params[l * stride + 1 + t];
+            c.push(driver.gate_of(term, beta));
+        }
+    }
+    c
+}
+
+fn built_penalty(n: usize, poly: &Arc<PhasePoly>, layers: usize, params: &[f64]) -> Circuit {
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.h(q);
+    }
+    for l in 0..layers {
+        let gamma = params[2 * l];
+        let beta = params[2 * l + 1];
+        c.diag(poly.clone(), gamma);
+        for q in 0..n {
+            c.rx(q, 2.0 * beta);
+        }
+    }
+    c
+}
+
+fn built_cyclic(
+    n: usize,
+    initial: u64,
+    rings: &[Vec<usize>],
+    poly: &Arc<PhasePoly>,
+    layers: usize,
+    params: &[f64],
+) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.load_bits(initial);
+    for l in 0..layers {
+        let gamma = params[2 * l];
+        let beta = params[2 * l + 1];
+        c.diag(poly.clone(), gamma);
+        for ring in rings {
+            for w in ring.windows(2) {
+                c.xy(w[0], w[1], beta);
+            }
+            if ring.len() > 2 {
+                c.xy(ring[ring.len() - 1], ring[0], beta);
+            }
+        }
+    }
+    c
+}
+
+fn built_hea(n: usize, layers: usize, params: &[f64]) -> Circuit {
+    let mut c = Circuit::new(n);
+    for l in 0..layers {
+        for q in 0..n {
+            c.ry(q, params[l * n + q]);
+        }
+        for q in 0..n.saturating_sub(1) {
+            c.cz(q, q + 1);
+        }
+    }
+    for q in 0..n {
+        c.ry(q, params[layers * n + q]);
+    }
+    c
+}
+
+/// A solver's template, its parameter count, and its reference builder.
+type TemplateCase = (
+    &'static str,
+    CircuitTemplate,
+    usize,
+    Box<dyn Fn(&[f64]) -> Circuit>,
+);
+
+/// Templates of all four solvers at two layers: Choco-Q on an equality
+/// class (plain `UBlock` terms) and on B1n (`ShiftBlock` terms over
+/// slack registers), and the three baselines on F1, whose summation
+/// constraint the cyclic ring encodes.
+fn template_cases() -> Vec<TemplateCase> {
+    const LAYERS: usize = 2;
+    let mut cases: Vec<TemplateCase> = Vec::new();
+    for class in ["K1", "B1n"] {
+        let problem = ProblemRef::parse(class).unwrap().build(1).unwrap();
+        let driver = CommuteDriver::build(problem.constraints()).unwrap();
+        let initial = driver.encode_state(problem.first_feasible().unwrap());
+        let terms = driver.ordered_terms(initial);
+        let poly = Arc::new(problem.cost_poly());
+        let template = ChocoQSolver::template(&driver, &poly, &terms, initial, LAYERS);
+        let shifts = (template.circuit().iter()).any(|g| matches!(g, Gate::ShiftBlock(_)));
+        assert_eq!(shifts, class == "B1n", "{class}: ShiftBlock terms");
+        let n_params = ChocoQSolver::n_params(LAYERS, terms.len());
+        let build = move |x: &[f64]| built_choco(&driver, &poly, &terms, initial, LAYERS, x);
+        cases.push((class, template, n_params, Box::new(build)));
+    }
+    let problem = ProblemRef::parse("F1").unwrap().build(1).unwrap();
+    let n = problem.n_vars();
+    let poly = Arc::new(problem.penalty_poly(10.0));
+    let template = PenaltyQaoaSolver::template(n, &poly, LAYERS);
+    let p = poly.clone();
+    let build = move |x: &[f64]| built_penalty(n, &p, LAYERS, x);
+    cases.push(("penalty", template, 2 * LAYERS, Box::new(build)));
+    let encoding = CyclicQaoaSolver::plan_encoding(&problem);
+    let rings: Vec<Vec<usize>> = (encoding.encoded.iter())
+        .map(|&i| problem.constraints().eqs()[i].variables().collect())
+        .collect();
+    assert!(!rings.is_empty(), "F1 has a ring-encodable constraint");
+    let initial = problem.first_feasible().unwrap();
+    let template = CyclicQaoaSolver::template(n, initial, &rings, &poly, LAYERS);
+    let build = move |x: &[f64]| built_cyclic(n, initial, &rings, &poly, LAYERS, x);
+    cases.push(("cyclic", template, 2 * LAYERS, Box::new(build)));
+    let build = move |x: &[f64]| built_hea(n, LAYERS, x);
+    let n_params = HeaSolver::n_params(n, LAYERS);
+    cases.push((
+        "hea",
+        HeaSolver::template(n, LAYERS),
+        n_params,
+        Box::new(build),
+    ));
+    cases
+}
+
+fn random_params(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
+    (0..n).map(|_| rng.gen_range_f64(-1.6, 1.6)).collect()
+}
+
+/// The `{:?}` form prints every angle as the shortest decimal that
+/// parses back to its bits (sign of zero included), so equal strings
+/// mean equal gates with equal angle bits.
+fn gate_bits(c: &Circuit) -> Vec<String> {
+    c.iter().map(|g| format!("{g:?}")).collect()
+}
+
+fn amplitude_bits(state: choco_q::qsim::SimEngine<'_>) -> Vec<(u64, u64)> {
+    (0..1u64 << state.n_qubits())
+        .map(|bits| state.amplitude(bits))
+        .map(|a| (a.re.to_bits(), a.im.to_bits()))
+        .collect()
+}
+
+#[test]
+fn bound_templates_equal_the_per_evaluation_builders_bitwise() {
+    let mut rng = SplitMix64::new(0x7E3F);
+    for (name, template, n_params, build) in template_cases() {
+        let mut reused = template.circuit().clone();
+        for _ in 0..16 {
+            let x = random_params(&mut rng, n_params);
+            let built = build(&x);
+            assert_eq!(template.bind(&x), built, "{name}");
+            assert_eq!(gate_bits(&template.bind(&x)), gate_bits(&built), "{name}");
+            template.bind_into(&x, &mut reused);
+            assert_eq!(gate_bits(&reused), gate_bits(&built), "{name} in place");
+        }
+    }
+}
+
+#[test]
+fn template_runs_match_bound_circuit_runs_bitwise() {
+    let mut rng = SplitMix64::new(0xB17);
+    for (name, template, n_params, _) in template_cases() {
+        for engine in [EngineKind::Dense, EngineKind::Compact] {
+            let config = SimConfig::serial().with_engine(engine);
+            let mut by_template = SimWorkspace::new(config);
+            let mut by_circuit = SimWorkspace::new(config);
+            for k in [1usize, 3, 16] {
+                let xs: Vec<Vec<f64>> = (0..k).map(|_| random_params(&mut rng, n_params)).collect();
+                let want: Vec<_> = (xs.iter())
+                    .map(|x| amplitude_bits(by_circuit.run(&template.bind(x))))
+                    .collect();
+                for (x, want) in xs.iter().zip(&want) {
+                    let got = amplitude_bits(by_template.run_template(&template, x));
+                    assert!(got == *want, "{name} {engine} K={k}: serial template run");
+                }
+                let Some(batch) = by_template.run_template_batch(&template, &xs) else {
+                    // Only the dense engine and refused shapes decline.
+                    let refused = by_circuit.run(&template.bind(&xs[0])).as_dense().is_some();
+                    assert!(refused, "{name} {engine} K={k}: compact plan declined");
+                    continue;
+                };
+                assert_eq!(batch.lanes(), k, "{name} {engine}");
+                for (lane, want) in want.iter().enumerate() {
+                    let got = amplitude_bits(batch.lane(lane));
+                    assert!(got == *want, "{name} {engine} K={k} lane={lane}");
+                }
+            }
+        }
+    }
 }
