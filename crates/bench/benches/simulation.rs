@@ -17,33 +17,14 @@
 //! `bench_json` (in `src/bin`) runs the same circuits headlessly and
 //! writes `BENCH_simulation.json` for machine-readable tracking.
 
-use choco_bench::{
-    choco_layer_circuit, choco_onehot_candidates, choco_onehot_stack, layer_circuit,
-};
+use choco_bench::{choco_onehot_candidates, choco_onehot_stack, layer_circuit};
 use choco_qsim::oracle::ScalarStateVector;
-use choco_qsim::{EngineKind, SimConfig, SimWorkspace, SparseStateVector, StateVector};
+use choco_qsim::{EngineKind, SimConfig, SimWorkspace, StateVector};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-/// Dense vs sparse on the confined Choco-Q layer: the crossover group
-/// behind `BENCH_simulation.json`'s `sparse_speedup_vs_dense` numbers.
-fn bench_choco_layer(c: &mut Criterion) {
-    let mut group = c.benchmark_group("choco_layer");
-    group.sample_size(10);
-    for n in [14usize, 18, 22] {
-        let circuit = choco_layer_circuit(n);
-        group.bench_with_input(BenchmarkId::new("dense", n), &circuit, |b, circuit| {
-            b.iter(|| StateVector::run(std::hint::black_box(circuit)));
-        });
-        group.bench_with_input(BenchmarkId::new("sparse", n), &circuit, |b, circuit| {
-            b.iter(|| SparseStateVector::run(std::hint::black_box(circuit)));
-        });
-    }
-    group.finish();
-}
 
 /// End-to-end optimizer-iteration cost: one warmed `SimWorkspace::run`
 /// of a two-layer multi-one-hot Choco-Q stack per engine — the group
-/// behind `BENCH_simulation.json`'s `compact_speedup_vs_sparse`.
+/// behind `BENCH_simulation.json`'s `compact_speedup_vs_dense`.
 fn bench_choco_iteration(c: &mut Criterion) {
     let mut group = c.benchmark_group("choco_iteration");
     group.sample_size(10);
@@ -61,14 +42,6 @@ fn bench_choco_iteration(c: &mut Criterion) {
                 });
             });
         }
-        // Per-gate map churn on a reused sparse state.
-        let mut sparse = SparseStateVector::new(n);
-        group.bench_with_input(BenchmarkId::new("sparse", n), &stack, |b, stack| {
-            b.iter(|| {
-                sparse.reset_zero();
-                sparse.apply_circuit(std::hint::black_box(stack));
-            });
-        });
     }
     group.finish();
 }
@@ -168,7 +141,6 @@ criterion_group!(
     bench_statevector,
     bench_statevector_scalar,
     bench_statevector_workspace,
-    bench_choco_layer,
     bench_choco_iteration,
     bench_choco_iteration_batched,
     bench_sampling

@@ -2,12 +2,11 @@
 //!
 //! Runs the state-vector kernels at n ∈ {10, 14, 18, 20} on three engines
 //! (scan-and-mask scalar baseline, strided fast path, workspace-backed
-//! solver path) plus per-kernel micro-measurements, a **dense vs sparse
-//! crossover group** on a subspace-confined Choco-Q layer at
-//! n ∈ {18, 22, 24}, and an **end-to-end optimizer-iteration group**
-//! (`choco_iteration_*`: one warmed `SimWorkspace::run` of a two-layer
-//! multi-one-hot Choco-Q stack on the dense, sparse, and compact
-//! engines — the `ns_per_iteration` behind `compact_speedup_vs_sparse`),
+//! solver path) plus per-kernel micro-measurements, an **end-to-end
+//! optimizer-iteration group** (`choco_iteration_*`: one warmed
+//! `SimWorkspace::run` of a two-layer multi-one-hot Choco-Q stack on the
+//! dense and compact engines at n ∈ {18, 22, 24} — the `ns_per_op`
+//! behind `compact_speedup_vs_dense`),
 //! full compact solves at F3/G2/F4/G4 (`choco_solve_compact`, n = 15,
 //! 18, 21, 24), M2's Lemma-2 lowering materialized vs streamed into a
 //! `StatsSink` (`transpile_stats_*`), one warmed optimizer evaluation of
@@ -22,14 +21,12 @@
 //!
 //! `--quick` (or `CHOCO_QUICK=1`) caps the register at n = 14.
 
-use choco_bench::{
-    choco_layer_circuit, choco_onehot_candidates, choco_onehot_stack, layer_circuit, quick_mode,
-};
+use choco_bench::{choco_onehot_candidates, choco_onehot_stack, layer_circuit, quick_mode};
 use choco_core::{ChocoQConfig, ChocoQSolver, CommuteDriver};
 use choco_qsim::oracle::ScalarStateVector;
 use choco_qsim::{
-    transpile, transpile_into, EngineKind, SimConfig, SimWorkspace, SparseStateVector, StateVector,
-    StatsSink, TranspileOptions, UBlock,
+    transpile, transpile_into, EngineKind, SimConfig, SimWorkspace, StateVector, StatsSink,
+    TranspileOptions, UBlock,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -194,59 +191,23 @@ fn main() {
         });
     }
 
-    // Dense vs sparse crossover on the confined Choco-Q layer. Bigger
-    // registers than the generic group: this is exactly where the dense
-    // engine starts paying for the 2^n it does not need. The dense side
-    // gets a smaller sample count — one n = 24 run already costs seconds.
-    let sparse_sizes: &[usize] = if quick_mode() { &[14] } else { &[18, 22, 24] };
-    for &n in sparse_sizes {
-        eprintln!("measuring choco layer n = {n} (dense vs sparse) …");
-        let layer = choco_layer_circuit(n);
-        entries.push(Entry {
-            group: "choco_layer_dense",
-            n,
-            ns_per_op: measure(
-                || {
-                    std::hint::black_box(StateVector::run_with(&layer, config));
-                },
-                3,
-                budget_ms,
-            ),
-        });
-        entries.push(Entry {
-            group: "choco_layer_sparse",
-            n,
-            ns_per_op: measure(
-                || {
-                    std::hint::black_box(SparseStateVector::run_with(&layer, config));
-                },
-                samples,
-                budget_ms / 2.0,
-            ),
-        });
-    }
-
+    // Whole-iteration sizes: registers past the generic group's, where
+    // the dense engine pays for the 2^n it does not need.
+    let iteration_sizes: &[usize] = if quick_mode() { &[14] } else { &[18, 22, 24] };
     // Whole-iteration cost per engine: what one optimizer evaluation
     // pays, warmed (buffers allocated, plans compiled) — so dense
-    // measures buffer-reuse replay, sparse measures per-gate map churn +
-    // support rediscovery on a reused sparse state, compact measures plan
-    // replay.
-    for &n in sparse_sizes {
-        eprintln!("measuring choco iteration n = {n} (dense vs sparse vs compact) …");
+    // measures buffer-reuse replay and compact measures plan replay.
+    for &n in iteration_sizes {
+        eprintln!("measuring choco iteration n = {n} (dense vs compact) …");
         let stack = choco_onehot_stack(n, 2);
         // Warm up: allocate buffers, compile the plan.
         let mut dense = SimWorkspace::new(config);
         dense.run(&stack);
-        let mut sparse = SparseStateVector::new_with(n, config);
         let mut compact = SimWorkspace::new(config.with_engine(EngineKind::Compact));
         compact.run(&stack);
-        let groups: [(_, _, &mut dyn FnMut()); 3] = [
+        let groups: [(_, _, &mut dyn FnMut()); 2] = [
             ("choco_iteration_dense", 3, &mut || {
                 std::hint::black_box(dense.run(&stack));
-            }),
-            ("choco_iteration_sparse", samples, &mut || {
-                sparse.reset_zero();
-                sparse.apply_circuit(std::hint::black_box(&stack));
             }),
             ("choco_iteration_compact", samples, &mut || {
                 std::hint::black_box(compact.run(&stack));
@@ -821,42 +782,21 @@ fn main() {
         }
     }
     json.push_str(&lines.join(",\n"));
-    json.push_str("\n  },\n  \"sparse_speedup_vs_dense\": {\n");
+    json.push_str("\n  },\n  \"compact_speedup_vs_dense\": {\n");
     let mut lines = Vec::new();
-    for &n in sparse_sizes {
+    for &n in iteration_sizes {
         let find = |g: &str| {
             entries
                 .iter()
                 .find(|e| e.group == g && e.n == n)
                 .map(|e| e.ns_per_op)
         };
-        if let (Some(dense), Some(sparse)) = (find("choco_layer_dense"), find("choco_layer_sparse"))
-        {
-            lines.push(format!(
-                "    \"choco_layer/{n}\": {{\"sparse\": {:.1}}}",
-                dense / sparse
-            ));
-        }
-    }
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  },\n  \"compact_speedup_vs_sparse\": {\n");
-    let mut lines = Vec::new();
-    for &n in sparse_sizes {
-        let find = |g: &str| {
-            entries
-                .iter()
-                .find(|e| e.group == g && e.n == n)
-                .map(|e| e.ns_per_op)
-        };
-        if let (Some(dense), Some(sparse), Some(compact)) = (
+        if let (Some(dense), Some(compact)) = (
             find("choco_iteration_dense"),
-            find("choco_iteration_sparse"),
             find("choco_iteration_compact"),
         ) {
             lines.push(format!(
-                "    \"choco_iteration/{n}\": {{\"compact_vs_sparse\": {:.1}, \
-                 \"compact_vs_dense\": {:.1}}}",
-                sparse / compact,
+                "    \"choco_iteration/{n}\": {:.1}",
                 dense / compact
             ));
         }

@@ -47,17 +47,6 @@ pub fn layer_circuit(n: usize) -> Circuit {
     finish_layer(c, n)
 }
 
-/// The same layer without the Hadamard wall: a feasible-subspace-confined
-/// Choco-Q instance (basis load + diagonal + serialized commute blocks),
-/// where the sparse engine's `O(|F|·poly)` cost crosses over the dense
-/// engine's `O(2^(n-k))` strides — the workload behind the `choco_layer`
-/// groups and `BENCH_simulation.json`'s `sparse_speedup_vs_dense`.
-pub fn choco_layer_circuit(n: usize) -> Circuit {
-    let mut c = Circuit::new(n);
-    c.load_bits(0b101);
-    finish_layer(c, n)
-}
-
 /// The whole-iteration bench workload: `layers` full Choco-Q layers
 /// (diagonal cost evolution + serialized commute driver) on a
 /// multi-one-hot instance — qubits in groups of four (one trailing
@@ -66,7 +55,7 @@ pub fn choco_layer_circuit(n: usize) -> Circuit {
 /// (512 at n=18, 2048 at n=22, 4096 at n=24) and the driver is *closed*
 /// over it, exactly like a real multi-constraint Choco-Q circuit: the
 /// workload behind the `choco_iteration` groups and
-/// `BENCH_simulation.json`'s `compact_speedup_vs_sparse`.
+/// `BENCH_simulation.json`'s `compact_speedup_vs_dense`.
 pub fn choco_onehot_stack(n: usize, layers: usize) -> Circuit {
     choco_onehot_stack_with_angles(n, layers, 0.4, 0.5)
 }
@@ -160,16 +149,15 @@ mod tests {
 
     #[test]
     fn onehot_stack_is_confined_and_closed() {
-        use choco_qsim::SparseStateVector;
+        use choco_qsim::{SimConfig, SimWorkspace};
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut occupancy = |c: &Circuit| ws.run(c).occupancy();
         // |F| = 4^2 at n = 8; a second layer must not grow support (the
         // driver is closed over the feasible subspace).
-        let one = SparseStateVector::run(&choco_onehot_stack(8, 1));
-        let two = SparseStateVector::run(&choco_onehot_stack(8, 2));
-        assert_eq!(one.occupancy(), 16);
-        assert_eq!(two.occupancy(), 16);
+        assert_eq!(occupancy(&choco_onehot_stack(8, 1)), 16);
+        assert_eq!(occupancy(&choco_onehot_stack(8, 2)), 16);
         // Trailing sub-4 group: n = 10 adds a one-hot pair.
-        let odd = SparseStateVector::run(&choco_onehot_stack(10, 1));
-        assert_eq!(odd.occupancy(), 32);
+        assert_eq!(occupancy(&choco_onehot_stack(10, 1)), 32);
     }
 
     #[test]

@@ -1,63 +1,8 @@
 //! Circuit-level analyses used by the evaluation section.
 
 use crate::driver::CommuteDriver;
-use choco_qsim::{
-    transpile, Circuit, EngineKind, Gate, SimConfig, SparseStateVector, StateVector,
-    TranspileOptions,
-};
+use choco_qsim::{transpile, Circuit, TranspileOptions};
 use std::time::{Duration, Instant};
-
-/// The number of basis states with probability above `eps` after each gate
-/// of the circuit — the paper's Figure 9(b) "parallelism" metric
-/// (#measured states through the circuit) — on the dense engine.
-///
-/// Index 0 is the initial state (always 1 for a basis-state start).
-pub fn support_profile(circuit: &Circuit, eps: f64) -> Vec<usize> {
-    let dense = SimConfig::serial().with_engine(EngineKind::Dense);
-    support_profile_with(circuit, eps, dense)
-}
-
-/// [`support_profile`] on an explicit engine configuration. The dense
-/// engine walks a [`StateVector`]; the compact engine walks a
-/// [`SparseStateVector`], whose per-gate count reads its occupied-entry
-/// list instead of scanning (or even allocating) the `2^n` register —
-/// this is how the fig09b harness profiles Choco-Q circuits at widths the
-/// dense engine cannot hold. Both report identical counts where they can
-/// run (their amplitudes are bit-identical).
-pub fn support_profile_with(circuit: &Circuit, eps: f64, config: SimConfig) -> Vec<usize> {
-    let n = circuit.n_qubits();
-    match config.engine {
-        EngineKind::Dense => walk_support(
-            StateVector::new_with(n, config),
-            circuit,
-            StateVector::apply_gate,
-            |s| s.support_size(eps),
-        ),
-        EngineKind::Compact => walk_support(
-            SparseStateVector::new_with(n, config),
-            circuit,
-            SparseStateVector::apply_gate,
-            |s| s.support_size(eps),
-        ),
-    }
-}
-
-/// Applies the circuit gate by gate, recording `support` before the first
-/// gate and after every gate.
-fn walk_support<S>(
-    mut state: S,
-    circuit: &Circuit,
-    apply: fn(&mut S, &Gate),
-    support: impl Fn(&S) -> usize,
-) -> Vec<usize> {
-    let mut profile = Vec::with_capacity(circuit.len() + 1);
-    profile.push(support(&state));
-    for gate in circuit.iter() {
-        apply(&mut state, gate);
-        profile.push(support(&state));
-    }
-    profile
-}
 
 /// Cost of lowering the full serialized driver via Lemma 2 — the Choco-Q
 /// side of Figure 12.
@@ -102,6 +47,13 @@ pub fn lemma2_stats(driver: &CommuteDriver, beta: f64) -> Lemma2Stats {
 mod tests {
     use super::*;
     use choco_mathkit::{LinEq, LinSystem};
+    use choco_qsim::{EngineKind, SimConfig, SimWorkspace};
+
+    /// The Figure 9(b) profile of `c` on one engine.
+    fn support_profile(c: &Circuit, engine: EngineKind) -> Vec<usize> {
+        let config = SimConfig::serial().with_engine(engine);
+        SimWorkspace::new(config).support_profile(c, 1e-9).unwrap()
+    }
 
     fn ring_driver(n: usize) -> CommuteDriver {
         let mut sys = LinSystem::new(n);
@@ -114,7 +66,9 @@ mod tests {
         // H then CX: support 1 → 2 → 2.
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        assert_eq!(support_profile(&c, 1e-9), vec![1, 2, 2]);
+        for engine in [EngineKind::Dense, EngineKind::Compact] {
+            assert_eq!(support_profile(&c, engine), vec![1, 2, 2]);
+        }
     }
 
     #[test]
@@ -125,9 +79,8 @@ mod tests {
         for block in driver.ublocks(0.6) {
             c.ublock(block);
         }
-        let dense = support_profile(&c, 1e-9);
-        let compact = SimConfig::serial().with_engine(EngineKind::Compact);
-        assert_eq!(support_profile_with(&c, 1e-9, compact), dense);
+        let dense = support_profile(&c, EngineKind::Dense);
+        assert_eq!(support_profile(&c, EngineKind::Compact), dense);
     }
 
     #[test]
@@ -140,7 +93,7 @@ mod tests {
         for block in driver.ublocks(0.7) {
             c.ublock(block);
         }
-        let profile = support_profile(&c, 1e-9);
+        let profile = support_profile(&c, EngineKind::Compact);
         assert_eq!(profile[0], 1);
         assert!(*profile.last().unwrap() > 1);
         // monotone non-decreasing for this circuit

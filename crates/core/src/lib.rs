@@ -25,7 +25,7 @@ mod elimination;
 mod solver;
 pub mod trotter;
 
-pub use analysis::{lemma2_stats, support_profile, support_profile_with, Lemma2Stats};
+pub use analysis::{lemma2_stats, Lemma2Stats};
 pub use driver::{
     constraint_operator_matrix, encoded_qubits_for, extended_row_operator_matrix, slack_registers,
     CommuteDriver, DriverError, DriverTerm, SlackRegister,

@@ -30,6 +30,7 @@ use choco_model::{Problem, SolveOutcome, Solver, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
 use choco_qsim::{
     Circuit, CircuitTemplate, Counts, EngineKind, Gate, PhasePoly, SimConfig, SimWorkspace,
+    MAX_QUBITS,
 };
 use choco_solvers::shared::{
     check_size_for, circuit_stats, variational_loop, CostSpec, QaoaConfig, MAX_SIM_QUBITS,
@@ -464,6 +465,16 @@ impl ChocoQSolver {
         }
         if branches.is_empty() {
             return Err(SolverError::Infeasible);
+        }
+        // The transpiled statistics widen the first branch's final circuit
+        // by the two clean ancillas of Lemma 2: that width must fit the
+        // circuit IR too, so it is gated here, before any loop runs.
+        let widened = branches[0].encoded + 2;
+        if self.config.transpiled_stats && widened > MAX_QUBITS {
+            return Err(SolverError::TooLarge {
+                required: widened,
+                limit: MAX_QUBITS,
+            });
         }
         let compile = compile_start.elapsed();
 

@@ -11,6 +11,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// The widest register a [`Circuit`] holds, and so the widest any engine
+/// simulates (the dense engine stops earlier, at its buffer size).
+pub const MAX_QUBITS: usize = 30;
+
 /// An ordered sequence of gates over `n_qubits` qubits.
 ///
 /// # Examples
@@ -32,7 +36,10 @@ pub struct Circuit {
 impl Circuit {
     /// An empty circuit over `n_qubits` qubits.
     pub fn new(n_qubits: usize) -> Self {
-        assert!(n_qubits <= 30, "simulator practical limit is 30 qubits");
+        assert!(
+            n_qubits <= MAX_QUBITS,
+            "simulator practical limit is {MAX_QUBITS} qubits"
+        );
         Circuit {
             n_qubits,
             gates: Vec::new(),
@@ -95,10 +102,14 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if `n_qubits` is below the current width or above 30.
+    /// Panics if `n_qubits` is below the current width or above
+    /// [`MAX_QUBITS`].
     pub fn widened(mut self, n_qubits: usize) -> Circuit {
         assert!(n_qubits >= self.n_qubits, "cannot narrow a circuit");
-        assert!(n_qubits <= 30, "simulator practical limit is 30 qubits");
+        assert!(
+            n_qubits <= MAX_QUBITS,
+            "simulator practical limit is {MAX_QUBITS} qubits"
+        );
         self.n_qubits = n_qubits;
         self
     }

@@ -16,9 +16,11 @@
 //! sequence at any K and any thread count, so a lane reads exactly what
 //! a serial run of its circuit does. Slots of `F` that hold an exact zero
 //! are skipped by every sum, so the term sequence is the occupied entries
-//! in basis order (the sparse reference walker's), and they add exact
-//! IEEE zeros to the cumulative sampling table. Amplitudes, expectations
-//! and sample streams therefore match the other engines bit for bit.
+//! in basis order — the dense engine's sequence with its exact zeros
+//! dropped — and they add exact IEEE zeros to the cumulative sampling
+//! table. Amplitudes and sample streams therefore match the dense engine
+//! bit for bit, and an expectation is the dense engine's sum with its
+//! exact-zero terms skipped.
 
 use crate::circuit::Circuit;
 use crate::counts::Counts;
@@ -62,23 +64,20 @@ pub struct CompactStateVector {
 }
 
 impl CompactStateVector {
-    /// Resets one lane per circuit to `|0…0⟩` (rank 0 — every plan's
-    /// basis starts there), reusing the allocation when its capacity
-    /// suffices, and replays `plan` over them. The caller has verified
-    /// every circuit matches the plan's shape.
+    /// Resets one lane per circuit to the plan's start state (the basis
+    /// state the circuits' leading `X` gates load), reusing the allocation
+    /// when its capacity suffices, and replays `plan` over them; `on_step`
+    /// observes the amplitudes as [`GatePlan::execute`] describes. The
+    /// caller has verified every circuit matches the plan's shape.
     pub(crate) fn replay(
         &mut self,
         plan: &GatePlan,
         circuits: &[Circuit],
         scratch: &mut BatchScratch,
         config: &SimConfig,
+        on_step: impl FnMut(&[Complex64]),
     ) {
         let basis = plan.basis();
-        assert_eq!(
-            basis.bits.first(),
-            Some(&0),
-            "feasible basis must contain |0…0⟩"
-        );
         if !Arc::ptr_eq(&self.basis, basis) {
             self.basis = basis.clone();
         }
@@ -89,10 +88,11 @@ impl CompactStateVector {
         }
         self.amps.clear();
         self.amps.resize(needed, Complex64::ZERO);
-        self.amps[..lanes].fill(Complex64::ONE);
+        let start = basis.start * lanes;
+        self.amps[start..start + lanes].fill(Complex64::ONE);
         self.n_qubits = circuits[0].n_qubits();
         self.lanes = lanes;
-        plan.execute(circuits, &mut self.amps, scratch, config);
+        plan.execute(circuits, &mut self.amps, scratch, config, on_step);
     }
 
     /// Number of qubits of the replayed circuits.
@@ -266,9 +266,8 @@ mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::engine::SimEngine;
-    use crate::gate::UBlock;
+    use crate::gate::{Gate, UBlock};
     use crate::plan::{BatchScratch, GatePlan};
-    use crate::sparse::SparseStateVector;
     use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -280,7 +279,7 @@ mod tests {
         let mut state = CompactStateVector::default();
         let circuits = std::slice::from_ref(circuit);
         let mut scratch = BatchScratch::default();
-        state.replay(&plan, circuits, &mut scratch, &SimConfig::serial());
+        state.replay(&plan, circuits, &mut scratch, &SimConfig::serial(), |_| {});
         let dense = StateVector::run(circuit);
         for (bits, d) in dense.amplitudes().iter().enumerate() {
             let a = state.lane(0).amplitude(bits as u64);
@@ -307,42 +306,53 @@ mod tests {
         c
     }
 
+    /// The dense state's exactly non-zero entries, in basis order.
+    fn dense_occupied(dense: &StateVector) -> Vec<(u64, Complex64)> {
+        let amps = dense.amplitudes().iter().copied();
+        (0u64..)
+            .zip(amps)
+            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
+            .collect()
+    }
+
     #[test]
-    fn reads_match_sparse_bitwise() {
+    fn reads_match_dense_bitwise() {
         let circuit = confined();
         let state = run_compact(&circuit);
         let compact = state.lane(0);
-        let sparse = SparseStateVector::run(&circuit);
-        for bits in 0..16u64 {
-            let (a, b) = (compact.amplitude(bits), sparse.amplitude(bits));
-            assert!(a.re == b.re && a.im == b.im, "bits={bits}");
-        }
-        assert_eq!(compact.occupancy(), sparse.occupancy());
+        let dense = StateVector::run(&circuit);
+        assert_eq!(compact.occupancy(), dense.occupancy());
         let SimEngine::Compact(lane) = compact else {
             unreachable!("a compact lane")
         };
-        assert_eq!(lane.occupied().collect::<Vec<_>>(), sparse.entries());
-        assert_eq!(compact.support_size(1e-9), sparse.support_size(1e-9));
+        assert_eq!(lane.occupied().collect::<Vec<_>>(), dense_occupied(&dense));
+        assert_eq!(compact.support_size(1e-9), dense.support_size(1e-9));
         assert!((compact.norm_sqr() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn expectations_are_bit_identical_to_sparse() {
+    fn expectations_are_bit_identical_to_dense() {
+        // The reference sums the dense amplitudes' occupied terms in
+        // basis order: the dense engine's own sum with its exact-zero
+        // terms skipped.
         let circuit = confined();
         let state = run_compact(&circuit);
         let compact = state.lane(0);
-        let sparse = SparseStateVector::run(&circuit);
+        let occupied = dense_occupied(&StateVector::run(&circuit));
+        let reference = |value: &dyn Fn(u64) -> f64| -> f64 {
+            occupied.iter().map(|&(b, a)| a.norm_sqr() * value(b)).sum()
+        };
         let mut poly = PhasePoly::new(4);
         poly.add_linear(2, -1.5);
         poly.add_quadratic(0, 1, 0.7);
         let table: Vec<f64> = (0..16u64).map(|b| poly.eval_bits(b)).collect();
         assert_eq!(
-            compact.expectation_diag_values(&table),
-            sparse.expectation_diag_values(&table)
+            compact.expectation_diag_values(&table).to_bits(),
+            reference(&|b| table[b as usize]).to_bits()
         );
         assert_eq!(
-            compact.expectation_diag_poly(&poly),
-            sparse.expectation_diag_poly(&poly)
+            compact.expectation_diag_poly(&poly).to_bits(),
+            reference(&|b| poly.eval_bits(b)).to_bits()
         );
     }
 
@@ -411,17 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn sample_stream_is_identical_to_sparse() {
+    fn sample_stream_is_identical_to_dense() {
         let circuit = confined();
         let compact = run_compact(&circuit);
-        let sparse = SparseStateVector::run(&circuit);
+        let dense = StateVector::run(&circuit);
         let compact = compact.lane(0);
         let mut ra = StdRng::seed_from_u64(17);
         let mut rb = StdRng::seed_from_u64(17);
-        assert_eq!(
-            compact.sample(5_000, &mut ra),
-            sparse.sample(5_000, &mut rb)
-        );
+        assert_eq!(compact.sample(5_000, &mut ra), dense.sample(5_000, &mut rb));
     }
 
     #[test]
@@ -436,13 +443,143 @@ mod tests {
         let mut load = Circuit::new(4);
         load.load_bits(0b0011);
         let load_plan = GatePlan::compile(&load, 1 << 12).unwrap();
-        state.replay(&load_plan, &[load], &mut scratch, &config);
+        state.replay(&load_plan, &[load], &mut scratch, &config, |_| {});
         assert_eq!(state.amps.as_ptr(), ptr);
         assert_eq!(state.lane(0).probability(0b0011), 1.0);
         assert_eq!(state.lane(0).occupancy(), 1);
         // Replaying the original plan again keeps the allocation too.
-        state.replay(&plan, std::slice::from_ref(&circuit), &mut scratch, &config);
+        state.replay(
+            &plan,
+            std::slice::from_ref(&circuit),
+            &mut scratch,
+            &config,
+            |_| {},
+        );
         assert_eq!(state.amps.as_ptr(), ptr);
         assert_eq!(state.reallocations(), 1);
+    }
+
+    // Gate-by-gate cases: every one replays through `run_compact`, which
+    // checks each amplitude against the dense engine bit for bit.
+
+    #[test]
+    fn initial_state_is_one_entry() {
+        let state = run_compact(&Circuit::new(4));
+        assert_eq!(state.basis(), &[0]);
+        assert_eq!(state.lane(0).probability(0), 1.0);
+    }
+
+    #[test]
+    fn basis_permutations_keep_occupancy_one() {
+        let mut c = Circuit::new(3);
+        c.load_bits(0b011);
+        c.x(2).cx(0, 1);
+        c.push(Gate::Swap(0, 2));
+        let state = run_compact(&c);
+        assert_eq!(state.lane(0).occupancy(), 1, "permutations never spread");
+        assert_eq!(state.lane(0).probability(0b101), 1.0);
+    }
+
+    #[test]
+    fn ublock_stays_in_pattern_pair() {
+        let block = UBlock::from_u_with_angle(&[1, -1, 1], 1.3);
+        let mut c = Circuit::new(3);
+        c.load_bits(0b101);
+        c.ublock(block.clone());
+        let state = run_compact(&c);
+        assert_eq!(state.basis(), &[0b010, 0b101]);
+        let lane = state.lane(0);
+        assert!((lane.probability(0b101) + lane.probability(0b010) - 1.0).abs() < 1e-12);
+        // An off-pattern start is untouched: the plan has one rank.
+        let mut c = Circuit::new(3);
+        c.load_bits(0b111);
+        c.ublock(block);
+        let state = run_compact(&c);
+        assert_eq!(state.basis(), &[0b111]);
+        assert_eq!(state.lane(0).probability(0b111), 1.0);
+    }
+
+    #[test]
+    fn empty_support_ublock_is_a_global_phase() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        c.ublock(UBlock {
+            support: vec![],
+            pattern: 0,
+            angle: 0.3,
+        });
+        let state = run_compact(&c);
+        let expected = Complex64::cis(-0.3).scale(std::f64::consts::FRAC_1_SQRT_2);
+        assert!(state.lane(0).amplitude(0).approx_eq(expected, 1e-12));
+    }
+
+    #[test]
+    fn rotation_transfers_amplitude_to_inserted_partner() {
+        // Quarter turn: all amplitude moves from |01⟩ to its partner |10⟩.
+        let mut c = Circuit::new(2);
+        c.load_bits(0b01);
+        c.ublock(UBlock::from_u_with_angle(
+            &[1, -1],
+            std::f64::consts::FRAC_PI_2,
+        ));
+        let lane_amp = run_compact(&c).lane(0).amplitude(0b10);
+        assert!(lane_amp.approx_eq(Complex64::new(0.0, -1.0), 1e-12));
+    }
+
+    #[test]
+    fn mixed_circuit_matches_dense_engine() {
+        let mut poly = PhasePoly::new(5);
+        poly.add_constant(0.3);
+        poly.add_linear(0, 1.0);
+        poly.add_linear(4, -0.8);
+        poly.add_quadratic(1, 3, 0.6);
+        let mut c = Circuit::new(5);
+        c.h(0)
+            .h(3)
+            .ry(1, 0.7)
+            .rx(2, -0.4)
+            .rz(0, 1.2)
+            .p(4, 0.8)
+            .cx(0, 1)
+            .cz(1, 2)
+            .cp(2, 4, -0.6)
+            .ccx(0, 1, 4)
+            .mcx(vec![0, 2], 3)
+            .mcphase(vec![1, 2, 4], 0.9)
+            .xy(1, 4, 0.35)
+            .ublock(UBlock::from_u_with_angle(&[1, 0, -1, 1, -1], 0.55))
+            .diag(Arc::new(poly), 0.75)
+            .push(Gate::Swap(0, 4))
+            .push(Gate::Y(2));
+        run_compact(&c);
+    }
+
+    #[test]
+    fn degenerate_gates_are_no_ops() {
+        let mut c = Circuit::new(2);
+        c.h(0).h(1);
+        c.push(Gate::Cx(0, 0));
+        c.push(Gate::Swap(1, 1));
+        c.push(Gate::Ccx(0, 1, 1));
+        run_compact(&c);
+    }
+
+    #[test]
+    fn controlled_u_and_all_1q_shapes_match_oracle() {
+        let mut c = Circuit::new(3);
+        c.h(0).h(2);
+        c.push(Gate::S(0)); // diagonal
+        c.push(Gate::X(1)); // anti-diagonal
+        c.push(Gate::Ry(2, 0.9)); // real
+        c.push(Gate::ControlledU {
+            controls: vec![0],
+            target: 2,
+            matrix: Gate::Rx(2, 0.4).matrix_1q().unwrap(), // general complex
+        });
+        let state = run_compact(&c);
+        let oracle = crate::oracle::ScalarStateVector::run(&c);
+        for (bits, &a) in oracle.amplitudes().iter().enumerate() {
+            assert!(state.lane(0).amplitude(bits as u64).approx_eq(a, 1e-12));
+        }
     }
 }

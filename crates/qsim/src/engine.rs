@@ -35,17 +35,23 @@ use rand::Rng;
 /// the dense buffer itself is the bottleneck (2^26 amplitudes = 1 GiB).
 pub const MAX_DENSIFY_QUBITS: usize = 26;
 
-/// The guard in front of the dense fallback: panics when a shape whose
+/// The guard in front of the dense fallback: an error when a shape whose
 /// plan refused at `support` entries (over `cap`) is too wide to run
 /// densely. Those registers exist precisely because their dense buffer
-/// (4 GiB at 28 qubits) cannot be allocated, and an explicit panic beats
+/// (4 GiB at 28 qubits) cannot be allocated, and an explicit error beats
 /// an OOM abort.
-pub(crate) fn assert_dense_fallback(n_qubits: usize, support: usize, cap: usize) {
-    assert!(
-        n_qubits <= MAX_DENSIFY_QUBITS,
+pub(crate) fn check_dense_fallback(
+    n_qubits: usize,
+    support: usize,
+    cap: usize,
+) -> Result<(), String> {
+    if n_qubits <= MAX_DENSIFY_QUBITS {
+        return Ok(());
+    }
+    Err(format!(
         "cannot densify a {n_qubits}-qubit shape whose plan refused at support {support} \
          (cap {cap}): the dense buffer would not fit in memory (limit {MAX_DENSIFY_QUBITS} qubits)"
-    );
+    ))
 }
 
 /// A borrowed view of a quantum state behind one of the two amplitude
@@ -314,12 +320,10 @@ mod tests {
 
     #[test]
     fn densify_refuses_registers_beyond_the_dense_cap() {
-        // Within the cap the guard passes; beyond it a refused shape must
-        // panic (naming its support and the cap), not OOM.
-        assert_dense_fallback(MAX_DENSIFY_QUBITS, 1 << 25, 1 << 24);
-        let err = std::panic::catch_unwind(|| assert_dense_fallback(30, (1 << 22) + 1, 1 << 22))
-            .expect_err("must panic, not OOM");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        // Within the cap the guard passes; beyond it a refused shape is
+        // an error (naming its support and the cap), not an OOM.
+        assert!(check_dense_fallback(MAX_DENSIFY_QUBITS, 1 << 25, 1 << 24).is_ok());
+        let msg = check_dense_fallback(30, (1 << 22) + 1, 1 << 22).unwrap_err();
         assert!(msg.contains("cannot densify"), "{msg}");
         assert!(
             msg.contains("support 4194305") && msg.contains("cap 4194304"),

@@ -48,14 +48,13 @@ pub mod oracle;
 mod phasepoly;
 mod plan;
 mod simconfig;
-pub mod sparse;
 mod state;
 mod synth;
 mod template;
 mod transpile;
 mod workspace;
 
-pub use circuit::Circuit;
+pub use circuit::{Circuit, MAX_QUBITS};
 pub use compact::{CompactLane, CompactStateVector, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 pub use counts::Counts;
 pub use draw::draw;
@@ -64,7 +63,6 @@ pub use gate::{Gate, RegisterShift, ShiftBlock, UBlock};
 pub use noise::NoiseModel;
 pub use phasepoly::PhasePoly;
 pub use simconfig::{EngineKind, SimConfig, DEFAULT_PARALLEL_THRESHOLD, DENSITY_THRESHOLD};
-pub use sparse::{SparseStateVector, MAX_SPARSE_QUBITS};
 pub use state::StateVector;
 pub use synth::{
     circuit_unitary, two_level_decompose, SynthCost, TwoLevelDecomposition, TwoLevelOp,

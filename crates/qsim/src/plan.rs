@@ -1,16 +1,16 @@
 //! Gate-plan compilation for the compact engine.
 //!
 //! A Choco-Q variational loop replays one circuit *shape* — the same gate
-//! sequence with different angles — hundreds of times. The sparse engine
-//! rediscovers the feasible support from scratch on every replay and pays
-//! sorted-map merge churn per gate; but the support trajectory depends
-//! only on the circuit's **structure** (masks, patterns, polynomial
-//! identities), never on its angles. [`GatePlan::compile`] walks that
-//! structure once:
+//! sequence with different angles — hundreds of times. The support
+//! trajectory of those replays depends only on the circuit's
+//! **structure** (masks, patterns, polynomial identities), never on its
+//! angles. [`GatePlan::compile`] walks that structure once:
 //!
-//! 1. a forward pass simulates support growth exactly the way the sparse
-//!    engine's kernels would (pair partners are materialized, phases never
-//!    grow support), producing the final feasible basis `F` (sorted),
+//! 1. a forward pass starts at the basis state the circuit's leading `X`
+//!    gates load and grows the support gate by gate (pair partners are
+//!    materialized, phases never grow support), producing the final
+//!    basis `F` (sorted): every state reachable from the loaded one, which
+//!    for a commute-driver circuit is inside the feasible set (Fig. 9),
 //! 2. every gate is lowered to a [`PlanStep`] of precomputed rank tables
 //!    into `F` — scatter/gather pair lists, subspace rank lists, and a
 //!    deduplicated value table for each diagonal polynomial,
@@ -27,11 +27,12 @@
 //! loops are cache-friendly strided passes threaded through
 //! [`SimConfig::effective_threads`], with zero map operations and no
 //! allocations once the [`BatchScratch`] buffers are warm. Every lane's
-//! arithmetic mirrors the sparse reference walker operand for operand
-//! (which in turn mirrors the dense engine), so all three stay
-//! bit-identical — structurally-supported slots the sparse walker
-//! pruned hold exact zeros here and contribute exact IEEE no-ops to
-//! every kernel.
+//! arithmetic mirrors the dense engine's kernels operand for operand, so
+//! the two stay bit-identical — the dense engine's slots outside `F` hold
+//! exact zeros, and so do structurally-supported slots of `F` that a
+//! replay never reaches; both contribute exact IEEE no-ops to every
+//! kernel. A per-step hook on the replay makes it the Figure 9(b)
+//! support walk too ([`crate::SimWorkspace::support_profile`]).
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
 //! once the structural support crosses [`crate::DENSITY_THRESHOLD`] of
@@ -247,7 +248,7 @@ enum StepSpec {
 }
 
 /// Maps a gate to its structural class — the same dispatch table as
-/// [`crate::SparseStateVector::apply_gate`], but resolved by gate *kind*
+/// [`crate::StateVector::apply_gate`], but resolved by gate *kind*
 /// so the classification is stable under angle changes: `Rz(0)` still
 /// compiles as a diagonal, `Rx(0)` still compiles as a general pair
 /// (replay applies the identity matrix through the pair expressions,
@@ -309,7 +310,7 @@ fn step_spec(gate: &Gate) -> StepSpec {
                 return StepSpec::Noop;
             }
             // Frozen matrix (part of the shape key): classify by value,
-            // exactly like the sparse dispatch.
+            // exactly like the dense dispatch.
             if matrix[0][1] == Complex64::ZERO && matrix[1][0] == Complex64::ZERO {
                 StepSpec::DiagPair {
                     controls: mask,
@@ -422,9 +423,11 @@ enum BitsStep {
 /// instead of re-evaluating the polynomial per occupied rank.
 #[derive(Debug, Default)]
 pub(crate) struct PlanBasis {
-    /// `bits[rank]` is the basis state of `rank`; `bits[0] == 0` always
-    /// (compilation starts from `|0…0⟩`).
+    /// `bits[rank]` is the basis state of `rank`.
     pub(crate) bits: Vec<u64>,
+    /// The rank a replay starts at: the basis state the circuit's leading
+    /// `X` gates load (`|0…0⟩` when it has none).
+    pub(crate) start: usize,
     /// One entry per distinct `DiagPhase` polynomial of the shape: the
     /// polynomial, held weakly as [`CircuitShape`] holds it, and
     /// [`PhasePoly::eval_bits`] of every rank's basis state.
@@ -469,11 +472,24 @@ impl GatePlan {
     /// with [`PlanError::TooDense`] as soon as the structural support
     /// exceeds `max_support` entries.
     pub(crate) fn compile(circuit: &Circuit, max_support: usize) -> Result<GatePlan, PlanError> {
+        // The leading run of `X` gates (a basis-state load) moves `|0…0⟩`
+        // to one basis state: the walk starts there, and those gates
+        // compile as no-ops. Every rank the walk adds is then reachable
+        // from the loaded state.
+        let loads: Vec<usize> = circuit
+            .iter()
+            .map_while(|g| match g {
+                Gate::X(q) => Some(*q),
+                _ => None,
+            })
+            .collect();
+        let start = loads.iter().fold(0u64, |bits, q| bits ^ (1 << q));
         // The forward support pass. `support` stays strictly sorted; it
         // only ever grows (phases keep it, pair kernels add partners).
-        let mut support: Vec<u64> = vec![0];
+        let mut support: Vec<u64> = vec![start];
         let mut steps: Vec<BitsStep> = Vec::with_capacity(circuit.len());
-        for gate in circuit.iter() {
+        steps.resize_with(loads.len(), || BitsStep::Noop);
+        for gate in circuit.iter().skip(loads.len()) {
             let step = match step_spec(gate) {
                 StepSpec::Noop => BitsStep::Noop,
                 StepSpec::Phase { mask, value } => BitsStep::Phase(
@@ -495,8 +511,8 @@ impl GatePlan {
                     BitsStep::DiagPair(pick(controls), pick(fixed))
                 }
                 StepSpec::Pairs { fixed, value, xor } => {
-                    // Canonicalize exactly like the sparse engine's
-                    // pair_map: every touched entry maps to the pair's
+                    // Canonicalize like the dense engine's pair_map:
+                    // every touched entry maps to the pair's
                     // `value`-side index.
                     let canon = support
                         .iter()
@@ -521,8 +537,8 @@ impl GatePlan {
                         !b.support.is_empty(),
                         "register-gated block needs support bits"
                     );
-                    // Same canonicalization as the sparse engine's
-                    // apply_shift_block: every eligible touched entry maps
+                    // Same canonicalization as the dense engine's
+                    // gated_pair_map: every eligible touched entry maps
                     // to its pair's source index.
                     let canon = support
                         .iter()
@@ -595,6 +611,7 @@ impl GatePlan {
         Ok(GatePlan {
             shape: CircuitShape::of(circuit),
             basis: Arc::new(PlanBasis {
+                start: rank(start) as usize,
                 bits: support,
                 poly_values,
             }),
@@ -614,8 +631,11 @@ impl GatePlan {
     /// `Rx(0)` lane takes the diagonal branch while an `Rx(0.5)` lane
     /// takes the real-matrix branch of the same step) — so a lane's
     /// amplitudes do not depend on its batch or the thread count, and
-    /// equal the sparse and dense engines' bit for bit. The caller must
+    /// equal the dense engine's bit for bit. The caller must
     /// have verified `self.shape().matches(c)` for every circuit.
+    ///
+    /// `on_step` sees the amplitudes before the first step and after
+    /// every step (one step per gate): the Figure 9(b) support walk.
     ///
     /// # Panics
     ///
@@ -627,6 +647,7 @@ impl GatePlan {
         amps: &mut [Complex64],
         scratch: &mut BatchScratch,
         config: &SimConfig,
+        mut on_step: impl FnMut(&[Complex64]),
     ) {
         let lanes = circuits.len();
         assert!(lanes > 0, "empty batch");
@@ -638,6 +659,7 @@ impl GatePlan {
         for c in circuits {
             assert_eq!(c.len(), self.steps.len(), "shape mismatch");
         }
+        on_step(amps);
         for (gi, step) in self.steps.iter().enumerate() {
             let gate_of = |lane: usize| &circuits[lane].gates()[gi];
             match step {
@@ -656,7 +678,7 @@ impl GatePlan {
                             (0..lanes).map(|lane| gate_matrix_1q(gate_of(lane))[side][side]),
                         );
                         // A diagonal entry of exactly one is skipped per
-                        // lane, as the sparse engine skips it per gate (a
+                        // lane, as the dense engine skips it per gate (a
                         // multiply by one is not an IEEE no-op once `-0.0`
                         // is in play).
                         if scratch.factors.iter().any(|d| *d != Complex64::ONE) {
@@ -709,30 +731,35 @@ impl GatePlan {
                     );
                 }
             }
+            on_step(amps);
         }
     }
 }
 
-/// Lowers canonical pair sources to one `[source, partner]` pair each
-/// (sort+dedup yields each pair once) and grows the structural support by
-/// both members of every pair, aborting once it exceeds `max_support`.
+/// Lowers canonical pair sources (one per touched support entry) to one
+/// `[source, partner]` pair each (sort+dedup yields each pair once) and
+/// grows the structural support by both members of every pair, aborting
+/// once it would exceed `max_support`.
 fn grow_pairs(
     support: &mut Vec<u64>,
     mut canon: Vec<u64>,
     partner: impl Fn(u64) -> u64,
     max_support: usize,
 ) -> Result<BitsStep, PlanError> {
+    let touched = canon.len();
     canon.sort_unstable();
     canon.dedup();
+    // The touched entries are replaced by the pairs' disjoint members, so
+    // the grown size is known before any pair is materialized.
+    let grown_len = support.len() - touched + 2 * canon.len();
+    if grown_len > max_support {
+        return Err(PlanError::TooDense { support: grown_len });
+    }
     let pairs: Vec<[u64; 2]> = canon.iter().map(|&i| [i, partner(i)]).collect();
     let mut grown: Vec<u64> = pairs.iter().flatten().copied().collect();
     grown.sort_unstable();
     *support = merge_sorted(support, &grown);
-    if support.len() > max_support {
-        return Err(PlanError::TooDense {
-            support: support.len(),
-        });
-    }
+    debug_assert_eq!(support.len(), grown_len);
     Ok(BitsStep::Pairs(pairs))
 }
 
@@ -765,7 +792,7 @@ fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// The phase factor of a [`PlanStep::Phase`] gate — the same expressions
-/// the sparse engine feeds its `subspace_map`.
+/// the dense engine feeds its `subspace_map`.
 fn phase_factor(gate: &Gate) -> Complex64 {
     match gate {
         Gate::Cz(..) => Complex64::cis(std::f64::consts::PI),
@@ -806,7 +833,7 @@ pub(crate) struct BatchScratch {
 }
 
 /// The per-lane 2×2 kernel a [`PlanStep::Pairs`] gate resolved to,
-/// dispatching on the gate's *values* exactly like the sparse engine
+/// dispatching on the gate's *values* exactly like the dense engine
 /// (`apply_controlled_1q` / `apply_block_masks`), so degenerate angles
 /// reproduce its expressions.
 #[derive(Clone, Copy, Debug)]
@@ -818,7 +845,7 @@ enum LaneKernel {
     /// Momentarily diagonal kind-pair gate (e.g. `Rx(0)`): two subspace
     /// scalings, each skipped when its entry is exactly one. The pair's
     /// low slot is the controls-side subspace, the high slot the fixed
-    /// side — the same two scalings the sparse engine would perform.
+    /// side — the same two scalings the dense engine would perform.
     Diag { d0: Complex64, d1: Complex64 },
     /// Momentarily anti-diagonal matrix (e.g. `X`, `Rx(π)` up to phase).
     AntiDiag { m01: Complex64, m10: Complex64 },
@@ -929,7 +956,7 @@ fn scale_lanes(
 
 /// Applies the diagonal phase `e^{-iθ_lane·f}` per listed rank and lane
 /// (the `f != 0` filter already happened at compile time, mirroring the
-/// sparse engine's per-entry branch).
+/// dense engine's per-entry branch).
 ///
 /// The transcendental work is hoisted out of the rank loop: `e^{-iθ·f}`
 /// is computed once per *distinct* polynomial value per lane into
@@ -1083,7 +1110,6 @@ fn apply_pairs_lanes(
 mod tests {
     use super::*;
     use crate::gate::UBlock;
-    use crate::sparse::SparseStateVector;
     use crate::state::StateVector;
 
     fn test_poly() -> Arc<PhasePoly> {
@@ -1110,12 +1136,14 @@ mod tests {
         confined_circuit_with(&test_poly(), theta)
     }
 
-    /// Replays `circuits` as one K-lane batch from `|0…0⟩`.
+    /// Replays `circuits` as one K-lane batch from the plan's start rank.
     fn replay(circuits: &[Circuit], plan: &GatePlan, config: &SimConfig) -> Vec<Complex64> {
         let k = circuits.len();
         let mut amps = vec![Complex64::ZERO; k * plan.basis().bits.len()];
-        amps[..k].fill(Complex64::ONE); // rank 0, every lane
-        plan.execute(circuits, &mut amps, &mut BatchScratch::default(), config);
+        let start = plan.basis().start * k;
+        amps[start..start + k].fill(Complex64::ONE);
+        let scratch = &mut BatchScratch::default();
+        plan.execute(circuits, &mut amps, scratch, config, |_| {});
         amps
     }
 
@@ -1166,15 +1194,23 @@ mod tests {
     }
 
     #[test]
-    fn plan_replay_is_bit_identical_to_sparse() {
+    fn leading_loads_fold_into_the_start_state() {
+        // The two X gates of `load_bits(0b0101)` compile as no-ops; the
+        // walk starts at |0101⟩, so the basis holds exactly the states the
+        // two blocks reach from it and never |0…0⟩.
         let circuit = confined_circuit(0.9);
         let plan = GatePlan::compile(&circuit, 1 << 10).unwrap();
-        let amps = run_plan(&circuit, &plan);
-        let sparse = SparseStateVector::run(&circuit);
-        for (rank, &bits) in plan.basis().bits.iter().enumerate() {
-            let (a, b) = (amps[rank], sparse.amplitude(bits));
-            assert!(a.re == b.re && a.im == b.im, "bits={bits}: {a} vs {b}");
-        }
+        assert!(matches!(plan.steps[..2], [PlanStep::Noop, PlanStep::Noop]));
+        assert_eq!(plan.basis().bits, vec![0b0101, 0b0110, 0b1001, 0b1010]);
+        assert_eq!(plan.basis().bits[plan.basis().start], 0b0101);
+        // A later X is an ordinary pair step.
+        let mut c = Circuit::new(3);
+        c.x(2).x(0).h(1).x(0);
+        let plan = GatePlan::compile(&c, 16).unwrap();
+        assert_eq!(plan.basis().bits, vec![0b100, 0b101, 0b110, 0b111]);
+        assert_eq!(plan.basis().start, 1);
+        assert!(matches!(plan.steps[3], PlanStep::Pairs { .. }));
+        assert_lanes_match_dense(&[c], &plan, &SimConfig::serial());
     }
 
     #[test]

@@ -439,9 +439,8 @@ impl StateVector {
         self.amps.iter().filter(|a| a.norm_sqr() > eps).count()
     }
 
-    /// Number of exactly non-zero amplitudes — the dense counterpart of
-    /// the sparse engine's occupancy counter (`O(2^n)` scan here; the
-    /// sparse engine answers in `O(1)`).
+    /// Number of exactly non-zero amplitudes (an `O(2^n)` scan; the
+    /// compact engine scans only its plan's ranks).
     pub fn occupancy(&self) -> usize {
         self.amps
             .iter()

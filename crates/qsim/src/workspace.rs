@@ -40,7 +40,7 @@
 use crate::circuit::Circuit;
 use crate::compact::{CompactStateVector, BATCH_BUFFER_BYTES, MAX_BATCH_LANES};
 use crate::counts::Counts;
-use crate::engine::{assert_dense_fallback, SimEngine, MAX_DENSIFY_QUBITS};
+use crate::engine::{check_dense_fallback, SimEngine, MAX_DENSIFY_QUBITS};
 use crate::gate::Gate;
 use crate::kernels;
 use crate::phasepoly::PhasePoly;
@@ -48,6 +48,7 @@ use crate::plan::{BatchScratch, CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig, DENSITY_THRESHOLD};
 use crate::state::StateVector;
 use crate::template::CircuitTemplate;
+use choco_mathkit::Complex64;
 use rand::Rng;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -468,12 +469,39 @@ impl SimWorkspace {
     /// Panics when a compact shape refuses its plan on a register wider
     /// than [`MAX_DENSIFY_QUBITS`], where no dense fallback fits.
     pub fn run(&mut self, circuit: &Circuit) -> SimEngine<'_> {
-        let plan = (self.config.engine == EngineKind::Compact).then(|| {
+        let plan = self.plan_for(circuit);
+        self.execute(plan, circuit, |_| {})
+            .unwrap_or_else(|e| panic!("{e}"));
+        self.state().expect("a run leaves a state")
+    }
+
+    /// The Figure 9(b) "parallelism" profile of `circuit`: how many basis
+    /// states hold probability above `eps` before the first gate and
+    /// after every gate. It walks the same run as [`SimWorkspace::run`]:
+    /// a one-lane plan replay on the compact engine, whose count scans the
+    /// plan's ranks and never a `2^n` buffer, and the dense engine gate by
+    /// gate otherwise. The engines' amplitudes are bit-identical, so their
+    /// counts are too. The final state stays in the workspace.
+    ///
+    /// # Errors
+    ///
+    /// Errs, running nothing, when a compact shape refuses its plan on a
+    /// register wider than [`MAX_DENSIFY_QUBITS`].
+    pub fn support_profile(&mut self, circuit: &Circuit, eps: f64) -> Result<Vec<usize>, String> {
+        let plan = self.plan_for(circuit);
+        let mut profile = Vec::with_capacity(circuit.len() + 1);
+        let count = |amps: &[Complex64]| amps.iter().filter(|a| a.norm_sqr() > eps).count();
+        self.execute(plan, circuit, |amps| profile.push(count(amps)))?;
+        Ok(profile)
+    }
+
+    /// The compact engine's plan (or refusal) for `circuit`'s shape, from
+    /// the cache; `None` on the dense engine.
+    fn plan_for(&self, circuit: &Circuit) -> Option<Result<Arc<GatePlan>, usize>> {
+        (self.config.engine == EngineKind::Compact).then(|| {
             let cap = plan_support_cap(circuit.n_qubits());
             self.plans.lookup_or_compile(circuit, cap)
-        });
-        self.execute(plan, circuit);
-        self.state().expect("a run leaves a state")
+        })
     }
 
     /// [`SimWorkspace::run`] of `template.bind(params)`, bound into a
@@ -484,8 +512,9 @@ impl SimWorkspace {
         self.bind(template, &[params]);
         let plan = (self.config.engine == EngineKind::Compact).then(|| self.resolve());
         let bound = std::mem::take(&mut self.bound);
-        self.execute(plan, &bound[0]);
+        let ran = self.execute(plan, &bound[0], |_| {});
         self.bound = bound;
+        ran.unwrap_or_else(|e| panic!("{e}"));
         self.state().expect("a run leaves a state")
     }
 
@@ -514,7 +543,7 @@ impl SimWorkspace {
         self.bind(template, chunk);
         let bound = &self.bound[..chunk.len()];
         self.batch
-            .replay(&plan, bound, &mut self.scratch, &self.config);
+            .replay(&plan, bound, &mut self.scratch, &self.config, |_| {});
         Some(&self.batch)
     }
 
@@ -544,24 +573,32 @@ impl SimWorkspace {
         found.clone()
     }
 
-    /// Runs `circuit` on its plan, or dense (no plan asked, or refused).
-    fn execute(&mut self, plan: Option<Result<Arc<GatePlan>, usize>>, circuit: &Circuit) {
+    /// Runs `circuit` on its plan, or dense (no plan asked, or refused);
+    /// `on_step` sees the amplitudes before the first gate and after
+    /// each. Errs, running nothing, when a refused shape is too wide to
+    /// run dense.
+    fn execute(
+        &mut self,
+        plan: Option<Result<Arc<GatePlan>, usize>>,
+        circuit: &Circuit,
+        on_step: impl FnMut(&[Complex64]),
+    ) -> Result<(), String> {
+        if let Some(Err(support)) = plan {
+            let n = circuit.n_qubits();
+            check_dense_fallback(n, support, plan_support_cap(n))?;
+        }
         self.run_stamp += 1;
         match plan {
-            Some(Ok(plan)) => self.run_compact(&plan, circuit),
-            Some(Err(support)) => {
-                let n = circuit.n_qubits();
-                assert_dense_fallback(n, support, plan_support_cap(n));
-                self.run_dense(circuit);
-            }
-            None => self.run_dense(circuit),
+            Some(Ok(plan)) => self.run_compact(&plan, circuit, on_step),
+            _ => self.run_dense(circuit, on_step),
         }
+        Ok(())
     }
 
     /// The dense path: reset the `2^n` buffer in place (allocating it on
     /// a width or representation change) and apply the gates, reading
     /// diagonals from the per-`Arc` cache.
-    fn run_dense(&mut self, circuit: &Circuit) {
+    fn run_dense(&mut self, circuit: &Circuit, mut on_step: impl FnMut(&[Complex64])) {
         let n_qubits = circuit.n_qubits();
         if !matches!(&self.engine, Some(Held::Dense(s)) if s.n_qubits() == n_qubits) {
             if self.state().map(SimEngine::n_qubits) != Some(n_qubits) {
@@ -575,6 +612,7 @@ impl SimWorkspace {
             unreachable!("engine set to dense above");
         };
         state.reset_zero();
+        on_step(state.amplitudes());
         for gate in circuit.iter() {
             match gate {
                 Gate::DiagPhase(poly, theta) => {
@@ -583,6 +621,7 @@ impl SimWorkspace {
                 }
                 g => state.apply_gate(g),
             }
+            on_step(state.amplitudes());
         }
     }
 
@@ -632,7 +671,7 @@ impl SimWorkspace {
             return None;
         }
         self.batch
-            .replay(&plan, circuits, &mut self.scratch, &self.config);
+            .replay(&plan, circuits, &mut self.scratch, &self.config, |_| {});
         Some(&self.batch)
     }
 
@@ -646,7 +685,12 @@ impl SimWorkspace {
     /// The compact fast path: replay the shape's gate plan into the
     /// (reused) rank-indexed amplitude array — a one-lane batch, through
     /// the same lane kernels as [`SimWorkspace::run_batch`].
-    fn run_compact(&mut self, plan: &GatePlan, circuit: &Circuit) {
+    fn run_compact(
+        &mut self,
+        plan: &GatePlan,
+        circuit: &Circuit,
+        on_step: impl FnMut(&[Complex64]),
+    ) {
         let n_qubits = circuit.n_qubits();
         if !matches!(&self.engine, Some(Held::Compact(c)) if c.n_qubits() == n_qubits) {
             self.engine = Some(Held::Compact(CompactStateVector::default()));
@@ -656,7 +700,7 @@ impl SimWorkspace {
             unreachable!("engine set to compact above");
         };
         let circuits = std::slice::from_ref(circuit);
-        state.replay(plan, circuits, &mut self.scratch, &self.config);
+        state.replay(plan, circuits, &mut self.scratch, &self.config, on_step);
     }
 }
 
@@ -1451,5 +1495,47 @@ mod tests {
         let a = cache.intern_poly(PhasePoly::clone(&test_poly(4)));
         let b = cache.intern_poly(PhasePoly::clone(&test_poly(4)));
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn hadamard_grows_support_on_demand() {
+        // The support walk counts exact zeros out: H is its own inverse,
+        // so the profile climbs and interferes back down on both engines.
+        let mut c = Circuit::new(3);
+        c.h(0).h(1).h(1).h(0);
+        for engine in [EngineKind::Dense, EngineKind::Compact] {
+            let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(engine));
+            let profile = ws.support_profile(&c, 1e-9).unwrap();
+            assert_eq!(profile, vec![1, 2, 4, 2, 1], "{engine}");
+            let p0 = ws.state().unwrap().probability(0);
+            assert!((p0 - 1.0).abs() < 1e-12, "{engine}: {p0}");
+        }
+    }
+
+    #[test]
+    fn wide_register_beyond_dense_allocation_runs() {
+        // 30 qubits: a dense buffer would be 2^30 × 16 B = 16 GiB. The
+        // plan starts at the loaded |v⟩ pattern (even bits set), so it
+        // ranks the block's two states, not the 2^15 subsets of the
+        // loaded bits.
+        let n = 30;
+        let u: Vec<i8> = (0..n).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
+        let v_bits = (0..n)
+            .filter(|i| i % 2 == 0)
+            .fold(0u64, |m, i| m | (1 << i));
+        let mut c = Circuit::new(n);
+        c.load_bits(v_bits);
+        c.ublock(crate::gate::UBlock::from_u_with_angle(&u, 0.7));
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let state = ws.run(&c);
+        assert!(state.is_compact());
+        assert_eq!(state.occupancy(), 2);
+        assert!((state.norm_sqr() - 1.0).abs() < 1e-12);
+        assert!((state.probability(v_bits) - 0.7f64.cos().powi(2)).abs() < 1e-12);
+        let batch = ws.run_batch(&[c.clone(), c.clone()]).unwrap();
+        assert_eq!(batch.basis().len(), 2);
+        let profile = ws.support_profile(&c, 1e-9).unwrap();
+        assert_eq!(profile[..=n / 2], [1; 16]);
+        assert_eq!(profile[n / 2 + 1], 2);
     }
 }

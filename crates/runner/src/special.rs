@@ -11,12 +11,12 @@ use crate::report::{Field, Record, RunReport};
 use crate::run::{build_instances, scaled_choco, RunOptions};
 use crate::spec::{ExperimentSpec, SolverKind};
 use choco_core::{
-    lemma2_stats, plan_elimination, support_profile_with, trotter_decompose, ChocoQConfig,
-    ChocoQSolver, CommuteDriver, TrotterConfig,
+    lemma2_stats, plan_elimination, trotter_decompose, ChocoQConfig, ChocoQSolver, CommuteDriver,
+    TrotterConfig,
 };
 use choco_mathkit::{expm, Complex64, LinEq, LinSystem};
 use choco_model::Problem;
-use choco_qsim::two_level_decompose;
+use choco_qsim::{two_level_decompose, SimWorkspace};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -246,14 +246,6 @@ pub(crate) fn execute_ablation(
     })
 }
 
-/// Fig. 9(b): the number of basis states supporting the state through the
-/// Choco-Q circuit (quantum parallelism growth).
-///
-/// The profile runs on the engine the spec/CLI selects and counts support
-/// through the engine's occupancy-aware counter — on the compact default
-/// a confined circuit never allocates a `2^n` buffer, which is what lets
-/// `experiments/scaling_sparse.toml` profile registers the dense engine
-/// cannot hold (the counts themselves are engine-independent).
 /// Record keys for the five support sample points.
 const QUARTER_KEYS: [&str; 5] = [
     "support_at_0pct",
@@ -277,13 +269,22 @@ pub(crate) fn quarter_indices(len: usize) -> Result<[usize; 5], String> {
     Ok(out)
 }
 
+/// Fig. 9(b): the number of basis states supporting the state through the
+/// Choco-Q circuit (quantum parallelism growth).
+///
+/// The profile walks the circuit on a workspace of the engine the
+/// spec/CLI selects ([`SimWorkspace::support_profile`]) — on the compact
+/// default a plan replay over the states reachable from the loaded one,
+/// which never allocates a `2^n` buffer; that is what lets
+/// `experiments/scaling_sparse.toml` profile registers the dense engine
+/// cannot hold (the counts themselves are engine-independent).
 pub(crate) fn execute_support(
     spec: &ExperimentSpec,
     opts: &RunOptions,
 ) -> Result<RunReport, String> {
     let cells = spec.expand_cells(opts.quick);
     let instances = build_instances(&cells)?;
-    let sim = opts.effective_sim(spec);
+    let mut ws = SimWorkspace::new(opts.effective_sim(spec));
     let mut records = Vec::new();
     let mut index = 0u64;
     for problem_ref in spec.effective_problems(opts.quick) {
@@ -301,7 +302,10 @@ pub(crate) fn execute_support(
             let params = ChocoQSolver::initial_params(1, ordered.len());
             let circuit =
                 ChocoQSolver::build_circuit(&driver, &poly, &ordered, initial, 1, &params);
-            let profile = support_profile_with(&circuit, 1e-9, sim);
+            let counts = ws.support_profile(&circuit, 1e-9).and_then(|profile| {
+                let quarters = quarter_indices(profile.len())?;
+                Ok(quarters.map(|idx| profile[idx]))
+            });
             let mut record = Record::new();
             record
                 .push("index", Field::UInt(index))
@@ -309,17 +313,17 @@ pub(crate) fn execute_support(
                 .push("instance_seed", Field::UInt(instance_seed))
                 .push("n_vars", Field::UInt(problem.n_vars() as u64))
                 .push("gates", Field::UInt(circuit.len() as u64));
-            match quarter_indices(profile.len()) {
-                Ok(quarters) => {
+            match counts {
+                Ok(counts) => {
                     record.push("status", Field::Str("ok".into()));
-                    for (idx, key) in quarters.into_iter().zip(QUARTER_KEYS) {
-                        record.push(key, Field::UInt(profile[idx] as u64));
+                    for (count, key) in counts.into_iter().zip(QUARTER_KEYS) {
+                        record.push(key, Field::UInt(count as u64));
                     }
                 }
                 Err(e) => {
-                    // A zero-iteration solve (e.g. under a tight cell
-                    // timeout) yields an empty profile; emit an error
-                    // record rather than underflowing `len() - 1`.
+                    // A shape too wide for any engine, or an empty
+                    // profile, is an error record rather than a panic or
+                    // an underflow of `len() - 1`.
                     record.push("status", Field::Str("error".into())).push(
                         "error",
                         Field::Str(format!("{}: {e}", problem_ref.as_str())),

@@ -5,7 +5,7 @@ use choco_model::{CircuitStats, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
 use choco_qsim::{
     transpile, transpile_into, Circuit, CircuitTemplate, Counts, EngineKind, NoiseModel, PhasePoly,
-    SimConfig, SimWorkspace, StatsSink, TranspileOptions, MAX_SPARSE_QUBITS,
+    SimConfig, SimWorkspace, StatsSink, TranspileOptions, MAX_QUBITS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,15 +123,15 @@ pub fn reject_inequalities(
 
 /// Engine-aware size gate: the dense engine stops at [`MAX_SIM_QUBITS`];
 /// the compact engine accepts anything the circuit IR can express
-/// ([`MAX_SPARSE_QUBITS`]) because a feasible-subspace solve never
-/// allocates `2^n` of anything (its storage is `|F|` amplitudes plus its
-/// compiled rank tables). A shape that refuses its plan runs dense, which
-/// only fits up to [`choco_qsim::MAX_DENSIFY_QUBITS`]; wider refusals
-/// panic in the simulator instead of exhausting memory.
+/// ([`MAX_QUBITS`]) because a feasible-subspace solve never allocates
+/// `2^n` of anything (its storage is `|F|` amplitudes plus its compiled
+/// rank tables). A shape that refuses its plan runs dense, which only
+/// fits up to [`choco_qsim::MAX_DENSIFY_QUBITS`]; wider refusals panic in
+/// the simulator instead of exhausting memory.
 pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), SolverError> {
     let limit = match engine {
         EngineKind::Dense => MAX_SIM_QUBITS,
-        EngineKind::Compact => MAX_SPARSE_QUBITS,
+        EngineKind::Compact => MAX_QUBITS,
     };
     if required_qubits > limit {
         Err(SolverError::TooLarge {
@@ -477,7 +477,7 @@ mod tests {
         // engine goes to the circuit IR's limit.
         assert!(check_size_for(MAX_SIM_QUBITS + 2, EngineKind::Compact).is_ok());
         assert!(matches!(
-            check_size_for(MAX_SPARSE_QUBITS + 1, EngineKind::Compact),
+            check_size_for(MAX_QUBITS + 1, EngineKind::Compact),
             Err(SolverError::TooLarge { .. })
         ));
         assert!(matches!(

@@ -6,11 +6,12 @@
 //! candidates — must allocate nothing: no circuit, no gate, no state,
 //! no lane buffer. Checked on both engines, for a Choco-Q template that
 //! replays its compact plan and a penalty-QAOA template whose compact
-//! plan refuses and runs dense.
+//! plan refuses and runs dense. A support walk too wide for any engine
+//! must fail before it allocates a dense buffer.
 
 use choco_q::core::{ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::SplitMix64;
-use choco_q::qsim::{CircuitTemplate, EngineKind, SimConfig, SimWorkspace};
+use choco_q::qsim::{Circuit, CircuitTemplate, EngineKind, SimConfig, SimWorkspace};
 use choco_q::runner::ProblemRef;
 use choco_q::solvers::shared::CostSpec;
 use choco_q::solvers::PenaltyQaoaSolver;
@@ -119,4 +120,25 @@ fn template_evaluations_allocate_nothing_after_warmup() {
             assert_eq!(batched, 0, "{name} {engine}: 100 batched groups");
         }
     }
+}
+
+#[test]
+fn a_support_walk_too_wide_to_densify_errs_without_a_dense_buffer() {
+    // 27 Hadamards fill a register past the dense fallback: the plan
+    // refuses once its support passes the wide-register cap, and the walk
+    // must report that instead of allocating the 2^27-amplitude buffer
+    // (2 GiB) or panicking.
+    let n = 27;
+    let mut circuit = Circuit::new(n);
+    for q in 0..n {
+        circuit.h(q);
+    }
+    let mut ws = SimWorkspace::new(SimConfig::serial());
+    let mut walked = None;
+    let bytes = allocated_by(|| walked = Some(ws.support_profile(&circuit, 1e-9)));
+    let err = walked.unwrap().expect_err("no engine holds this walk");
+    assert!(err.contains("cannot densify a 27-qubit shape"), "{err}");
+    assert!(ws.state().is_none(), "nothing ran");
+    let dense_buffer = (1u64 << n) * std::mem::size_of::<choco_q::mathkit::Complex64>() as u64;
+    assert!(bytes < dense_buffer / 2, "{bytes} bytes allocated");
 }

@@ -1,25 +1,23 @@
-//! Differential tests for the feasible-subspace engines.
+//! Differential tests for the feasible-subspace engine.
 //!
 //! Random Choco-Q circuits over all six problem families must agree
-//! between four independent executions — the sparse engine
-//! ([`SparseStateVector`]), the compact plan-replay engine
+//! between three independent executions — the compact plan-replay engine
 //! ([`EngineKind::Compact`] through a [`SimWorkspace`], at 1/2/4 worker
 //! threads), the dense strided engine ([`StateVector`], at 1/2/4 worker
 //! threads), and the scan-and-mask oracle ([`ScalarStateVector`]) — with
-//! **byte-identical** amplitudes/expectations between sparse and compact,
-//! 1e-10 agreement against the oracle, and *identical* deterministic
-//! sampling streams everywhere. The adversarial half drives circuits
-//! that break subspace confinement (penalty/HEA-style mixers,
+//! **byte-identical** amplitudes between compact and dense, compact
+//! expectations equal to the dense amplitudes' occupied terms summed in
+//! basis order, 1e-10 agreement against the oracle, and *identical*
+//! deterministic sampling streams everywhere. The adversarial half drives
+//! circuits that break subspace confinement (penalty/HEA-style mixers,
 //! noise-trajectory gate soup) and asserts the compact engine refuses
 //! their plans and runs them dense while results stay oracle-exact.
 
-use choco_q::core::{support_profile, support_profile_with, ChocoQSolver, CommuteDriver};
+use choco_q::core::{ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::SplitMix64;
 use choco_q::model::Problem;
 use choco_q::qsim::oracle::ScalarStateVector;
-use choco_q::qsim::{
-    Circuit, EngineKind, NoiseModel, SimConfig, SimWorkspace, SparseStateVector, StateVector,
-};
+use choco_q::qsim::{Circuit, EngineKind, NoiseModel, SimConfig, SimWorkspace, StateVector};
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -122,17 +120,34 @@ fn compact_threaded(threads: usize) -> SimConfig {
     threaded(threads).with_engine(EngineKind::Compact)
 }
 
+/// The Figure 9(b) support profile of `circuit` on one engine.
+fn support_profile(circuit: &Circuit, engine: EngineKind) -> Vec<usize> {
+    let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(engine));
+    ws.support_profile(circuit, 1e-9).expect("fits an engine")
+}
+
+/// `Σ |a|²·f(bits)` over the dense state's exactly non-zero amplitudes in
+/// basis order: the compact engine's expectation, bit for bit.
+fn occupied_expectation(dense: &StateVector, poly: &choco_q::qsim::PhasePoly) -> f64 {
+    (0u64..)
+        .zip(dense.amplitudes())
+        .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
+        .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits))
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(36))]
 
-    /// The three-way engine matrix on random Choco-Q circuits across
-    /// every family: sparse vs compact (1/2/4 threads, replayed twice so
-    /// the cached plan is exercised) must be BYTE-identical in amplitudes
-    /// and expectations; both vs strided dense (1/2/4 threads) and the
-    /// oracle to 1e-10; occupancy bounded by the feasible set (the
-    /// commute theorem).
+    /// The engine matrix on random Choco-Q circuits across every family:
+    /// compact (1/2/4 threads, replayed twice so the cached plan is
+    /// exercised) must be BYTE-identical to dense in amplitudes, and its
+    /// expectation must equal the dense amplitudes' occupied terms summed
+    /// in basis order; dense (1/2/4 threads) agrees with the oracle to
+    /// 1e-10; occupancy is bounded by the feasible set (the commute
+    /// theorem).
     #[test]
-    fn sparse_and_compact_match_strided_and_oracle_on_all_families(
+    fn compact_matches_strided_and_oracle_on_all_families(
         family in 0usize..9,
         seed in any::<u64>(),
         layers in 1usize..3,
@@ -149,78 +164,68 @@ proptest! {
         let width = circuit.n_qubits();
         prop_assert!(width <= 14);
         let oracle = ScalarStateVector::run(&circuit);
-        let sparse = SparseStateVector::run(&circuit);
-        for (bits, &expect) in oracle.amplitudes().iter().enumerate() {
-            let got = sparse.amplitude(bits as u64);
-            prop_assert!(
-                got.approx_eq(expect, 1e-10),
-                "family={family} n={} bits={bits}: sparse {got} oracle {expect}",
-                problem.n_vars()
-            );
-        }
+        let reference = StateVector::run_with(&circuit, threaded(1));
         for threads in [1usize, 2, 4] {
             let dense = StateVector::run_with(&circuit, threaded(threads));
-            for (bits, &expect) in dense.amplitudes().iter().enumerate() {
+            for (bits, &expect) in oracle.amplitudes().iter().enumerate() {
+                let (got, exact) = (dense.amplitude(bits as u64), reference.amplitude(bits as u64));
                 prop_assert!(
-                    sparse.amplitude(bits as u64).approx_eq(expect, 1e-10),
-                    "family={family} threads={threads} bits={bits}"
+                    got.approx_eq(expect, 1e-10),
+                    "family={family} n={} threads={threads} bits={bits}: dense {got} oracle {expect}",
+                    problem.n_vars()
+                );
+                prop_assert!(
+                    got.re == exact.re && got.im == exact.im,
+                    "family={family} threads={threads} bits={bits}: thread count moved bits"
                 );
             }
         }
         // Compact plan replay at every thread count: byte-identity (==,
-        // not approx) against the sparse engine, on the compiled run AND
+        // not approx) against the dense engine, on the compiled run AND
         // on a cached replay.
         let cost = problem.cost_poly();
-        let sparse_expectation = sparse.expectation_diag_poly(&cost);
         for threads in [1usize, 2, 4] {
             let mut ws = SimWorkspace::new(compact_threaded(threads));
             for replay in 0..2 {
                 let state = ws.run(&circuit);
                 for bits in 0..(1u64 << width) {
-                    let (a, b) = (state.amplitude(bits), sparse.amplitude(bits));
+                    let (a, b) = (state.amplitude(bits), reference.amplitude(bits));
                     prop_assert!(
                         a.re == b.re && a.im == b.im,
                         "family={family} threads={threads} replay={replay} bits={bits}: \
-                         compact {a} sparse {b}"
+                         compact {a} dense {b}"
                     );
                 }
-                let expectation = state.expectation_diag_poly(&cost);
-                if state.is_compact() {
-                    // Compact mirrors the sparse term sequence exactly.
-                    prop_assert_eq!(
-                        expectation,
-                        sparse_expectation,
-                        "family={} threads={} replay={}: expectation diverged",
-                        family, threads, replay
-                    );
+                // A compact state sums its occupied ranks; a shape whose
+                // plan refused ran dense and sums all 2^n slots.
+                let expected = if state.is_compact() {
+                    occupied_expectation(&reference, &cost)
                 } else {
-                    // Shapes whose |F| exceeds the occupancy cap fall
-                    // back to dense, whose 2^n sum interleaves exact-zero
-                    // terms: value-equal, compared with tolerance.
-                    prop_assert!(
-                        (expectation - sparse_expectation).abs()
-                            <= 1e-12 * sparse_expectation.abs().max(1.0),
-                        "family={family} threads={threads} replay={replay}: \
-                         fallback expectation diverged"
-                    );
-                }
-                prop_assert_eq!(state.occupancy(), sparse.occupancy());
+                    reference.expectation_diag_poly(&cost)
+                };
+                prop_assert_eq!(
+                    state.expectation_diag_poly(&cost).to_bits(),
+                    expected.to_bits(),
+                    "family={} threads={} replay={}: expectation diverged",
+                    family, threads, replay
+                );
+                prop_assert_eq!(state.occupancy(), reference.occupancy());
             }
             prop_assert_eq!(ws.plan_compilations(), 1, "replay must hit the plan cache");
         }
-        // Subspace confinement: neither feasible-subspace engine occupies
-        // more entries than the problem has feasible assignments.
+        // Subspace confinement: the state never occupies more entries than
+        // the problem has feasible assignments.
         let n_feasible = problem.feasible_solutions(1 << 15).len();
         prop_assert!(
-            sparse.occupancy() <= n_feasible,
+            reference.occupancy() <= n_feasible,
             "occupancy {} exceeds |F| = {n_feasible}",
-            sparse.occupancy()
+            reference.occupancy()
         );
     }
 
-    /// One seed, one distribution: the sparse engine, the compact engine,
-    /// and the dense engine at every thread count produce *identical*
-    /// sample histograms, shot for shot.
+    /// One seed, one distribution: the compact engine and the dense
+    /// engine at every thread count produce *identical* sample histograms,
+    /// shot for shot.
     #[test]
     fn sample_streams_identical_across_engines_and_threads(
         family in 0usize..9,
@@ -233,10 +238,9 @@ proptest! {
         let Some(circuit) = choco_circuit(&problem, seed, 1) else {
             return Ok(());
         };
-        let sparse = SparseStateVector::run(&circuit);
         let reference = {
             let mut rng = StdRng::seed_from_u64(seed);
-            sparse.sample(2_000, &mut rng)
+            StateVector::run(&circuit).sample(2_000, &mut rng)
         };
         for threads in [1usize, 2, 4] {
             let dense = StateVector::run_with(&circuit, threaded(threads));
@@ -428,34 +432,83 @@ fn suite_choco_shapes_compile_without_refusals() {
     }
 }
 
+/// Every Choco-Q template of the benchmark suite compiles a plan whose
+/// basis lies inside the encoded feasible set: the walk starts at the
+/// loaded feasible state and the commute driver never leaves the set
+/// (Fig. 9). Checked for the solver's two Δ policies (the kernel basis
+/// and the extended set) from the first and last state of its restart
+/// pool, on all 20 suite classes at seeds 1–4.
 #[test]
-fn forced_sparse_handles_subspace_breaking_circuits_exactly() {
-    // The sparse reference walker never changes representation — it must
-    // still be correct on a register-filling circuit, merely slower.
-    let circuit = penalty_style_circuit(7, 21);
-    let sparse = SparseStateVector::run(&circuit);
-    assert_eq!(sparse.occupancy(), 1 << 7, "mixers fill the register");
-    let oracle = ScalarStateVector::run(&circuit);
-    for (bits, &expect) in oracle.amplitudes().iter().enumerate() {
-        assert!(
-            sparse.amplitude(bits as u64).approx_eq(expect, 1e-10),
-            "bits={bits}"
-        );
+fn suite_plan_bases_stay_inside_the_feasible_set() {
+    use choco_q::core::ChocoQConfig;
+    use choco_q::problems::{ALL_CLASSES, NATIVE_CLASSES};
+    use std::collections::HashSet;
+    let config = ChocoQConfig::default();
+    let mut ws = SimWorkspace::new(SimConfig::serial());
+    for class in ALL_CLASSES.iter().chain(&NATIVE_CLASSES) {
+        for seed in 1..=4 {
+            let problem = choco_q::problems::instance(class, seed);
+            let constraints = problem.constraints();
+            let drivers = [
+                CommuteDriver::build(constraints).unwrap(),
+                CommuteDriver::build_extended(
+                    constraints,
+                    config.delta_max_support,
+                    config.delta_cap,
+                )
+                .unwrap(),
+            ];
+            let pool = problem.feasible_solutions(256);
+            let poly = Arc::new(problem.cost_poly());
+            for driver in &drivers {
+                let feasible: HashSet<u64> = problem
+                    .feasible_solutions(usize::MAX)
+                    .into_iter()
+                    .map(|x| driver.encode_state(x))
+                    .collect();
+                for x in [pool[0], pool[pool.len() - 1]] {
+                    let initial = driver.encode_state(x);
+                    let ordered = driver.ordered_terms(initial);
+                    let template = ChocoQSolver::template(driver, &poly, &ordered, initial, 1);
+                    let params = ChocoQSolver::initial_params(1, ordered.len());
+                    let batch = ws
+                        .run_template_batch(&template, &[&params, &params])
+                        .expect("suite plans compile and batch");
+                    let outside = batch.basis().iter().filter(|b| !feasible.contains(b));
+                    assert_eq!(
+                        outside.count(),
+                        0,
+                        "{class} seed {seed}: plan ranks outside the feasible set"
+                    );
+                    assert!(batch.basis().contains(&initial), "{class} seed {seed}");
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn support_profile_consistent_through_the_fallback() {
-    // The fig09b metric on a register-filling circuit: the compact
-    // profile (the sparse walker) must equal the dense profile gate for
-    // gate.
-    let circuit = penalty_style_circuit(6, 31);
-    let compact = SimConfig::serial().with_engine(EngineKind::Compact);
-    assert_eq!(
-        support_profile_with(&circuit, 1e-9, compact),
-        support_profile(&circuit, 1e-9),
-        "post-fallback support counts diverged from the dense fig09b path"
-    );
+    // The fig09b metric on register-filling circuits: the compact walk
+    // must equal the dense walk gate for gate, whether the plan compiles
+    // (6 qubits sit under the 64-entry floor of the support cap) or
+    // refuses and the walk runs dense (10 qubits).
+    for (n, refused) in [(6, 0), (10, 1)] {
+        let circuit = penalty_style_circuit(n, 31);
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let compact = ws.support_profile(&circuit, 1e-9).unwrap();
+        assert_eq!(ws.plan_cache().stats().refusals, refused, "n={n}");
+        assert_eq!(
+            compact.last(),
+            Some(&(1 << n)),
+            "n={n}: mixers fill the register"
+        );
+        assert_eq!(
+            compact,
+            support_profile(&circuit, EngineKind::Dense),
+            "n={n}: support counts diverged from the dense fig09b path"
+        );
+    }
 }
 
 #[test]
@@ -485,15 +538,14 @@ fn fig09b_support_numbers_pinned_on_small_gcp() {
     // GCP G-class shape 3x2x2 at seed 1 must not move, on any engine.
     let problem = ProblemRef::parse("gcp:3x2x2").unwrap().build(1).unwrap();
     let circuit = choco_circuit_for_support(&problem);
-    let dense = support_profile(&circuit, 1e-9);
+    let dense = support_profile(&circuit, EngineKind::Dense);
     // Pinned values: initial basis state, then the serialized driver
     // spreads amplitude; re-derived from the dense engine at the time of
     // the rework, asserted verbatim so future engine changes cannot
     // silently shift fig09b.
     assert_eq!(dense.first(), Some(&1), "profile starts at one basis state");
     assert_eq!(dense, PINNED_GCP_3X2X2_PROFILE, "fig09b numbers moved");
-    let compact = SimConfig::serial().with_engine(EngineKind::Compact);
-    assert_eq!(support_profile_with(&circuit, 1e-9, compact), dense);
+    assert_eq!(support_profile(&circuit, EngineKind::Compact), dense);
 }
 
 /// The exact circuit `execute_support` profiles (initial params, one

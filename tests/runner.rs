@@ -166,10 +166,10 @@ transpiled_stats = false
 
 #[test]
 fn support_reports_identical_across_engines() {
-    // The fig09b harness now counts support through the engine's
-    // occupancy counter; the compact default (which
-    // experiments/scaling_sparse.toml runs on) must not move a single byte
-    // of the report on sizes the dense engine can still check.
+    // The fig09b harness walks support on the selected engine; the
+    // compact default (which experiments/scaling_sparse.toml runs on)
+    // must not move a single byte of the report on sizes the dense engine
+    // can still check.
     let base = r#"
 name = "support-engines"
 description = "engine-identity regression for the support harness"
