@@ -11,7 +11,9 @@
 //! 18, 21, 24), M2's Lemma-2 lowering materialized vs streamed into a
 //! `StatsSink` (`transpile_stats_*`), one warmed optimizer evaluation of
 //! K3 with a circuit built per evaluation vs a bound template, serial
-//! and as a 16-lane chunk (`choco_eval_*`), and writes
+//! and as a 16-lane chunk (`choco_eval_*`), the phases a Choco-Q cell
+//! repeats (`choco_phase_*`: Δ synthesis over the 20 suite classes, a
+//! 10k-shot compact sample, a COBYLA-rebuild-shaped K3 group), and writes
 //! `BENCH_simulation.json` so the perf trajectory stays comparable
 //! across PRs.
 //!
@@ -545,7 +547,7 @@ fn main() {
     // One optimizer evaluation of K3 seed 1's first restart (its first
     // Δ policy from the first feasible point, at the initial angles),
     // warmed, on the compact engine: serial (run + expectation) and as a
-    // 16-candidate chunk (COBYLA-style `x0 + 0.1·e_i` points), once by
+    // 16-candidate group (COBYLA-style `x0 + 0.1·e_i` points), once by
     // building circuits per evaluation and once by binding a template.
     let choco_eval = {
         let problem = choco_problems::instance("K3", 1);
@@ -597,12 +599,18 @@ fn main() {
                 std::hint::black_box(state.expectation_diag_poly(&poly));
             }),
             ("choco_eval_template_k16", &mut |ws: &mut SimWorkspace| {
-                let batch = ws
-                    .run_template_batch(&template, &xs)
-                    .expect("compact batch");
-                assert_eq!(batch.lanes(), 16, "one 16-lane chunk");
-                for lane in 0..batch.lanes() {
-                    std::hint::black_box(batch.lane(lane).expectation_diag_poly(&poly));
+                // In chunks, as the objective does: the group's centre is
+                // no candidate, so it leads the first chunk as an extra
+                // lane and 15 candidates fit beside it.
+                let mut rest = &xs[..];
+                while !rest.is_empty() {
+                    let batch = ws
+                        .run_template_batch(&template, rest)
+                        .expect("compact batch");
+                    for lane in 0..batch.lanes() {
+                        std::hint::black_box(batch.lane(lane).expectation_diag_poly(&poly));
+                    }
+                    rest = &rest[batch.lanes()..];
                 }
             }),
         ];
@@ -617,6 +625,85 @@ fn main() {
             quartiles.push(q);
         }
         (driver.encoded_qubits(), quartiles)
+    };
+
+    // The phases a Choco-Q cell repeats, measured apart: Δ synthesis (the
+    // basis driver extended as the solver does it) over the 20 suite
+    // classes at seed 1, one 10k-shot sample of K3's state at its initial
+    // angles, and K3's candidate group shaped like a COBYLA geometry
+    // rebuild (the centre moved along every axis, the centre itself not a
+    // candidate), evaluated in template chunks as the objective does.
+    let cell_phases = {
+        eprintln!("measuring Choco-Q cell phases (Δ synthesis, sampling, rebuild group) …");
+        let cfg = ChocoQConfig::default();
+        let classes: Vec<_> = (choco_problems::ALL_CLASSES.iter())
+            .chain(&choco_problems::NATIVE_CLASSES)
+            .map(|class| choco_problems::instance(class, 1))
+            .collect();
+        let delta = measure_quartiles(
+            || {
+                for problem in &classes {
+                    let constraints = problem.constraints();
+                    let basis = CommuteDriver::build(constraints).expect("driver");
+                    let extended =
+                        basis.extended(constraints, cfg.delta_max_support, cfg.delta_cap);
+                    std::hint::black_box((basis, extended));
+                }
+            },
+            samples,
+            budget_ms,
+        );
+        let problem = choco_problems::instance("K3", 1);
+        let basis = CommuteDriver::build(problem.constraints()).expect("driver");
+        let driver = basis.extended(problem.constraints(), cfg.delta_max_support, cfg.delta_cap);
+        let initial = driver.encode_state(problem.feasible_solutions(256)[0]);
+        let terms = driver.ordered_terms(initial);
+        let poly = std::sync::Arc::new(problem.cost_poly());
+        let template = ChocoQSolver::template(&driver, &poly, &terms, initial, cfg.layers);
+        let centre = ChocoQSolver::initial_params(cfg.layers, terms.len());
+        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        ws.run_template(&template, &centre);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let sample = measure_quartiles(
+            || {
+                std::hint::black_box(ws.sample(10_000, &mut rng));
+            },
+            samples,
+            budget_ms,
+        );
+        let rebuild: Vec<Vec<f64>> = (0..centre.len())
+            .map(|i| {
+                let mut x = centre.clone();
+                x[i] += 0.1;
+                x
+            })
+            .collect();
+        let mut group = || {
+            let mut rest = &rebuild[..];
+            while !rest.is_empty() {
+                let batch = ws
+                    .run_template_batch(&template, rest)
+                    .expect("compact batch");
+                for lane in 0..batch.lanes() {
+                    std::hint::black_box(batch.lane(lane).expectation_diag_poly(&poly));
+                }
+                rest = &rest[batch.lanes()..];
+            }
+        };
+        group(); // warm-up: lane circuits and buffers
+        let rebuild_group = measure_quartiles(group, samples, budget_ms);
+        for (name, q) in [
+            ("choco_phase_delta_suite", delta),
+            ("choco_phase_sample_10k", sample),
+            ("choco_phase_rebuild_group", rebuild_group),
+        ] {
+            entries.push(Entry {
+                group: name,
+                n: driver.encoded_qubits(),
+                ns_per_op: q[1],
+            });
+        }
+        (classes.len(), rebuild.len(), [delta, sample, rebuild_group])
     };
 
     // Solve-as-a-service latency: one in-process `choco-serve` session
@@ -932,6 +1019,29 @@ fn main() {
             spread(&quartiles[3]),
             quartiles[0][1] / quartiles[2][1],
             quartiles[1][1] / quartiles[3][1]
+        );
+    }
+    json.push_str("  },\n  \"choco_cell_phases\": {\n");
+    {
+        let (classes, candidates, quartiles) = &cell_phases;
+        let spread = |q: &[f64; 3]| {
+            format!(
+                "{{\"q1\": {:.1}, \"median\": {:.1}, \"q3\": {:.1}}}",
+                q[0], q[1], q[2]
+            )
+        };
+        let _ = writeln!(
+            json,
+            "    \"host_parallelism\": {},\n    \"delta_suite_classes\": {classes},\n    \
+             \"delta_suite_ns\": {},\n    \"sample_problem\": \"K3\",\n    \
+             \"sample_10k_ns\": {},\n    \"rebuild_candidates\": {candidates},\n    \
+             \"rebuild_group_ns\": {}",
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            spread(&quartiles[0]),
+            spread(&quartiles[1]),
+            spread(&quartiles[2])
         );
     }
     json.push_str("  }\n}\n");

@@ -253,7 +253,8 @@ impl CommuteDriver {
 
     /// Builds an *extended* driver: the kernel basis plus every further
     /// canonical ternary kernel vector with support ≤ `max_support`, up to
-    /// `cap` terms total, ordered by support size.
+    /// `cap` terms total, ordered by support size and, within one support,
+    /// as [`LinSystem::enumerate_ternary_kernel`] lists them.
     ///
     /// The paper's Eq. (5) sums over *all* solutions of `C u = 0`; the
     /// extra terms are redundant for spanning the feasible graph but give
@@ -270,32 +271,39 @@ impl CommuteDriver {
         cap: usize,
     ) -> Result<Self, DriverError> {
         let mut driver = Self::build(constraints)?;
+        driver.extend(constraints, max_support, cap);
+        Ok(driver)
+    }
+
+    /// [`CommuteDriver::build_extended`] grown from this basis driver,
+    /// which must have been built from `constraints`, instead of
+    /// building the basis again.
+    pub fn extended(&self, constraints: &LinSystem, max_support: usize, cap: usize) -> Self {
+        let mut driver = self.clone();
+        driver.extend(constraints, max_support, cap);
+        driver
+    }
+
+    /// Appends the extra terms of [`CommuteDriver::build_extended`] to a
+    /// basis driver. Only kernel vectors with support ≤ `max_support`
+    /// are enumerated ([`LinSystem::sparse_ternary_kernel`]).
+    fn extend(&mut self, constraints: &LinSystem, max_support: usize, cap: usize) {
         // Keep the term count proportional to the kernel dimension: every
         // term adds a variational parameter, and a derivative-free
         // optimizer over ≫3·dim parameters stalls. (The absolute `cap`
         // still bounds pathological cases.)
-        let cap = cap.min(3 * driver.terms.len().max(1));
-        if driver.terms.is_empty() || driver.terms.len() >= cap {
-            return Ok(driver);
+        let basis = self.terms.len();
+        let cap = cap.min(3 * basis.max(1));
+        if basis == 0 || basis >= cap {
+            return;
         }
-        let mut extra: Vec<Vec<i8>> = constraints
-            .enumerate_ternary_kernel(50_000)
-            .into_iter()
-            .filter(|u| {
-                let support = u.iter().filter(|&&x| x != 0).count();
-                support <= max_support && !driver.terms.iter().any(|t| &t.u == u)
-            })
-            .collect();
-        extra.sort_by_key(|u| u.iter().filter(|&&x| x != 0).count());
-        for u in extra {
-            if driver.terms.len() >= cap {
-                break;
+        let extra = constraints.sparse_ternary_kernel(max_support, cap - basis, |u| {
+            if self.terms.iter().any(|t| t.u == u) {
+                return None;
             }
-            if let Some(term) = make_term(u, &driver.registers) {
-                driver.terms.push(term);
-            }
-        }
-        Ok(driver)
+            make_term(u.to_vec(), &self.registers)
+        });
+        self.terms.extend(extra);
     }
 
     /// Number of decision variables (excluding slack registers).

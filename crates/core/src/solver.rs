@@ -430,12 +430,11 @@ impl ChocoQSolver {
                 .map_err(|e| SolverError::Encoding(e.to_string()))?;
             let mut drivers = vec![];
             if self.config.delta_max_support > 0 {
-                let extended = CommuteDriver::build_extended(
+                let extended = basis.extended(
                     b.problem.constraints(),
                     self.config.delta_max_support,
                     self.config.delta_cap,
-                )
-                .map_err(|e| SolverError::Encoding(e.to_string()))?;
+                );
                 if extended.len() > basis.len() {
                     drivers.push(extended);
                 }

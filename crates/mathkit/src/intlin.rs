@@ -436,6 +436,100 @@ impl LinSystem {
         out
     }
 
+    /// The first `count` canonical ternary kernel vectors of
+    /// [`LinSystem::enumerate_ternary_kernel`] with at most `max_support`
+    /// non-zero entries that `keep` maps to `Some`: ordered by support
+    /// and, within one support, as that method lists them.
+    ///
+    /// One depth-first pass collects the kept vectors with their supports
+    /// and stably sorts them by support at the end. Once the supports up
+    /// to `s` hold `count` of them, no vector of support `s` or more can
+    /// make the cut, so the pass lowers its support budget to `s − 1`. A
+    /// prefix is pruned once the non-zeros its budget leaves cannot cancel
+    /// the residual: per row, and summed over rows, the residual must not
+    /// exceed the largest such entries of the remaining columns. Pruning
+    /// drops only subtrees without a vector the result needs, so the
+    /// result does not depend on it.
+    pub fn sparse_ternary_kernel<T>(
+        &self,
+        max_support: usize,
+        count: usize,
+        mut keep: impl FnMut(&[i8]) -> Option<T>,
+    ) -> Vec<T> {
+        let n = self.n_vars;
+        let m = self.eqs.len();
+        let depth = max_support.min(n);
+        if count == 0 || depth == 0 {
+            return Vec::new();
+        }
+        // One buffer holds `cols[i·m + e]`, the coefficient of variable i
+        // in row e; `reach[(i·(m+1) + e)·(depth+1) + k]`, the k largest
+        // |c[e][j]| over columns j ≥ i, summed (row e = m holds column L1
+        // norms); `top`, each row's `depth` largest so far, in descending
+        // order; the residual; and the count of kept vectors per support.
+        let width = depth + 1;
+        let sizes = [n * m, (n + 1) * (m + 1) * width, (m + 1) * depth, m];
+        let mut buffer = vec![0i64; sizes.iter().sum::<usize>() + width];
+        let (cols, rest) = buffer.split_at_mut(sizes[0]);
+        let (reach, rest) = rest.split_at_mut(sizes[1]);
+        let (top, rest) = rest.split_at_mut(sizes[2]);
+        let (residual, held) = rest.split_at_mut(sizes[3]);
+        for (e, eq) in self.eqs.iter().enumerate() {
+            for &(v, c) in &eq.terms {
+                cols[v * m + e] = c;
+            }
+        }
+        for i in (0..n).rev() {
+            let col = &cols[i * m..(i + 1) * m];
+            for e in 0..=m {
+                let mut size = match col.get(e) {
+                    Some(c) => c.abs(),
+                    None => col.iter().map(|c| c.abs()).sum(),
+                };
+                let base = (i * (m + 1) + e) * width;
+                if size == 0 {
+                    // Nothing new for row `e`: column `i + 1`'s sums hold.
+                    let next = base + (m + 1) * width;
+                    reach.copy_within(next..next + width, base);
+                    continue;
+                }
+                for k in 0..depth {
+                    let slot = &mut top[e * depth + k];
+                    if size > *slot {
+                        std::mem::swap(&mut size, slot);
+                    }
+                    reach[base + k + 1] = reach[base + k] + *slot;
+                }
+            }
+        }
+        let mut search = SparseKernelSearch {
+            n,
+            width,
+            budget: depth,
+            cols,
+            reach,
+            residual,
+            u: vec![0; n],
+        };
+        let mut found = Vec::new();
+        search.dfs(0, 0, false, &mut |u, support| {
+            if let Some(t) = keep(u) {
+                found.push((support, t));
+                held[support] += 1;
+            }
+            let mut kept = 0;
+            for (s, &k) in held.iter().enumerate() {
+                kept += k as usize;
+                if kept >= count {
+                    return s - 1;
+                }
+            }
+            depth
+        });
+        found.sort_by_key(|&(support, _)| support);
+        found.into_iter().take(count).map(|(_, t)| t).collect()
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn dfs_ternary_rec(
         &self,
@@ -488,6 +582,72 @@ impl LinSystem {
                 }
             }
             u[i] = 0;
+        }
+    }
+}
+
+/// The depth-first state of [`LinSystem::sparse_ternary_kernel`].
+struct SparseKernelSearch<'a> {
+    n: usize,
+    /// `depth + 1`: the stride of one `reach` entry.
+    width: usize,
+    /// The largest support still worth finding.
+    budget: usize,
+    /// `cols[i·m + e]`: the coefficient of variable `i` in row `e`.
+    cols: &'a [i64],
+    reach: &'a [i64],
+    residual: &'a mut [i64],
+    u: Vec<i8>,
+}
+
+impl SparseKernelSearch<'_> {
+    /// Extends the prefix `u[..i]`, which holds `used` non-zeros. `emit`
+    /// takes each solution with its support and returns the new budget.
+    fn dfs(
+        &mut self,
+        i: usize,
+        used: usize,
+        signed: bool,
+        emit: &mut impl FnMut(&[i8], usize) -> usize,
+    ) {
+        let Some(left) = self.budget.checked_sub(used) else {
+            return;
+        };
+        let m = self.residual.len();
+        let reach = |e: usize| self.reach[(i * (m + 1) + e) * self.width + left];
+        let mut total = 0;
+        for (e, &r) in self.residual.iter().enumerate() {
+            if r.abs() > reach(e) {
+                return;
+            }
+            total += r.abs();
+        }
+        if total > reach(m) {
+            return;
+        }
+        if left == 0 || i == self.n {
+            // The residual is zero here: the all-zero completion is the
+            // subtree's only solution.
+            if signed {
+                self.budget = self.budget.min(emit(&self.u, used));
+            }
+            return;
+        }
+        self.dfs(i + 1, used, signed, emit);
+        // Until the first non-zero entry, only +1 keeps `u` canonical.
+        for val in if signed { [1, -1].as_slice() } else { &[1] } {
+            self.shift(i, *val);
+            self.u[i] = *val;
+            self.dfs(i + 1, used + 1, true, emit);
+            self.u[i] = 0;
+            self.shift(i, -*val);
+        }
+    }
+
+    fn shift(&mut self, i: usize, val: i8) {
+        let m = self.residual.len();
+        for (r, &c) in self.residual.iter_mut().zip(&self.cols[i * m..]) {
+            *r += c * val as i64;
         }
     }
 }

@@ -45,4 +45,6 @@ pub use intlin::{
 pub use matrix::CMatrix;
 pub use rational::{kernel_basis, rank, row_echelon, Rational, RowEchelon, SpanTracker};
 pub use rng::SplitMix64;
-pub use stats::{geometric_mean, mean, percentile, std_dev, OnlineStats};
+pub use stats::{
+    draw_slot, geometric_mean, mean, percentile, std_dev, strict_majority, GuideTable, OnlineStats,
+};

@@ -23,14 +23,12 @@
 //! exact-zero terms skipped.
 
 use crate::circuit::Circuit;
-use crate::counts::Counts;
 use crate::engine::SimEngine;
 use crate::phasepoly::PhasePoly;
 use crate::plan::{BatchScratch, GatePlan, PlanBasis};
 use crate::simconfig::SimConfig;
 use crate::state::StateVector;
 use choco_mathkit::Complex64;
-use rand::Rng;
 use std::sync::Arc;
 
 /// The most lanes [`crate::SimWorkspace::run_template_batch`] replays: the
@@ -60,19 +58,23 @@ pub struct CompactStateVector {
     basis: Arc<PlanBasis>,
     amps: Vec<Complex64>,
     lanes: usize,
+    /// The stored lane of each candidate (a shared-prefix batch sorts them).
+    pub(crate) order: Vec<usize>,
     reallocations: u64,
 }
 
 impl CompactStateVector {
     /// Resets one lane per circuit to the plan's start state (the basis
     /// state the circuits' leading `X` gates load), reusing the allocation
-    /// when its capacity suffices, and replays `plan` over them; `on_step`
-    /// observes the amplitudes as [`GatePlan::execute`] describes. The
-    /// caller has verified every circuit matches the plan's shape.
+    /// when its capacity suffices, and replays `plan` over them from
+    /// `starts` on; `on_step` observes the amplitudes, both as
+    /// [`GatePlan::execute`] describes. The caller has verified every
+    /// circuit matches the plan's shape.
     pub(crate) fn replay(
         &mut self,
         plan: &GatePlan,
         circuits: &[Circuit],
+        starts: &[usize],
         scratch: &mut BatchScratch,
         config: &SimConfig,
         on_step: impl FnMut(&[Complex64]),
@@ -92,7 +94,9 @@ impl CompactStateVector {
         self.amps[start..start + lanes].fill(Complex64::ONE);
         self.n_qubits = circuits[0].n_qubits();
         self.lanes = lanes;
-        plan.execute(circuits, &mut self.amps, scratch, config, on_step);
+        self.order.clear();
+        self.order.extend(0..lanes);
+        plan.execute(circuits, starts, &mut self.amps, scratch, config, on_step);
     }
 
     /// Number of qubits of the replayed circuits.
@@ -101,10 +105,10 @@ impl CompactStateVector {
         self.n_qubits
     }
 
-    /// Number of lanes (K) held by the last replay.
+    /// Number of candidate lanes (K) held by the last replay.
     #[inline]
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.order.len()
     }
 
     /// The sorted feasible basis the lanes are ranked over.
@@ -126,7 +130,7 @@ impl CompactStateVector {
     ///
     /// Panics if `lane` is out of range.
     pub fn lane(&self, lane: usize) -> SimEngine<'_> {
-        assert!(lane < self.lanes, "lane out of range");
+        let lane = *self.order.get(lane).expect("lane out of range");
         SimEngine::Compact(CompactLane {
             n_qubits: self.n_qubits,
             basis: &self.basis,
@@ -142,7 +146,7 @@ impl CompactStateVector {
 #[derive(Clone, Copy, Debug)]
 pub struct CompactLane<'a> {
     n_qubits: usize,
-    basis: &'a PlanBasis,
+    pub(crate) basis: &'a PlanBasis,
     amps: &'a [Complex64],
     lanes: usize,
     lane: usize,
@@ -234,31 +238,6 @@ impl<'a> CompactLane<'a> {
             out.push(acc);
         }
     }
-
-    pub(crate) fn sample_with_cumulative<R: Rng>(
-        self,
-        cumulative: &[f64],
-        shots: u64,
-        rng: &mut R,
-    ) -> Counts {
-        let basis = &self.basis.bits;
-        assert_eq!(cumulative.len(), basis.len(), "table length mismatch");
-        let total = *cumulative.last().expect("non-empty state");
-        let mut counts = Counts::new();
-        for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * total;
-            let bits = if r == 0.0 {
-                // The dense table's partition_point lands on basis index 0
-                // for r = 0; mirror that endpoint exactly.
-                0
-            } else {
-                let slot = cumulative.partition_point(|&c| c < r);
-                basis[slot.min(basis.len() - 1)]
-            };
-            counts.record(bits);
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +258,8 @@ mod tests {
         let mut state = CompactStateVector::default();
         let circuits = std::slice::from_ref(circuit);
         let mut scratch = BatchScratch::default();
-        state.replay(&plan, circuits, &mut scratch, &SimConfig::serial(), |_| {});
+        let config = SimConfig::serial();
+        state.replay(&plan, circuits, &[], &mut scratch, &config, |_| {});
         let dense = StateVector::run(circuit);
         for (bits, d) in dense.amplitudes().iter().enumerate() {
             let a = state.lane(0).amplitude(bits as u64);
@@ -443,7 +423,7 @@ mod tests {
         let mut load = Circuit::new(4);
         load.load_bits(0b0011);
         let load_plan = GatePlan::compile(&load, 1 << 12).unwrap();
-        state.replay(&load_plan, &[load], &mut scratch, &config, |_| {});
+        state.replay(&load_plan, &[load], &[], &mut scratch, &config, |_| {});
         assert_eq!(state.amps.as_ptr(), ptr);
         assert_eq!(state.lane(0).probability(0b0011), 1.0);
         assert_eq!(state.lane(0).occupancy(), 1);
@@ -451,6 +431,7 @@ mod tests {
         state.replay(
             &plan,
             std::slice::from_ref(&circuit),
+            &[0],
             &mut scratch,
             &config,
             |_| {},

@@ -28,7 +28,7 @@ use crate::phasepoly::PhasePoly;
 #[cfg(doc)]
 use crate::simconfig::{EngineKind, SimConfig};
 use crate::state::StateVector;
-use choco_mathkit::Complex64;
+use choco_mathkit::{Complex64, GuideTable};
 use rand::Rng;
 
 /// Largest register a refused plan falls back to dense on: beyond this
@@ -193,32 +193,12 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Fills `out` with this engine's cumulative probability table
-    /// (length `2^n` dense, `|F|` compact — pass it back to
-    /// [`SimEngine::sample_with_cumulative`] on the *same* state).
-    pub fn fill_cumulative(self, out: &mut Vec<f64>) {
+    /// Fills `out` with this engine's cumulative probability table, one
+    /// entry per basis state (dense) or plan rank (compact).
+    pub(crate) fn fill_cumulative(self, out: &mut Vec<f64>) {
         match self {
             SimEngine::Dense(s) => s.fill_cumulative(out),
             SimEngine::Compact(l) => l.fill_cumulative(out),
-        }
-    }
-
-    /// Samples `shots` outcomes using a table from
-    /// [`SimEngine::fill_cumulative`]: one `rng.gen::<f64>()` per shot,
-    /// so a shared seed yields identical histograms across engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table does not match this engine's state.
-    pub fn sample_with_cumulative<R: Rng>(
-        self,
-        cumulative: &[f64],
-        shots: u64,
-        rng: &mut R,
-    ) -> Counts {
-        match self {
-            SimEngine::Dense(s) => s.sample_with_cumulative(cumulative, shots, rng),
-            SimEngine::Compact(l) => l.sample_with_cumulative(cumulative, shots, rng),
         }
     }
 
@@ -226,9 +206,33 @@ impl<'a> SimEngine<'a> {
     /// building the cumulative table on the fly
     /// ([`crate::SimWorkspace::sample`] caches it across calls).
     pub fn sample<R: Rng>(self, shots: u64, rng: &mut R) -> Counts {
-        let mut cumulative = Vec::new();
+        let (mut cumulative, mut guide) = (Vec::new(), GuideTable::default());
         self.fill_cumulative(&mut cumulative);
-        self.sample_with_cumulative(&cumulative, shots, rng)
+        guide.build(&cumulative);
+        self.sample_guided(&cumulative, &mut guide, shots, rng)
+    }
+
+    /// Draws `shots` outcomes from this engine's cumulative table through
+    /// `guide`, built for it: one `rng.gen::<f64>()` per shot, so a shared
+    /// seed yields identical histograms across engines. Shots are counted
+    /// per slot and the histogram is built once.
+    pub(crate) fn sample_guided<R: Rng>(
+        self,
+        cumulative: &[f64],
+        guide: &mut GuideTable,
+        shots: u64,
+        rng: &mut R,
+    ) -> Counts {
+        let mut counts = Counts::new();
+        let tally = guide.tally(cumulative, shots, || rng.gen::<f64>());
+        for (slot, &n) in tally.iter().enumerate() {
+            let bits = match self {
+                SimEngine::Dense(_) => slot as u64,
+                SimEngine::Compact(l) => l.basis.bits[slot],
+            };
+            counts.record_n(bits, n);
+        }
+        counts
     }
 }
 

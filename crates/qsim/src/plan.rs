@@ -634,6 +634,11 @@ impl GatePlan {
     /// equal the dense engine's bit for bit. The caller must
     /// have verified `self.shape().matches(c)` for every circuit.
     ///
+    /// Lane `k` joins at step `starts[k]` (sorted, `starts[0] = 0`; all
+    /// at 0 when empty), copying lane 0's amplitudes then: its circuit
+    /// must agree with lane 0's before that step, so the copy holds the
+    /// bits its own replay would have made.
+    ///
     /// `on_step` sees the amplitudes before the first step and after
     /// every step (one step per gate): the Figure 9(b) support walk.
     ///
@@ -644,6 +649,7 @@ impl GatePlan {
     pub(crate) fn execute(
         &self,
         circuits: &[Circuit],
+        starts: &[usize],
         amps: &mut [Complex64],
         scratch: &mut BatchScratch,
         config: &SimConfig,
@@ -656,11 +662,20 @@ impl GatePlan {
             lanes * self.basis.bits.len(),
             "batch amplitude length mismatch"
         );
+        assert!(starts.is_empty() || starts.len() == lanes && starts[0] == 0 && starts.is_sorted());
         for c in circuits {
             assert_eq!(c.len(), self.steps.len(), "shape mismatch");
         }
         on_step(amps);
+        // Lanes `..width` are live; the others join as their step comes.
+        let mut width = match starts {
+            [] => lanes,
+            _ => starts.partition_point(|&s| s == 0),
+        };
         for (gi, step) in self.steps.iter().enumerate() {
+            if width < lanes && starts[width] <= gi {
+                width = join_lanes(amps, lanes, width, starts.partition_point(|&s| s <= gi));
+            }
             let gate_of = |lane: usize| &circuits[lane].gates()[gi];
             match step {
                 PlanStep::Noop => {}
@@ -668,21 +683,21 @@ impl GatePlan {
                     scratch.factors.clear();
                     scratch
                         .factors
-                        .extend((0..lanes).map(|lane| phase_factor(gate_of(lane))));
-                    scale_lanes(amps, ranks, &scratch.factors, false, config);
+                        .extend((0..width).map(|lane| phase_factor(gate_of(lane))));
+                    scale_lanes(amps, lanes, ranks, &scratch.factors, false, config);
                 }
                 PlanStep::DiagPair { ranks0, ranks1 } => {
                     for (side, ranks) in [(0, ranks0), (1, ranks1)] {
                         scratch.factors.clear();
                         scratch.factors.extend(
-                            (0..lanes).map(|lane| gate_matrix_1q(gate_of(lane))[side][side]),
+                            (0..width).map(|lane| gate_matrix_1q(gate_of(lane))[side][side]),
                         );
                         // A diagonal entry of exactly one is skipped per
                         // lane, as the dense engine skips it per gate (a
                         // multiply by one is not an IEEE no-op once `-0.0`
                         // is in play).
                         if scratch.factors.iter().any(|d| *d != Complex64::ONE) {
-                            scale_lanes(amps, ranks, &scratch.factors, true, config);
+                            scale_lanes(amps, lanes, ranks, &scratch.factors, true, config);
                         }
                     }
                 }
@@ -694,18 +709,25 @@ impl GatePlan {
                     scratch.kernels.clear();
                     scratch.sins.clear();
                     scratch.coss.clear();
-                    for lane in 0..lanes {
-                        let kernel = LaneKernel::of(gate_of(lane));
+                    let mut previous = None;
+                    for lane in 0..width {
+                        // Equal rotation angles give equal kernels.
+                        let theta = rotation_angle(gate_of(lane)).map(f64::to_bits);
+                        let kernel = match scratch.kernels.last() {
+                            Some(&last) if theta.is_some() && theta == previous => last,
+                            _ => LaneKernel::of(gate_of(lane)),
+                        };
+                        previous = theta;
                         if let LaneKernel::Rot { sin, cos } = kernel {
                             scratch.sins.push(sin);
                             scratch.coss.push(cos);
                         }
                         scratch.kernels.push(kernel);
                     }
-                    if scratch.sins.len() == lanes {
-                        apply_pairs_rot(amps, pairs, &scratch.sins, &scratch.coss, config);
+                    if scratch.sins.len() == width {
+                        apply_pairs_rot(amps, lanes, pairs, &scratch.sins, &scratch.coss, config);
                     } else {
-                        apply_pairs_lanes(amps, pairs, &scratch.kernels, config);
+                        apply_pairs_lanes(amps, lanes, pairs, &scratch.kernels, config);
                     }
                 }
                 PlanStep::DiagPoly {
@@ -714,26 +736,30 @@ impl GatePlan {
                     value_idx,
                 } => {
                     scratch.thetas.clear();
-                    scratch.thetas.extend((0..lanes).map(|lane| {
+                    scratch.thetas.extend((0..width).map(|lane| {
                         let Gate::DiagPhase(_, theta) = gate_of(lane) else {
                             panic!("shape mismatch: expected a diagonal evolution");
                         };
                         *theta
                     }));
-                    apply_diag_lanes(
-                        amps,
-                        ranks,
-                        distinct,
-                        value_idx,
-                        &scratch.thetas,
-                        &mut scratch.factor_table,
-                        config,
-                    );
+                    apply_diag_lanes(amps, lanes, ranks, distinct, value_idx, scratch, config);
                 }
             }
             on_step(amps);
         }
+        join_lanes(amps, lanes, width, lanes);
     }
+}
+
+/// Copies lane 0 into lanes `from..to` of every row; returns `to`.
+fn join_lanes(amps: &mut [Complex64], lanes: usize, from: usize, to: usize) -> usize {
+    if from < to {
+        for row in amps.chunks_exact_mut(lanes) {
+            let lead = row[0];
+            row[from..to].fill(lead);
+        }
+    }
+    to
 }
 
 /// Lowers canonical pair sources (one per touched support entry) to one
@@ -866,13 +892,7 @@ impl LaneKernel {
         match gate {
             Gate::Cx(..) | Gate::Ccx(..) | Gate::Mcx { .. } | Gate::Swap(..) => LaneKernel::Swap,
             Gate::UBlock(_) | Gate::ShiftBlock(_) | Gate::XyMix(..) => {
-                let theta = match gate {
-                    Gate::UBlock(b) => b.angle,
-                    Gate::ShiftBlock(b) => b.angle,
-                    Gate::XyMix(_, _, t) => 2.0 * t,
-                    _ => unreachable!(),
-                };
-                let (sin, cos) = theta.sin_cos();
+                let (sin, cos) = rotation_angle(gate).expect("a rotation").sin_cos();
                 LaneKernel::Rot { sin, cos }
             }
             g => {
@@ -923,18 +943,28 @@ impl LaneKernel {
     }
 }
 
-/// Multiplies every listed rank's K lanes by the per-lane factors —
+/// The angle a commute-block rotation turns by (an XY-mixer's doubled).
+fn rotation_angle(gate: &Gate) -> Option<f64> {
+    match gate {
+        Gate::UBlock(b) => Some(b.angle),
+        Gate::ShiftBlock(b) => Some(b.angle),
+        Gate::XyMix(_, _, t) => Some(2.0 * t),
+        _ => None,
+    }
+}
+
+/// Multiplies the first lanes of every listed rank by the per-lane factors —
 /// unconditionally for a phase step, or skipping factors of exactly one
 /// (`skip_one`) for a diagonal 2×2. Workers chunk over ranks, so every
 /// `rank × lane` slot has exactly one writer.
 fn scale_lanes(
     amps: &mut [Complex64],
+    stride: usize,
     ranks: &[u32],
     factors: &[Complex64],
     skip_one: bool,
     config: &SimConfig,
 ) {
-    let lanes = factors.len();
     let ptr = AmpPtr(amps.as_mut_ptr());
     dispatch(config, ranks.len(), |range| {
         let base = ptr.get();
@@ -943,7 +973,7 @@ fn scale_lanes(
             // worker chunks partition the rank list, and each worker owns
             // all K lanes of its ranks.
             unsafe {
-                let row = base.add(r as usize * lanes);
+                let row = base.add(r as usize * stride);
                 for (lane, &f) in factors.iter().enumerate() {
                     if !skip_one || f != Complex64::ONE {
                         *row.add(lane) *= f;
@@ -960,28 +990,34 @@ fn scale_lanes(
 ///
 /// The transcendental work is hoisted out of the rank loop: `e^{-iθ·f}`
 /// is computed once per *distinct* polynomial value per lane into
-/// `table` (value-major, lanes contiguous), and the rank loop becomes a
+/// `scratch.factor_table` (value-major, lanes contiguous; a lane at the
+/// previous lane's angle copies its factor), and the rank loop becomes a
 /// contiguous row-by-row complex multiply. Structured cost polynomials
 /// repeat a handful of sums across the whole feasible set, so this
 /// replaces `|F|` sin/cos evaluations per lane with `|distinct|` — the
-/// factor bits are unchanged (equal `f` bits ⇒ equal `-θ·f` ⇒ equal
-/// `cis`).
+/// factor bits are unchanged (equal bits ⇒ equal `-θ·f` ⇒ equal `cis`).
 fn apply_diag_lanes(
     amps: &mut [Complex64],
+    stride: usize,
     ranks: &[u32],
     distinct: &[f64],
     value_idx: &[u32],
-    thetas: &[f64],
-    table: &mut Vec<Complex64>,
+    scratch: &mut BatchScratch,
     config: &SimConfig,
 ) {
     debug_assert_eq!(ranks.len(), value_idx.len());
+    let (thetas, table) = (&scratch.thetas, &mut scratch.factor_table);
     let lanes = thetas.len();
     table.clear();
     table.reserve(distinct.len() * lanes);
     for &f in distinct {
-        for &theta in thetas {
-            table.push(Complex64::cis(-theta * f));
+        for (lane, &theta) in thetas.iter().enumerate() {
+            let repeat = lane > 0 && theta.to_bits() == thetas[lane - 1].to_bits();
+            table.push(if repeat {
+                table[table.len() - 1]
+            } else {
+                Complex64::cis(-theta * f)
+            });
         }
     }
     let table = &*table;
@@ -992,7 +1028,7 @@ fn apply_diag_lanes(
             let factors = &table[fi as usize * lanes..fi as usize * lanes + lanes];
             // SAFETY: as in `scale_lanes`.
             unsafe {
-                let row = base.add(r as usize * lanes);
+                let row = base.add(r as usize * stride);
                 for (lane, &factor) in factors.iter().enumerate() {
                     *row.add(lane) *= factor;
                 }
@@ -1011,6 +1047,7 @@ fn apply_diag_lanes(
 /// worth of work). A serial replay (K = 1) is one single-lane pass.
 fn apply_pairs_rot(
     amps: &mut [Complex64],
+    stride: usize,
     pairs: &[[u32; 2]],
     sins: &[f64],
     coss: &[f64],
@@ -1029,10 +1066,10 @@ fn apply_pairs_rot(
             // The `K mod 4` leftover lanes take one pass of their width.
             start += unsafe {
                 match lanes - start {
-                    1 => rot_lanes::<1>(base, pairs, lanes, start, sins, coss),
-                    2 => rot_lanes::<2>(base, pairs, lanes, start, sins, coss),
-                    3 => rot_lanes::<3>(base, pairs, lanes, start, sins, coss),
-                    _ => rot_lanes::<BLOCK>(base, pairs, lanes, start, sins, coss),
+                    1 => rot_lanes::<1>(base, pairs, stride, start, sins, coss),
+                    2 => rot_lanes::<2>(base, pairs, stride, start, sins, coss),
+                    3 => rot_lanes::<3>(base, pairs, stride, start, sins, coss),
+                    _ => rot_lanes::<BLOCK>(base, pairs, stride, start, sins, coss),
                 }
             };
         }
@@ -1044,13 +1081,13 @@ fn apply_pairs_rot(
 ///
 /// # Safety
 ///
-/// Every pair's rows must be valid, distinct amplitude rows of `lanes`
-/// slots, with `start + W <= lanes`.
+/// Every pair's rows must be valid, distinct amplitude rows of `stride`
+/// slots, with `start + W <= stride`.
 #[inline(always)]
 unsafe fn rot_lanes<const W: usize>(
     base: *mut Complex64,
     pairs: &[[u32; 2]],
-    lanes: usize,
+    stride: usize,
     start: usize,
     sins: &[f64],
     coss: &[f64],
@@ -1058,8 +1095,8 @@ unsafe fn rot_lanes<const W: usize>(
     let s: [f64; W] = sins[start..start + W].try_into().expect("lane block");
     let c: [f64; W] = coss[start..start + W].try_into().expect("lane block");
     for p in pairs {
-        let row_a = base.add(p[0] as usize * lanes + start);
-        let row_b = base.add(p[1] as usize * lanes + start);
+        let row_a = base.add(p[0] as usize * stride + start);
+        let row_b = base.add(p[1] as usize * stride + start);
         for lane in 0..W {
             let (pa, pb) = (row_a.add(lane), row_b.add(lane));
             let (a, b) = (*pa, *pb);
@@ -1081,11 +1118,11 @@ unsafe fn rot_lanes<const W: usize>(
 /// (all-rotation batches take [`apply_pairs_rot`] instead).
 fn apply_pairs_lanes(
     amps: &mut [Complex64],
+    stride: usize,
     pairs: &[[u32; 2]],
     kernels: &[LaneKernel],
     config: &SimConfig,
 ) {
-    let lanes = kernels.len();
     let ptr = AmpPtr(amps.as_mut_ptr());
     dispatch(config, pairs.len(), |range| {
         let base = ptr.get();
@@ -1093,8 +1130,8 @@ fn apply_pairs_lanes(
             // SAFETY: pairs disjoint, ranks in-bounds; worker chunks
             // partition the pair list and own all K lanes of their pairs.
             unsafe {
-                let row_a = base.add(p[0] as usize * lanes);
-                let row_b = base.add(p[1] as usize * lanes);
+                let row_a = base.add(p[0] as usize * stride);
+                let row_b = base.add(p[1] as usize * stride);
                 for (lane, k) in kernels.iter().enumerate() {
                     let (pa, pb) = (row_a.add(lane), row_b.add(lane));
                     let (a, b) = k.apply(*pa, *pb);
@@ -1143,7 +1180,7 @@ mod tests {
         let start = plan.basis().start * k;
         amps[start..start + k].fill(Complex64::ONE);
         let scratch = &mut BatchScratch::default();
-        plan.execute(circuits, &mut amps, scratch, config, |_| {});
+        plan.execute(circuits, &[], &mut amps, scratch, config, |_| {});
         amps
     }
 

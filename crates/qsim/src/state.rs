@@ -23,7 +23,7 @@ use crate::gate::{Gate, ShiftBlock, UBlock};
 use crate::kernels;
 use crate::phasepoly::PhasePoly;
 use crate::simconfig::SimConfig;
-use choco_mathkit::Complex64;
+use choco_mathkit::{draw_slot, Complex64};
 use rand::Rng;
 
 /// A pure quantum state over `n` qubits (little-endian basis indexing:
@@ -502,8 +502,7 @@ impl StateVector {
         let mut counts = Counts::new();
         for _ in 0..shots {
             let r: f64 = rng.gen::<f64>() * total;
-            let idx = cumulative.partition_point(|&c| c < r);
-            counts.record(idx.min(self.amps.len() - 1) as u64);
+            counts.record(draw_slot(cumulative, r) as u64);
         }
         counts
     }
@@ -512,9 +511,7 @@ impl StateVector {
     /// building the cumulative table on the fly (one-off calls; use
     /// [`crate::SimWorkspace::sample`] to reuse the table across calls).
     pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
-        let mut cumulative = Vec::new();
-        self.fill_cumulative(&mut cumulative);
-        self.sample_with_cumulative(&cumulative, shots, rng)
+        crate::SimEngine::Dense(self).sample(shots, rng)
     }
 }
 

@@ -72,6 +72,15 @@ impl CircuitTemplate {
         &self.base
     }
 
+    /// The first slot whose parameter differs between `x` and `y` (as
+    /// bits) and its gate, before which their bound circuits agree.
+    pub(crate) fn first_change(&self, x: &[f64], y: &[f64]) -> Option<(usize, usize)> {
+        let differs =
+            |&(_, param, _): &(usize, usize, f64)| x[param].to_bits() != y[param].to_bits();
+        let slot = self.slots.iter().position(differs)?;
+        Some((slot, self.slots[slot].0))
+    }
+
     /// The circuit at `params`.
     pub fn bind(&self, params: &[f64]) -> Circuit {
         let mut circuit = self.base.clone();

@@ -23,6 +23,7 @@
 use crate::circuit::{asap_layer, Circuit};
 use crate::gate::{Gate, ShiftBlock};
 use choco_mathkit::{c64, Complex64};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Which entangling gate the target device supports natively.
@@ -128,11 +129,7 @@ pub fn transpile_into<S: GateSink>(
     opts: &TranspileOptions,
     sink: &mut S,
 ) -> Result<(), TranspileError> {
-    let mut lowering = Lowering {
-        n_qubits: circuit.n_qubits(),
-        opts,
-        sink,
-    };
+    let mut lowering = Lowering::new(circuit.n_qubits(), opts, sink);
     circuit.iter().try_for_each(|g| lowering.gate(g))
 }
 
@@ -140,6 +137,12 @@ pub fn transpile_into<S: GateSink>(
 pub trait GateSink {
     /// Takes the next basic gate.
     fn push(&mut self, g: Gate);
+
+    /// This sink as a [`StatsSink`], when it only counts: a lowering into
+    /// one replays repeated multi-controlled X gates from a summary.
+    fn stats(&mut self) -> Option<&mut StatsSink> {
+        None
+    }
 }
 
 impl GateSink for Circuit {
@@ -193,6 +196,64 @@ impl GateSink for StatsSink {
         self.two_qubit_gates += usize::from(matches!(g, Gate::Cx(..) | Gate::Cz(..)));
         self.depth = self.depth.max(asap_layer(&mut self.level, &g));
     }
+
+    fn stats(&mut self) -> Option<&mut StatsSink> {
+        Some(self)
+    }
+}
+
+/// One lowered multi-controlled X as a [`StatsSink`] sees it: its gate
+/// counts, the qubits it touches (of at most 32) and, per touched qubit
+/// `q`, `paths[q][i]`, one more than the longest gate path from qubit
+/// `i`'s entry to `q`'s last gate (0: none). ASAP depth is a longest
+/// path, so [`McxRecord::replay`] moves a sink's levels exactly as the
+/// gates would.
+#[derive(Default)]
+struct McxRecord {
+    paths: [[u32; 32]; 32],
+    qubits: Vec<usize>,
+    gates: usize,
+    two_qubit_gates: usize,
+}
+
+impl McxRecord {
+    /// Counts the recorded gates into `sink`, as if pushed one by one.
+    fn replay(&self, sink: &mut StatsSink) {
+        sink.gates += self.gates;
+        sink.two_qubit_gates += self.two_qubit_gates;
+        let mut next = [0; 32];
+        for &q in &self.qubits {
+            let path = |i: usize| self.paths[q][i] as usize;
+            let from = |&i: &usize| (path(i) > 0).then(|| sink.level[i] + path(i) - 1);
+            next[q] = self.qubits.iter().filter_map(from).max().unwrap_or(0);
+        }
+        for &q in &self.qubits {
+            sink.level[q] = next[q];
+            sink.depth = sink.depth.max(next[q]);
+        }
+    }
+}
+
+impl GateSink for McxRecord {
+    fn push(&mut self, g: Gate) {
+        self.gates += 1;
+        self.two_qubit_gates += usize::from(matches!(g, Gate::Cx(..) | Gate::Cz(..)));
+        let mut next = [0u32; 32];
+        g.for_each_qubit(|q| {
+            if !self.qubits.contains(&q) {
+                // A path of no gates from the qubit's own entry.
+                self.qubits.push(q);
+                self.paths[q][q] = 1;
+            }
+            for (a, &b) in next.iter_mut().zip(&self.paths[q]) {
+                *a = (*a).max(b);
+            }
+        });
+        for a in &mut next {
+            *a += u32::from(*a > 0);
+        }
+        g.for_each_qubit(|q| self.paths[q] = next);
+    }
 }
 
 /// One lowering pass. Every method writes its gates straight into the
@@ -202,6 +263,8 @@ struct Lowering<'a, S> {
     n_qubits: usize,
     opts: &'a TranspileOptions,
     sink: &'a mut S,
+    /// Counting sinks' lowered multi-controlled X, by `controls ++ [target]`.
+    memo: HashMap<Vec<usize>, McxRecord>,
 }
 
 /// The qubits of `qs` as a bit mask (circuits have at most 30 qubits).
@@ -209,7 +272,17 @@ fn mask(qs: &[usize]) -> u64 {
     qs.iter().fold(0, |m, &q| m | 1 << q)
 }
 
-impl<S: GateSink> Lowering<'_, S> {
+impl<'a, S: GateSink> Lowering<'a, S> {
+    fn new(n_qubits: usize, opts: &'a TranspileOptions, sink: &'a mut S) -> Self {
+        let memo = HashMap::new();
+        Lowering {
+            n_qubits,
+            opts,
+            sink,
+            memo,
+        }
+    }
+
     fn emit(&mut self, g: Gate) {
         self.sink.push(g);
     }
@@ -464,6 +537,9 @@ impl<S: GateSink> Lowering<'_, S> {
             }
             _ => {}
         }
+        if self.sink.stats().is_some() {
+            return self.mcx_counted(controls, target);
+        }
         let (spare, clean) = self.spare_qubits(mask(controls) | 1 << target);
         if clean >= m - 2 {
             // Toffoli chain with clean ancillas: compute the AND cascade,
@@ -503,6 +579,20 @@ impl<S: GateSink> Lowering<'_, S> {
                 gate: format!("mcx {controls:?} -> q{target}"),
             })
         }
+    }
+
+    /// [`Lowering::mcx`] into a counting sink: lowered once per key into
+    /// an [`McxRecord`] and replayed. The spare qubits a lowering picks
+    /// depend only on the key, so every occurrence lowers alike.
+    fn mcx_counted(&mut self, controls: &[usize], target: usize) -> Result<(), TranspileError> {
+        let key = [controls, &[target]].concat();
+        if !self.memo.contains_key(&key) {
+            let mut record = McxRecord::default();
+            Lowering::new(self.n_qubits, self.opts, &mut record).mcx(controls, target)?;
+            self.memo.insert(key.clone(), record);
+        }
+        self.memo[&key].replay(self.sink.stats().expect("a counting sink"));
+        Ok(())
     }
 
     /// The borrowed-ancilla V-chain (`m ≥ 3` controls, `m−2` ancillas in

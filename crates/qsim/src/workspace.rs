@@ -48,7 +48,7 @@ use crate::plan::{BatchScratch, CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig, DENSITY_THRESHOLD};
 use crate::state::StateVector;
 use crate::template::CircuitTemplate;
-use choco_mathkit::Complex64;
+use choco_mathkit::{strict_majority, Complex64, GuideTable};
 use rand::Rng;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -349,6 +349,8 @@ pub struct SimWorkspace {
     /// between them.
     plans: Arc<PlanCache>,
     cumulative: Vec<f64>,
+    /// The guide over `cumulative`.
+    guide: GuideTable,
     /// Monotone run counter; `cumulative_for` marks which run (if any) the
     /// sampling table was built from.
     run_stamp: u64,
@@ -361,6 +363,8 @@ pub struct SimWorkspace {
     /// Lane-parameter buffers of the compact replay, shared by
     /// [`SimWorkspace::run`] (one lane) and [`SimWorkspace::run_batch`].
     scratch: BatchScratch,
+    /// How the last template batch shares its candidates' prefix.
+    prefix: SharedPrefix,
     /// Lane circuits of the template with id `bound_id` (0: none), and
     /// the plan or refusal it resolved to on its first compact run.
     bound: Vec<Circuit>,
@@ -391,11 +395,13 @@ impl SimWorkspace {
             diag_cache: Vec::new(),
             plans,
             cumulative: Vec::new(),
+            guide: GuideTable::default(),
             run_stamp: 0,
             cumulative_for: u64::MAX,
             reallocations: 0,
             batch: CompactStateVector::default(),
             scratch: BatchScratch::default(),
+            prefix: SharedPrefix::default(),
             bound: Vec::new(),
             bound_id: 0,
             resolved: None,
@@ -509,7 +515,7 @@ impl SimWorkspace {
     /// template's first compact run and kept, so later runs skip the
     /// cache lookup and shape match and allocate nothing.
     pub fn run_template(&mut self, template: &CircuitTemplate, params: &[f64]) -> SimEngine<'_> {
-        self.bind(template, &[params]);
+        self.bind(template, std::iter::once(params));
         let plan = (self.config.engine == EngineKind::Compact).then(|| self.resolve());
         let bound = std::mem::take(&mut self.bound);
         let ran = self.execute(plan, &bound[0], |_| {});
@@ -520,11 +526,17 @@ impl SimWorkspace {
 
     /// Replays `template` at the first candidates of `xs` in one plan
     /// pass: as many as fit [`BATCH_BUFFER_BYTES`], at most
-    /// [`MAX_BATCH_LANES`] (the result's `lanes()`). Lane `i` reads
-    /// exactly what `run_template` of `xs[i]` would. `None` when
-    /// batching does not apply: a dense engine, no candidates, a refused
-    /// shape, or a plan too wide for two lanes. The serial state is
-    /// untouched.
+    /// [`MAX_BATCH_LANES`] lanes (the result's `lanes()` counts
+    /// candidates). Lane `i` reads exactly what `run_template` of `xs[i]`
+    /// would. `None` when batching does not apply: a dense engine, no
+    /// candidates, a refused shape, or a plan too wide for two lanes. The
+    /// serial state is untouched.
+    ///
+    /// Lanes share a prefix. Each parameter's strict-majority value (an
+    /// optimizer's simplex or rebuild centre) makes the reference, which
+    /// leads: as the candidate equal to it, else as an extra lane when a
+    /// candidate shares a prefix with it. The others join at their first
+    /// changed slot with the lead's amplitudes ([`GatePlan::execute`]).
     pub fn run_template_batch<P: AsRef<[f64]>>(
         &mut self,
         template: &CircuitTemplate,
@@ -533,32 +545,40 @@ impl SimWorkspace {
         if xs.is_empty() || self.config.engine != EngineKind::Compact {
             return None;
         }
-        self.bind(template, &xs[..1]);
+        self.bind(template, std::iter::once(xs[0].as_ref()));
         let plan = self.resolve().ok()?;
         let lanes = BATCH_BUFFER_BYTES / (plan.basis().bits.len() * 16).max(1);
         if lanes < 2 {
             return None;
         }
-        let chunk = &xs[..xs.len().min(lanes).min(MAX_BATCH_LANES)];
-        self.bind(template, chunk);
-        let bound = &self.bound[..chunk.len()];
+        let mut prefix = std::mem::take(&mut self.prefix);
+        let taken = prefix.arrange(template, xs, lanes.min(MAX_BATCH_LANES));
+        let chunk = &xs[..taken];
+        let lane_x = |&(_, c): &(usize, Option<usize>)| {
+            c.map_or(&prefix.reference[..], |c| chunk[c].as_ref())
+        };
+        self.bind(template, prefix.lanes.iter().map(lane_x));
+        let bound = &self.bound[..prefix.lanes.len()];
+        let (scratch, config) = (&mut self.scratch, &self.config);
         self.batch
-            .replay(&plan, bound, &mut self.scratch, &self.config, |_| {});
+            .replay(&plan, bound, &prefix.starts, scratch, config, |_| {});
+        self.batch.order.clone_from(&prefix.order);
+        self.prefix = prefix;
         Some(&self.batch)
     }
 
     /// Binds `xs` into the lane circuits, cloned once per template.
-    fn bind<P: AsRef<[f64]>>(&mut self, template: &CircuitTemplate, xs: &[P]) {
-        if self.bound_id != template.id {
+    fn bind<'x>(&mut self, t: &CircuitTemplate, xs: impl ExactSizeIterator<Item = &'x [f64]>) {
+        if self.bound_id != t.id {
             self.bound.clear();
-            self.bound_id = template.id;
+            self.bound_id = t.id;
             self.resolved = None;
         }
         while self.bound.len() < xs.len() {
-            self.bound.push(template.circuit().clone());
+            self.bound.push(t.circuit().clone());
         }
         for (circuit, x) in self.bound.iter_mut().zip(xs) {
-            template.bind_into(x.as_ref(), circuit);
+            t.bind_into(x, circuit);
         }
     }
 
@@ -630,8 +650,8 @@ impl SimWorkspace {
         self.engine.as_ref().map(Held::view)
     }
 
-    /// Samples from the last run's state, building the cumulative table at
-    /// most once per run (repeat calls reuse it).
+    /// Samples from the last run's state, building the cumulative table
+    /// and its guide at most once per run (repeat calls reuse them).
     ///
     /// # Panics
     ///
@@ -641,9 +661,10 @@ impl SimWorkspace {
         let engine = held.view();
         if self.cumulative_for != self.run_stamp {
             engine.fill_cumulative(&mut self.cumulative);
+            self.guide.build(&self.cumulative);
             self.cumulative_for = self.run_stamp;
         }
-        engine.sample_with_cumulative(&self.cumulative, shots, rng)
+        engine.sample_guided(&self.cumulative, &mut self.guide, shots, rng)
     }
 
     /// Replays K same-shape circuits in one pass over the cached gate
@@ -670,8 +691,9 @@ impl SimWorkspace {
         if !circuits.iter().all(|c| plan.shape().matches(c)) {
             return None;
         }
+        let (scratch, config) = (&mut self.scratch, &self.config);
         self.batch
-            .replay(&plan, circuits, &mut self.scratch, &self.config, |_| {});
+            .replay(&plan, circuits, &[], scratch, config, |_| {});
         Some(&self.batch)
     }
 
@@ -700,7 +722,67 @@ impl SimWorkspace {
             unreachable!("engine set to compact above");
         };
         let circuits = std::slice::from_ref(circuit);
-        state.replay(plan, circuits, &mut self.scratch, &self.config, on_step);
+        let (scratch, config) = (&mut self.scratch, &self.config);
+        state.replay(plan, circuits, &[], scratch, config, on_step);
+    }
+}
+
+/// A template batch's layout: the reference, each lane's `(step,
+/// candidate)` (lead first; `None`: the reference), the steps alone, and
+/// each candidate's lane. Buffers are kept across batches.
+#[derive(Debug, Default)]
+struct SharedPrefix {
+    reference: Vec<f64>,
+    lanes: Vec<(usize, Option<usize>)>,
+    starts: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl SharedPrefix {
+    /// Lays out the lanes for the first candidates of `xs` that fit
+    /// `cap` lanes and returns how many it took.
+    fn arrange<P: AsRef<[f64]>>(&mut self, t: &CircuitTemplate, xs: &[P], cap: usize) -> usize {
+        let chunk = &xs[..xs.len().min(cap)];
+        let x = |c: usize| chunk[c].as_ref();
+        let majority = |j: usize| {
+            let bits = (0..chunk.len()).map(|c| x(c)[j].to_bits());
+            strict_majority(bits).map_or(x(0)[j], f64::from_bits)
+        };
+        self.reference.clear();
+        self.reference.extend((0..x(0).len()).map(majority));
+        // A candidate that shares a prefix with the reference joins at the
+        // gate of its first changed slot, after the last gate when it
+        // changes none; the others replay from the top.
+        let steps = t.circuit().len();
+        let join = |c: usize| match t.first_change(x(c), &self.reference) {
+            None => steps,
+            Some((0, _)) => 0,
+            Some((_, gate)) => gate,
+        };
+        self.lanes.clear();
+        self.lanes
+            .extend((0..chunk.len()).map(|c| (join(c), Some(c))));
+        let lead = match self.lanes.iter().find(|j| j.0 == steps) {
+            Some(&(_, c)) => c,
+            None if self.lanes.iter().any(|j| j.0 > 0) => None,
+            // Nothing shared: an ordinary batch.
+            None => Some(0),
+        };
+        let taken = lead.map_or(chunk.len().min(cap - 1), |_| chunk.len());
+        self.lanes.truncate(taken);
+        self.lanes.retain(|j| j.1 != lead);
+        self.lanes.sort_unstable();
+        self.lanes.insert(0, (0, lead));
+        self.starts.clear();
+        self.starts.extend(self.lanes.iter().map(|j| j.0));
+        self.order.clear();
+        self.order.resize(taken, 0);
+        for (lane, &(_, c)) in self.lanes.iter().enumerate() {
+            if let Some(c) = c {
+                self.order[c] = lane;
+            }
+        }
+        taken
     }
 }
 
@@ -874,6 +956,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let cached = ws.sample(3_000, &mut rng);
         assert_eq!(direct, cached);
+    }
+
+    /// A draw of exactly zero records the first outcome of positive
+    /// probability on both engines and on every sampling route, never
+    /// `|0…0⟩` when it has probability zero.
+    #[test]
+    fn a_zero_draw_records_a_possible_outcome() {
+        struct ZeroRng;
+        impl Rng for ZeroRng {
+            fn next_u64(&mut self) -> u64 {
+                0
+            }
+        }
+        let mut circuit = Circuit::new(3);
+        circuit.load_bits(0b110).ry(0, 0.7);
+        let want: Counts = [0b110; 5].into_iter().collect();
+        for engine in [EngineKind::Dense, EngineKind::Compact] {
+            let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(engine));
+            assert_eq!(ws.run(&circuit).sample(5, &mut ZeroRng), want, "{engine}");
+            assert_eq!(ws.sample(5, &mut ZeroRng), want, "{engine} workspace");
+        }
     }
 
     #[test]
@@ -1197,9 +1300,15 @@ mod tests {
                 got.expectation_diag_poly(&poly),
                 state.expectation_diag_poly(&poly),
             );
-            let (mut ca, mut cb) = (Vec::new(), Vec::new());
-            got.fill_cumulative(&mut ca);
-            state.fill_cumulative(&mut cb);
+            let cumulative = |engine: SimEngine<'_>| {
+                let mut table = Vec::new();
+                match engine {
+                    SimEngine::Dense(s) => s.fill_cumulative(&mut table),
+                    SimEngine::Compact(l) => l.fill_cumulative(&mut table),
+                }
+                table
+            };
+            let (ca, cb) = (cumulative(got), cumulative(state));
             let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&ca), bits(&cb), "lane={lane} cumulative table");
             let mut ra = StdRng::seed_from_u64(19);

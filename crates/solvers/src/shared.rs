@@ -356,7 +356,7 @@ pub fn variational_loop(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let counts = match &config.noise {
         None => {
-            workspace.run(&final_circuit);
+            workspace.run_template(template, &result.best_params);
             workspace.sample(config.shots, &mut rng)
         }
         Some(noise) => sample_transpiled_noisy(

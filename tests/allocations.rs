@@ -6,7 +6,8 @@
 //! candidates — must allocate nothing: no circuit, no gate, no state,
 //! no lane buffer. Checked on both engines, for a Choco-Q template that
 //! replays its compact plan and a penalty-QAOA template whose compact
-//! plan refuses and runs dense. A support walk too wide for any engine
+//! plan refuses and runs dense, and for a Choco-Q rebuild group whose
+//! batches share a prefix. A support walk too wide for any engine
 //! must fail before it allocates a dense buffer.
 
 use choco_q::core::{ChocoQSolver, CommuteDriver};
@@ -120,6 +121,41 @@ fn template_evaluations_allocate_nothing_after_warmup() {
             assert_eq!(batched, 0, "{name} {engine}: 100 batched groups");
         }
     }
+}
+
+#[test]
+fn a_warm_rebuild_group_allocates_nothing() {
+    // COBYLA's geometry rebuild: the centre moved along each axis, the
+    // centre itself not among the candidates. Its batches replay the
+    // centre as an extra lead lane that the others join mid-circuit.
+    let problem = ProblemRef::parse("K3").unwrap().build(1).unwrap();
+    let driver = CommuteDriver::build(problem.constraints()).unwrap();
+    let initial = driver.encode_state(problem.first_feasible().unwrap());
+    let terms = driver.ordered_terms(initial);
+    let poly = Arc::new(problem.cost_poly());
+    let template = ChocoQSolver::template(&driver, &poly, &terms, initial, 2);
+    let n_params = ChocoQSolver::n_params(2, terms.len());
+    let centre = ChocoQSolver::initial_params(2, terms.len());
+    let rebuild: Vec<Vec<f64>> = (0..n_params)
+        .map(|i| {
+            let mut x = centre.clone();
+            x[i] += 0.3;
+            x
+        })
+        .collect();
+    let cost = CostSpec::Poly(&poly);
+    let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+    assert!(
+        ws.run_template_batch(&template, &rebuild).is_some(),
+        "K3 batches"
+    );
+    eval_group(&mut ws, &template, &cost, &rebuild);
+    let bytes = allocated_by(|| {
+        for _ in 0..100 {
+            eval_group(&mut ws, &template, &cost, &rebuild);
+        }
+    });
+    assert_eq!(bytes, 0, "100 rebuild groups of {n_params} candidates");
 }
 
 #[test]

@@ -479,3 +479,67 @@ fn template_runs_match_bound_circuit_runs_bitwise() {
         }
     }
 }
+
+/// The candidate groups an optimizer batches, around a random centre:
+/// COBYLA's and Nelder–Mead's initial simplex (the centre, then the
+/// centre moved along one axis per candidate), a COBYLA geometry rebuild
+/// (the moved points without the centre), and unrelated points. Axes
+/// repeat once `k` passes the parameter count, so groups hold duplicates.
+fn candidate_groups(rng: &mut SplitMix64, n_params: usize, k: usize) -> [(&str, Vec<Vec<f64>>); 3] {
+    let centre = random_params(rng, n_params);
+    let moved = |i: usize| {
+        let mut x = centre.clone();
+        x[i % n_params] += 0.25;
+        x
+    };
+    let simplex = std::iter::once(centre.clone()).chain((0..k - 1).map(moved));
+    [
+        ("simplex", simplex.collect()),
+        ("rebuild", (0..k).map(moved).collect()),
+        (
+            "random",
+            (0..k).map(|_| random_params(rng, n_params)).collect(),
+        ),
+    ]
+}
+
+/// Template batches share their candidates' common prefix: the group's
+/// lead lane replays it once and every other lane joins at its first
+/// changed parameter. Each lane must still read the bits of a serial
+/// `run_template` of its own candidate, for every group shape at
+/// K ∈ {1, 2, 3, 16, 17} (17 spills into a second chunk), on every
+/// solver's template.
+#[test]
+fn shared_prefix_lanes_match_serial_template_runs_bitwise() {
+    let mut rng = SplitMix64::new(0x5A4E);
+    let config = SimConfig::serial().with_engine(EngineKind::Compact);
+    for (name, template, n_params, _) in template_cases() {
+        let mut batched = SimWorkspace::new(config);
+        let mut serial = SimWorkspace::new(config);
+        for k in [1usize, 2, 3, 16, 17] {
+            for (shape, xs) in candidate_groups(&mut rng, n_params, k) {
+                let want: Vec<_> = (xs.iter())
+                    .map(|x| amplitude_bits(serial.run_template(&template, x)))
+                    .collect();
+                let mut done = 0;
+                while done < k {
+                    let Some(batch) = batched.run_template_batch(&template, &xs[done..]) else {
+                        let refused = serial.run_template(&template, &xs[0]).as_dense().is_some();
+                        assert!(refused, "{name} {shape} K={k}: compact plan declined");
+                        break;
+                    };
+                    if shape == "rebuild" && k == 16 && done == 0 {
+                        // The centre is no candidate: it leads as an extra lane.
+                        assert_eq!(batch.lanes(), 15, "{name}: the reference lane");
+                    }
+                    for lane in 0..batch.lanes() {
+                        let got = amplitude_bits(batch.lane(lane));
+                        let at = done + lane;
+                        assert!(got == want[at], "{name} {shape} K={k} candidate {at}");
+                    }
+                    done += batch.lanes();
+                }
+            }
+        }
+    }
+}

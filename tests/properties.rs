@@ -86,6 +86,23 @@ fn arb_mixed_system() -> impl Strategy<Value = LinSystem> {
     })
 }
 
+/// [`arb_lowering_case`] played twice, the second time in reverse order
+/// after a few Hadamards, so every structured gate repeats at other
+/// qubit levels: a counting lowering applies its cached summary there.
+fn arb_repeated_lowering_case() -> impl Strategy<Value = (Circuit, TranspileOptions)> {
+    (arb_lowering_case(), any::<u64>()).prop_map(|((circuit, opts), seed)| {
+        let mut rng = SplitMix64::new(seed);
+        let mut repeated = circuit.clone();
+        for _ in 0..rng.gen_range(0, 4) {
+            repeated.h(rng.gen_range(0, circuit.n_qubits() as u64) as usize);
+        }
+        for gate in circuit.gates().iter().rev() {
+            repeated.push(gate.clone());
+        }
+        (repeated, opts)
+    })
+}
+
 /// A random circuit over every gate kind the lowering handles. Gates act
 /// on the `n_data` low qubits; the `n_anc` qubits above them are the clean
 /// ancillas, and data qubits a gate leaves idle are borrowable. Without
@@ -236,6 +253,52 @@ proptest! {
             lowered_stats(&circuit, &opts, true),
             lowered_stats(&circuit, &opts, false)
         );
+    }
+
+    /// The same with every structured gate repeated: a repeat counts
+    /// through the summary the first lowering left, in either basis.
+    #[test]
+    fn repeated_lowerings_count_as_materialized((circuit, opts) in arb_repeated_lowering_case()) {
+        prop_assert_eq!(
+            lowered_stats(&circuit, &opts, true),
+            lowered_stats(&circuit, &opts, false)
+        );
+    }
+}
+
+/// The statistics Choco-Q reports for every suite class at seeds 1–4:
+/// its circuits (basis and extended drivers, one layer) widened by the
+/// two clean ancillas of Lemma 2 repeat the same multi-controlled X
+/// lowerings hundreds of times, and the counting sink's cached summaries
+/// must count them as the materialized lowering does.
+#[test]
+fn suite_circuit_stats_equal_the_materialized_lowering() {
+    use choco_q::core::ChocoQSolver;
+    use choco_q::problems::{ALL_CLASSES, NATIVE_CLASSES};
+    for class in ALL_CLASSES.iter().chain(&NATIVE_CLASSES) {
+        for seed in 1..=4 {
+            let problem = choco_q::problems::instance(class, seed);
+            let constraints = problem.constraints();
+            let basis = CommuteDriver::build(constraints).unwrap();
+            let extended = basis.extended(constraints, 6, 48);
+            let poly = Arc::new(problem.cost_poly());
+            for driver in [&basis, &extended] {
+                let initial = driver.encode_state(problem.first_feasible().unwrap());
+                let terms = driver.ordered_terms(initial);
+                let params = ChocoQSolver::initial_params(1, terms.len());
+                let circuit =
+                    ChocoQSolver::build_circuit(driver, &poly, &terms, initial, 1, &params);
+                let n = circuit.n_qubits();
+                let wide = circuit.widened(n + 2);
+                let opts = TranspileOptions::with_ancillas(vec![n, n + 1]);
+                assert_eq!(
+                    lowered_stats(&wide, &opts, true),
+                    lowered_stats(&wide, &opts, false),
+                    "{class} seed {seed}, {} terms",
+                    driver.len()
+                );
+            }
+        }
     }
 }
 
