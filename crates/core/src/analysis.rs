@@ -1,7 +1,7 @@
 //! Circuit-level analyses used by the evaluation section.
 
 use crate::driver::CommuteDriver;
-use choco_qsim::{transpile, Circuit, TranspileOptions};
+use choco_qsim::{transpile_into, Circuit, StatsSink, TranspileOptions};
 use std::time::{Duration, Instant};
 
 /// Cost of lowering the full serialized driver via Lemma 2 — the Choco-Q
@@ -14,13 +14,13 @@ pub struct Lemma2Stats {
     pub gates: usize,
     /// Transpiled circuit depth.
     pub depth: usize,
-    /// Approximate working memory: the gate list itself (the lowering
-    /// never materializes a matrix).
+    /// Approximate working memory: the gate list a materialized lowering
+    /// would hold (the lowering never materializes a matrix).
     pub memory_bytes: usize,
 }
 
 /// Lowers `Π_u e^{-iβHc(u)}` to basic gates with the paper's two clean
-/// ancillas and reports cost.
+/// ancillas and reports cost, counted by a [`StatsSink`].
 ///
 /// # Panics
 ///
@@ -32,14 +32,15 @@ pub fn lemma2_stats(driver: &CommuteDriver, beta: f64) -> Lemma2Stats {
     for block in driver.ublocks(beta) {
         circuit.ublock(block);
     }
-    let lowered = transpile(&circuit, &TranspileOptions::with_ancillas(vec![n, n + 1]))
+    let options = TranspileOptions::with_ancillas(vec![n, n + 1]);
+    let mut lowered = StatsSink::new(n + 2);
+    transpile_into(&circuit, &options, &mut lowered)
         .expect("two clean ancillas always suffice for Lemma 2");
-    let time = t0.elapsed();
     Lemma2Stats {
-        time,
-        gates: lowered.len(),
+        time: t0.elapsed(),
+        gates: lowered.gates(),
         depth: lowered.depth(),
-        memory_bytes: lowered.len() * std::mem::size_of::<choco_qsim::Gate>(),
+        memory_bytes: lowered.gates() * std::mem::size_of::<choco_qsim::Gate>(),
     }
 }
 
@@ -99,6 +100,27 @@ mod tests {
         // monotone non-decreasing for this circuit
         for w in profile.windows(2) {
             assert!(w[1] >= w[0]);
+        }
+    }
+
+    #[test]
+    fn lemma2_stats_equal_the_materialized_lowering() {
+        for n in 2..=16 {
+            let driver = ring_driver(n);
+            let stats = lemma2_stats(&driver, 0.5);
+            let mut circuit = Circuit::new(n + 2);
+            for block in driver.ublocks(0.5) {
+                circuit.ublock(block);
+            }
+            let options = choco_qsim::TranspileOptions::with_ancillas(vec![n, n + 1]);
+            let lowered = choco_qsim::transpile(&circuit, &options).unwrap();
+            assert_eq!(
+                (stats.gates, stats.depth),
+                (lowered.len(), lowered.depth()),
+                "n = {n}"
+            );
+            let bytes = lowered.len() * std::mem::size_of::<choco_qsim::Gate>();
+            assert_eq!(stats.memory_bytes, bytes, "n = {n}");
         }
     }
 

@@ -253,8 +253,8 @@ impl CommuteDriver {
 
     /// Builds an *extended* driver: the kernel basis plus every further
     /// canonical ternary kernel vector with support ≤ `max_support`, up to
-    /// `cap` terms total, ordered by support size and, within one support,
-    /// as [`LinSystem::enumerate_ternary_kernel`] lists them.
+    /// `cap` terms total, in [`LinSystem::sparse_ternary_kernel`]'s order
+    /// (by support, then lexicographically).
     ///
     /// The paper's Eq. (5) sums over *all* solutions of `C u = 0`; the
     /// extra terms are redundant for spanning the feasible graph but give
@@ -520,19 +520,6 @@ impl CommuteDriver {
         self.ordered_terms(initial)
             .iter()
             .map(|t| self.gate_of(t, beta))
-            .collect()
-    }
-
-    /// [`CommuteDriver::ublocks`] in the reachability order of
-    /// [`CommuteDriver::ordered_terms`] (equality-only drivers).
-    pub fn ublocks_ordered(&self, beta: f64, initial: u64) -> Vec<UBlock> {
-        assert!(
-            self.registers.is_empty(),
-            "ublocks_ordered() requires an equality-only driver; use gates_ordered()"
-        );
-        self.ordered_terms(initial)
-            .iter()
-            .map(|t| UBlock::from_u_with_angle(&t.u, beta))
             .collect()
     }
 

@@ -33,7 +33,7 @@ use choco_qsim::{
     MAX_QUBITS,
 };
 use choco_solvers::shared::{
-    check_size_for, circuit_stats, variational_loop, CostSpec, QaoaConfig, MAX_SIM_QUBITS,
+    check_size_for, circuit_stats, variational_loop, CostSpec, QaoaConfig,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -449,9 +449,9 @@ impl ChocoQSolver {
             drivers.push(basis);
             // The cost table spans the *encoded* register (the polynomial
             // ignores the slack bits, so the table just tiles); sampled
-            // encoded bitstrings index it directly.
-            let cost_values = (tabulate && encoded <= MAX_SIM_QUBITS)
-                .then(|| cost_poly.values_table(1 << encoded));
+            // encoded bitstrings index it directly. The dense size gate
+            // above bounds its width.
+            let cost_values = tabulate.then(|| cost_poly.values_table(1 << encoded));
             branches.push(Branch {
                 assignment: b.assignment,
                 encoded,

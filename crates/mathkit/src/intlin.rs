@@ -403,43 +403,19 @@ impl LinSystem {
         }
     }
 
-    /// Enumerates canonical ternary kernel vectors: `u ∈ {-1,0,1}^n`,
-    /// `C u = 0`, `u ≠ 0`, first non-zero entry `+1` (which also removes the
-    /// `u ↔ -u` duplicates — `Hc(u) = Hc(-u)`). At most `cap` results.
+    /// Canonical ternary kernel vectors — `u ∈ {-1,0,1}^n`, `C u = 0`,
+    /// `u ≠ 0`, first non-zero entry `+1` (which also removes the `u ↔ -u`
+    /// duplicates: `Hc(u) = Hc(-u)`) — with at most `max_support` non-zero
+    /// entries: the first `count` of them that `keep` maps to `Some`.
+    ///
+    /// Order: by support, and within one support lexicographically with
+    /// `0 < +1 < −1` per entry, first variable most significant (the order
+    /// a depth-first search meets them when it tries each entry as `0`,
+    /// then `+1`, then `−1`).
     ///
     /// Only the equality rows participate: inequality rows are absorbed by
     /// slack registers at the driver layer, whose shifts follow from these
     /// same kernel directions.
-    pub fn enumerate_ternary_kernel(&self, cap: usize) -> Vec<Vec<i8>> {
-        let n = self.n_vars;
-        let m = self.eqs.len();
-        let coeff = self.dense_matrix();
-        let mut suf_abs = vec![vec![0i64; m]; n + 1];
-        for i in (0..n).rev() {
-            for e in 0..m {
-                suf_abs[i][e] = suf_abs[i + 1][e] + coeff[e][i].abs();
-            }
-        }
-        let mut out = Vec::new();
-        let mut residual = vec![0i64; m];
-        let mut u = vec![0i8; n];
-        self.dfs_ternary_rec(
-            0,
-            false,
-            &coeff,
-            &suf_abs,
-            &mut residual,
-            &mut u,
-            cap,
-            &mut out,
-        );
-        out
-    }
-
-    /// The first `count` canonical ternary kernel vectors of
-    /// [`LinSystem::enumerate_ternary_kernel`] with at most `max_support`
-    /// non-zero entries that `keep` maps to `Some`: ordered by support
-    /// and, within one support, as that method lists them.
     ///
     /// One depth-first pass collects the kept vectors with their supports
     /// and stably sorts them by support at the end. Once the supports up
@@ -528,61 +504,6 @@ impl LinSystem {
         });
         found.sort_by_key(|&(support, _)| support);
         found.into_iter().take(count).map(|(_, t)| t).collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs_ternary_rec(
-        &self,
-        i: usize,
-        signed: bool,
-        coeff: &[Vec<i64>],
-        suf_abs: &[Vec<i64>],
-        residual: &mut Vec<i64>,
-        u: &mut Vec<i8>,
-        cap: usize,
-        out: &mut Vec<Vec<i8>>,
-    ) {
-        if out.len() >= cap {
-            return;
-        }
-        let m = self.eqs.len();
-        if i == self.n_vars {
-            if signed && residual.iter().all(|&r| r == 0) {
-                out.push(u.clone());
-            }
-            return;
-        }
-        for e in 0..m {
-            if residual[e].abs() > suf_abs[i][e] {
-                return;
-            }
-        }
-        // Until the first non-zero entry, only {0, +1} keeps `u` canonical.
-        let domain: &[i8] = if signed { &[0, 1, -1] } else { &[0, 1] };
-        for &val in domain {
-            u[i] = val;
-            if val != 0 {
-                for e in 0..m {
-                    residual[e] += coeff[e][i] * val as i64;
-                }
-            }
-            self.dfs_ternary_rec(
-                i + 1,
-                signed || val != 0,
-                coeff,
-                suf_abs,
-                residual,
-                u,
-                cap,
-                out,
-            );
-            if val != 0 {
-                for e in 0..m {
-                    residual[e] -= coeff[e][i] * val as i64;
-                }
-            }
-            u[i] = 0;
-        }
     }
 }
 
@@ -705,7 +626,8 @@ impl fmt::Display for KernelBasisError {
 
 impl std::error::Error for KernelBasisError {}
 
-/// Cap on DFS enumeration inside [`ternary_kernel_basis`]'s fallback path.
+/// Cap on the candidates of [`ternary_kernel_basis`]'s fallback path (the
+/// smallest supports are kept).
 const KERNEL_ENUM_CAP: usize = 200_000;
 
 /// Computes a `{-1,0,1}` basis of the kernel of `C` — the Δ set that defines
@@ -769,8 +691,7 @@ pub fn ternary_kernel_basis(system: &LinSystem) -> Result<TernaryKernelBasis, Ke
     }
 
     // Fallback: enumerate and greedily span, smallest support first.
-    let mut candidates = system.enumerate_ternary_kernel(KERNEL_ENUM_CAP);
-    candidates.sort_by_key(|u| u.iter().filter(|&&x| x != 0).count());
+    let candidates = system.sparse_ternary_kernel(n, KERNEL_ENUM_CAP, |u| Some(u.to_vec()));
     let mut tracker = SpanTracker::new();
     let mut chosen = Vec::new();
     for u in candidates {
@@ -1030,7 +951,7 @@ mod tests {
     #[test]
     fn ternary_kernel_solutions_annihilate() {
         let sys = paper_system();
-        let kernel = sys.enumerate_ternary_kernel(1000);
+        let kernel = sys.sparse_ternary_kernel(4, 1000, |u| Some(u.to_vec()));
         assert!(!kernel.is_empty());
         for u in &kernel {
             for eq in sys.eqs() {
@@ -1046,7 +967,7 @@ mod tests {
         // Kernel dim = 2; ternary points in the kernel (canonical):
         // (1,-1,1,0), (0,-1,0,1)  [basis]  and (1,0,1,-1) [their sum].
         let sys = paper_system();
-        let kernel = sys.enumerate_ternary_kernel(1000);
+        let kernel = sys.sparse_ternary_kernel(4, 1000, |u| Some(u.to_vec()));
         assert_eq!(kernel.len(), 3);
         assert!(kernel.contains(&vec![1, -1, 1, 0]));
         // canonical form of the paper's u2 = (0,-1,0,1):

@@ -102,7 +102,8 @@ impl Problem {
             equalities: Vec::new(),
             inequalities: Vec::new(),
             name: String::new(),
-            error: None,
+            // Terms on a too-wide problem are not recorded: `build` fails.
+            error: (n_vars > 63).then_some(ProblemError::TooManyVariables(n_vars)),
         }
     }
 
@@ -287,29 +288,32 @@ impl ProblemBuilder {
 
     /// Adds `w · x_i` to the objective.
     pub fn linear(mut self, i: usize, w: f64) -> Self {
-        if i < self.n_vars {
+        if self.check_term(i, i) {
             self.objective.add_linear(i, w);
-        } else if self.error.is_none() {
-            self.error = Some(ProblemError::VariableOutOfRange {
-                var: i,
-                n_vars: self.n_vars,
-            });
         }
         self
     }
 
     /// Adds `w · x_i · x_j` to the objective.
     pub fn quadratic(mut self, i: usize, j: usize, w: f64) -> Self {
-        if i < self.n_vars && j < self.n_vars {
+        if self.check_term(i, j) {
             self.objective.add_quadratic(i, j, w);
-        } else if self.error.is_none() {
-            let var = if i >= self.n_vars { i } else { j };
-            self.error = Some(ProblemError::VariableOutOfRange {
-                var,
-                n_vars: self.n_vars,
-            });
         }
         self
+    }
+
+    /// Whether an objective term on `x_i`, `x_j` may be recorded: no
+    /// earlier error and both in range (else the first error is kept).
+    fn check_term(&mut self, i: usize, j: usize) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        if i.max(j) >= self.n_vars {
+            let var = if i >= self.n_vars { i } else { j };
+            let n_vars = self.n_vars;
+            self.error = Some(ProblemError::VariableOutOfRange { var, n_vars });
+        }
+        self.error.is_none()
     }
 
     /// Adds an equality constraint `Σ coeff·x_var = rhs`.
@@ -354,9 +358,6 @@ impl ProblemBuilder {
     /// variables. (Feasibility is *not* checked here; solvers report
     /// [`ProblemError::Infeasible`] when relevant.)
     pub fn build(self) -> Result<Problem, ProblemError> {
-        if self.n_vars > 63 {
-            return Err(ProblemError::TooManyVariables(self.n_vars));
-        }
         if let Some(err) = self.error {
             return Err(err);
         }
@@ -485,6 +486,15 @@ mod tests {
     fn builder_rejects_too_many_vars() {
         let err = Problem::builder(64).build().unwrap_err();
         assert_eq!(err, ProblemError::TooManyVariables(64));
+        // Terms past the 63-bit objective are rejected at `build`, not
+        // by an out-of-range panic while the problem is assembled.
+        let err = Problem::builder(80)
+            .linear(70, 1.0)
+            .quadratic(3, 75, 2.0)
+            .equality([(79, 1)], 1)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ProblemError::TooManyVariables(80));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 
 use crate::circuit::Circuit;
 use crate::counts::Counts;
+use crate::engine::SimEngine;
 use crate::gate::Gate;
 use crate::simconfig::SimConfig;
 use crate::state::StateVector;
+use choco_mathkit::GuideTable;
 use rand::Rng;
 
 /// Per-gate and readout error rates.
@@ -107,18 +109,20 @@ impl NoiseModel {
         let mut counts = Counts::new();
         let base = shots / trajectories as u64;
         let remainder = shots % trajectories as u64;
-        // One amplitude buffer and one cumulative table serve every
-        // trajectory — no per-trajectory allocation.
+        // One amplitude buffer, one cumulative table and one guide serve
+        // every trajectory — no per-trajectory allocation.
         let mut state = StateVector::new_with(circuit.n_qubits(), config);
-        let mut cumulative = Vec::new();
+        let (mut cumulative, mut guide) = (Vec::new(), GuideTable::default());
         for t in 0..trajectories {
             let traj_shots = base + if (t as u64) < remainder { 1 } else { 0 };
             if traj_shots == 0 {
                 continue;
             }
             self.run_trajectory_into(circuit, &mut state, rng);
-            state.fill_cumulative(&mut cumulative);
-            let clean = state.sample_with_cumulative(&cumulative, traj_shots, rng);
+            let engine = SimEngine::Dense(&state);
+            engine.fill_cumulative(&mut cumulative);
+            guide.build(&cumulative);
+            let clean = engine.sample_guided(&cumulative, &mut guide, traj_shots, rng);
             if self.readout == 0.0 {
                 counts.merge(&clean);
             } else {
@@ -132,17 +136,10 @@ impl NoiseModel {
         counts
     }
 
-    /// One noisy execution: applies each gate followed by randomly drawn
-    /// Pauli errors on the involved qubits.
-    pub fn run_trajectory<R: Rng>(&self, circuit: &Circuit, rng: &mut R) -> StateVector {
-        let mut state = StateVector::new(circuit.n_qubits());
-        self.run_trajectory_into(circuit, &mut state, rng);
-        state
-    }
-
-    /// [`NoiseModel::run_trajectory`] into a caller-owned state: resets
-    /// `state` to `|0…0⟩` in place and evolves it, so trajectory loops
-    /// reuse one amplitude buffer.
+    /// One noisy execution into a caller-owned state: resets `state` to
+    /// `|0…0⟩` in place, then applies each gate followed by randomly drawn
+    /// Pauli errors on the involved qubits. Trajectory loops reuse one
+    /// amplitude buffer.
     ///
     /// # Panics
     ///
@@ -245,6 +242,80 @@ mod tests {
     #[should_panic(expected = "out of [0,1]")]
     fn rejects_invalid_rates() {
         let _ = NoiseModel::new(1.5, 0.0, 0.0);
+    }
+
+    /// The per-shot sampler the trajectory loop used before it drew
+    /// through a guide table: one uniform draw per shot, looked up in the
+    /// cumulative table by [`choco_mathkit::draw_slot`].
+    fn reference_sample_noisy(
+        noise: &NoiseModel,
+        circuit: &Circuit,
+        shots: u64,
+        trajectories: u32,
+        rng: &mut StdRng,
+    ) -> Counts {
+        let mut counts = Counts::new();
+        let mut state = StateVector::new(circuit.n_qubits());
+        let mut cumulative = Vec::new();
+        for t in 0..trajectories as u64 {
+            let traj_shots =
+                shots / trajectories as u64 + u64::from(t < shots % trajectories as u64);
+            if traj_shots == 0 {
+                continue;
+            }
+            noise.run_trajectory_into(circuit, &mut state, rng);
+            state.fill_cumulative(&mut cumulative);
+            let total = cumulative[cumulative.len() - 1];
+            let mut clean = Counts::new();
+            for _ in 0..traj_shots {
+                let r = rng.gen::<f64>() * total;
+                clean.record(choco_mathkit::draw_slot(&cumulative, r) as u64);
+            }
+            if noise.readout == 0.0 {
+                counts.merge(&clean);
+                continue;
+            }
+            for (bits, c) in clean.iter() {
+                for _ in 0..c {
+                    counts.record(noise.flip_readout(bits, circuit.n_qubits(), rng));
+                }
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn guided_trajectory_sampling_matches_per_shot_draws() {
+        let mut gen = StdRng::seed_from_u64(17);
+        for case in 0..40u64 {
+            let n = gen.gen_range(1..7usize);
+            let mut c = Circuit::new(n);
+            for _ in 0..gen.gen_range(0..12u32) {
+                let q = gen.gen_range(0..n);
+                let angle = gen.gen::<f64>() * 6.0;
+                match gen.gen_range(0..4u32) {
+                    0 => c.h(q),
+                    1 => c.ry(q, angle),
+                    2 if n > 1 => c.cx(q, (q + 1) % n),
+                    _ => c.rz(q, angle),
+                };
+            }
+            let rates = [0.0, 0.02, 0.3];
+            let noise = NoiseModel::new(
+                rates[gen.gen_range(0..3usize)],
+                rates[gen.gen_range(0..3usize)],
+                if case % 2 == 0 { 0.0 } else { 0.1 },
+            );
+            let (shots, trajectories) = (gen.gen_range(0..400u64), gen.gen_range(1..6u32));
+            let mut a = StdRng::seed_from_u64(case);
+            let mut b = StdRng::seed_from_u64(case);
+            assert_eq!(
+                noise.sample_noisy(&c, shots, trajectories, &mut a),
+                reference_sample_noisy(&noise, &c, shots, trajectories, &mut b),
+                "case {case}: {noise:?}"
+            );
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "case {case}: rng streams");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! Production code paths must use [`crate::StateVector`].
 
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, MAX_QUBITS};
 use crate::gate::{Gate, ShiftBlock, UBlock};
 use crate::phasepoly::PhasePoly;
 use crate::state::StateVector;
@@ -29,7 +29,7 @@ pub struct ScalarStateVector {
 impl ScalarStateVector {
     /// The all-zeros state `|0…0⟩`.
     pub fn new(n_qubits: usize) -> Self {
-        assert!(n_qubits <= 30, "state vector limited to 30 qubits");
+        assert!(n_qubits <= MAX_QUBITS, "at most {MAX_QUBITS} qubits");
         let mut amps = vec![Complex64::ZERO; 1 << n_qubits];
         amps[0] = Complex64::ONE;
         ScalarStateVector { n_qubits, amps }

@@ -17,13 +17,13 @@
 //! enough. The original scan-and-mask kernels are retained in
 //! [`crate::oracle`] as the test oracle and bench baseline.
 
-use crate::circuit::Circuit;
+use crate::circuit::{Circuit, MAX_QUBITS};
 use crate::counts::Counts;
 use crate::gate::{Gate, ShiftBlock, UBlock};
 use crate::kernels;
 use crate::phasepoly::PhasePoly;
 use crate::simconfig::SimConfig;
-use choco_mathkit::{draw_slot, Complex64};
+use choco_mathkit::Complex64;
 use rand::Rng;
 
 /// A pure quantum state over `n` qubits (little-endian basis indexing:
@@ -60,7 +60,7 @@ impl StateVector {
 
     /// The all-zeros state with an explicit execution configuration.
     pub fn new_with(n_qubits: usize, config: SimConfig) -> Self {
-        assert!(n_qubits <= 30, "state vector limited to 30 qubits");
+        assert!(n_qubits <= MAX_QUBITS, "at most {MAX_QUBITS} qubits");
         let mut amps = vec![Complex64::ZERO; 1 << n_qubits];
         amps[0] = Complex64::ONE;
         StateVector {
@@ -484,29 +484,6 @@ impl StateVector {
         }
     }
 
-    /// Samples `shots` outcomes using a prebuilt cumulative table (see
-    /// [`StateVector::fill_cumulative`]); `O(shots·n)` once the table
-    /// exists, so repeated sampling skips the `O(2^n)` prefix-sum rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table length does not match the state dimension.
-    pub fn sample_with_cumulative<R: Rng>(
-        &self,
-        cumulative: &[f64],
-        shots: u64,
-        rng: &mut R,
-    ) -> Counts {
-        assert_eq!(cumulative.len(), self.amps.len(), "table length mismatch");
-        let total = *cumulative.last().expect("non-empty state");
-        let mut counts = Counts::new();
-        for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * total;
-            counts.record(draw_slot(cumulative, r) as u64);
-        }
-        counts
-    }
-
     /// Samples `shots` measurement outcomes in the computational basis,
     /// building the cumulative table on the fly (one-off calls; use
     /// [`crate::SimWorkspace::sample`] to reuse the table across calls).
@@ -751,20 +728,6 @@ mod tests {
         assert!((p00 - 0.5).abs() < 0.02, "p00={p00}");
         assert!((p11 - 0.5).abs() < 0.02, "p11={p11}");
         assert_eq!(counts.probability(0b01), 0.0);
-    }
-
-    #[test]
-    fn sample_with_cumulative_matches_fresh_table() {
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).ry(2, 0.9);
-        let s = StateVector::run(&c);
-        let mut table = Vec::new();
-        s.fill_cumulative(&mut table);
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        let direct = s.sample(5_000, &mut rng_a);
-        let cached = s.sample_with_cumulative(&table, 5_000, &mut rng_b);
-        assert_eq!(direct, cached, "same seed must give identical histograms");
     }
 
     #[test]

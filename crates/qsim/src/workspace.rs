@@ -536,7 +536,7 @@ impl SimWorkspace {
     /// optimizer's simplex or rebuild centre) makes the reference, which
     /// leads: as the candidate equal to it, else as an extra lane when a
     /// candidate shares a prefix with it. The others join at their first
-    /// changed slot with the lead's amplitudes ([`GatePlan::execute`]).
+    /// changed slot with the lead's amplitudes (`GatePlan::execute`).
     pub fn run_template_batch<P: AsRef<[f64]>>(
         &mut self,
         template: &CircuitTemplate,

@@ -422,11 +422,27 @@ fn with_pool<'env, T>(
             let shared = &shared;
             scope.spawn(move || worker_loop(shared, worker));
         }
-        let out = body(&shared);
-        lock(&shared.state).stop = true;
-        shared.wake.notify_all();
-        out
+        let _stop = StopPool(&shared);
+        body(&shared)
     })
+}
+
+/// Stops [`with_pool`]'s workers when its body returns or unwinds, so the
+/// scope's join never waits on idle workers. An unwinding body also drops
+/// the queued cells: the panic reaches the caller once the running cells
+/// end.
+struct StopPool<'a, 'env>(&'a Shared<'env>);
+
+impl Drop for StopPool<'_, '_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.0.state);
+        st.stop = true;
+        if std::thread::panicking() {
+            st.tasks.clear();
+        }
+        drop(st);
+        self.0.wake.notify_all();
+    }
 }
 
 /// Executes a grid spec as one job on its own pool of
@@ -460,7 +476,7 @@ pub(crate) fn execute_grid(spec: &ExperimentSpec, opts: &RunOptions) -> Result<R
     };
     let workers = opts.effective_workers(pending.len());
     let job = with_pool(&pool_opts, workers, Some(Instant::now()), |shared| {
-        let job = enqueue(shared, job, &pending, journal).map_err(|(_, e)| e)?;
+        let job = enqueue(shared, job, &pending, journal, false).map_err(|(_, e)| e)?;
         // Wait the job out, as a daemon whose input ended would.
         drain(shared, &SessionEnd::Eof);
         Ok::<_, String>(job)
@@ -597,14 +613,9 @@ fn handle_request(shared: &Shared, line: &str) -> Option<SessionEnd> {
 /// machine-readable kind (emitting `rejected`). Rejections never leave
 /// state files behind.
 fn handle_submit(shared: &Shared, request: &Json) {
-    let id_hint = request
-        .get("id")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    match admit(shared, request) {
-        Ok(job) => emit_accepted(shared, &job),
-        Err((kind, reason)) => emit_rejected(shared, &id_hint, kind, &reason),
+    if let Err((kind, reason)) = admit(shared, request) {
+        let id_hint = request.get("id").and_then(Json::as_str).unwrap_or("");
+        emit_rejected(shared, id_hint, kind, &reason);
     }
 }
 
@@ -833,7 +844,8 @@ fn prepare_job(
         })?;
     }
     job.report_path = Some(report_path);
-    enqueue(shared, job, &pending, Some(&journal_path))
+    let fresh = persist_toml.is_some();
+    enqueue(shared, job, &pending, Some(&journal_path), fresh)
 }
 
 /// The preparation every job shares, before anything is written: expand
@@ -889,9 +901,16 @@ fn plan_job(
 }
 
 /// Opens a planned job's journal (appending on resume, fresh otherwise),
-/// registers the job, and queues its pending cells. A job with nothing
-/// pending finalizes at once.
-fn enqueue(shared: &Shared, mut job: Job, pending: &[usize], journal: Option<&Path>) -> Admission {
+/// registers the job, and queues its pending cells. A fresh daemon job
+/// (`announce`) emits `accepted` before any worker can see its cells, so
+/// no `record` precedes it. A job with nothing pending finalizes at once.
+fn enqueue(
+    shared: &Shared,
+    mut job: Job,
+    pending: &[usize],
+    journal: Option<&Path>,
+    announce: bool,
+) -> Admission {
     if let Some(path) = journal {
         let opened = if job.opts.resume && path.exists() {
             CheckpointJournal::append_to(path)
@@ -900,6 +919,9 @@ fn enqueue(shared: &Shared, mut job: Job, pending: &[usize], journal: Option<&Pa
             CheckpointJournal::create(path, &header)
         };
         job.journal = Some(opened.map_err(|e| ("journal_error", e))?);
+    }
+    if announce {
+        emit_accepted(shared, &job);
     }
     let job = Arc::new(job);
     {
@@ -1151,10 +1173,12 @@ fn workspace_for<'w>(
     &mut workspaces[idx].1
 }
 
-/// Ends a finished job: removes it from the active set and, for a daemon
-/// job, writes its report (byte-identical to `choco-cli run` of the same
-/// spec), marks it `.done`, and emits `done` — or `error` if the job
-/// failed. A plain run's caller builds its report from the slots.
+/// Ends a finished job: for a daemon job, writes its report
+/// (byte-identical to `choco-cli run` of the same spec), marks it
+/// `.done`, and emits `done` — or `error` if the job failed — and then
+/// removes it from the active set, so a drain's `shutdown` follows the
+/// job's last event. A plain run's caller builds its report from the
+/// slots.
 fn finalize_job(shared: &Shared, job: &Arc<Job>) {
     let result = job.report_path.as_ref().map(|path| {
         if job.aborted.load(Ordering::SeqCst) {
@@ -1183,16 +1207,15 @@ fn finalize_job(shared: &Shared, job: &Arc<Job>) {
         }
         Ok((path, report))
     });
-    {
-        let mut st = lock(&shared.state);
-        st.active.retain(|active| !Arc::ptr_eq(active, job));
-    }
-    shared.wake.notify_all();
     match result {
         Some(Ok((path, report))) => emit_done(shared, &job.id, path, &report),
         Some(Err(e)) => emit_error(shared, Some(&job.id), &e),
         None => {}
     }
+    lock(&shared.state)
+        .active
+        .retain(|active| !Arc::ptr_eq(active, job));
+    shared.wake.notify_all();
 }
 
 impl Job {
@@ -1714,6 +1737,26 @@ fn toml_int_array(key: &str, value: &Json) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_pool_body_stops_its_workers() {
+        // On its own thread, so a pool that never joins fails the test
+        // instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let opts = ServeOptions::default();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                with_pool(&opts, 2, None, |_| -> () { panic!("body failed") })
+            }));
+            done.send(outcome.is_err()).unwrap();
+        });
+        let propagated = finished.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            propagated,
+            Ok(true),
+            "the pool joined and the panic propagated"
+        );
+    }
 
     #[test]
     fn job_ids_are_safe_file_names() {

@@ -12,8 +12,9 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 /// Maximum register size any solver will simulate on the **dense**
-/// engine (a `2^26` amplitude buffer is 1 GiB).
-pub const MAX_SIM_QUBITS: usize = 26;
+/// engine: the simulator's dense limit (a `2^26` amplitude buffer is
+/// 1 GiB).
+pub use choco_qsim::MAX_DENSIFY_QUBITS as MAX_SIM_QUBITS;
 
 /// Configuration shared by all QAOA-family solvers.
 #[derive(Clone, Debug)]

@@ -220,17 +220,9 @@ fn main() -> ExitCode {
                  [--noise fez|osaka|sherbrooke] [--top N] [--seed N] [--threads N] \
                  [--engine dense|compact] \
                  [--optimizer cobyla|nelder-mead|spsa] \
-                 [--restart-workers N] [--timeout SECS]\n\
-                 usage: choco-cli run <spec.toml> [--workers N] [--quick] [--out PATH|-] \
-                 [--csv PATH] [--sim-threads N] [--engine dense|compact] \
-                 [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
-                 [--no-table] [--checkpoint PATH] [--resume] [--cell-timeout SECS] \
-                 [--retries N]\n\
-                 usage: choco-cli serve [--state-dir DIR] [--queue-cap N] [--socket PATH] \
-                 [--workers N] [--sim-threads N] [--engine dense|compact] \
-                 [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
-                 [--cell-timeout SECS] [--retries N] [--mem-budget BYTES[K|M|G]] \
-                 [--gc-done] [--drain-timeout SECS]"
+                 [--restart-workers N] [--timeout SECS]\n{}\n{}",
+                choco_q::runner::cli::RUN_USAGE,
+                choco_q::runner::cli::SERVE_USAGE
             );
             return ExitCode::from(2);
         }

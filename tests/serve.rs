@@ -189,6 +189,71 @@ fn oversized_jobs_are_rejected_at_admission_with_guidance() {
     assert!(!opts.state_dir.join("big.journal").exists());
 }
 
+/// The position of each event of `kind` for `job` in `events`.
+fn positions(events: &[String], kind: &str, job: &str) -> Vec<usize> {
+    let (kind, job) = (
+        format!("\"event\": \"{kind}\""),
+        format!("\"job\": \"{job}\""),
+    );
+    (events.iter().enumerate())
+        .filter(|(_, e)| e.contains(&kind) && e.contains(&job))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+#[test]
+fn job_events_arrive_in_order_and_shutdown_comes_last() {
+    // A job whose problem is past the 63-variable limit is a spec error,
+    // and the session goes on to run the valid jobs beside it.
+    let jobs = [
+        (
+            "f1",
+            r#""problems": ["F1"], "solvers": ["choco-q"], "shots": 200, "max_iters": 2"#,
+        ),
+        (
+            "wide",
+            r#""problems": ["kpp:40x10x2"], "solvers": ["choco-q"]"#,
+        ),
+        (
+            "cover",
+            r#""problems": ["cover:6x28"], "solvers": ["penalty"], "shots": 50, "max_iters": 1"#,
+        ),
+        (
+            "grid",
+            r#""problems": ["F1"], "solvers": ["choco-q", "cyclic"], "seeds": [1, 2], "shots": 100, "max_iters": 2"#,
+        ),
+    ];
+    for workers in [1, 2] {
+        let opts = serve_opts(scratch(&format!("order_w{workers}")).join("state"), workers);
+        let input: String = (jobs.iter())
+            .map(|(name, body)| {
+                format!("{{\"op\": \"submit\", \"job\": {{\"name\": \"{name}\", {body}, \"restarts\": 1}}}}\n")
+            })
+            .collect();
+        let events = run_session(&opts, &input);
+        assert_eq!(count_events(&events, "rejected"), 1, "{events:?}");
+        let rejected = events.iter().find(|e| e.contains("rejected")).unwrap();
+        assert!(rejected.contains("\"kind\": \"spec_error\""), "{rejected}");
+        assert!(rejected.contains("kpp:40x10x2"), "{rejected}");
+        for job in ["f1", "cover", "grid"] {
+            let accepted = positions(&events, "accepted", job);
+            let done = positions(&events, "done", job);
+            assert!(accepted.len() == 1 && done.len() == 1, "{job}: {events:?}");
+            let records = positions(&events, "record", job);
+            assert!(!records.is_empty(), "{job}: {events:?}");
+            for record in records {
+                assert!(
+                    accepted[0] < record && record < done[0],
+                    "{job} at {workers} workers: {events:?}"
+                );
+            }
+        }
+        let last = events.last().expect("events");
+        assert!(last.contains("\"event\": \"shutdown\""), "{events:?}");
+        assert_eq!(count_events(&events, "shutdown"), 1, "{events:?}");
+    }
+}
+
 #[test]
 fn admission_rejects_overflow_duplicates_and_malformed_requests() {
     // Queue cap below the job's cell count: structured queue_full.
